@@ -18,11 +18,14 @@ source diagram, and an assignment of branches to several crossings is applied
 simultaneously by rewiring all chosen vertices at once; the result therefore
 does not depend on any ordering of the splices.
 
-The bracket of a diagram with m pure crossings expands all 2^m branch
-assignments over the pure crossings, keeps exactly the results with the
-original number of components (those inherit the source enumeration, since a
-pure-crossing splice never connects two different components), reduces the
-canonical forms mod 2, and for m = 0 is the single canonicalized summand.
+The bracket of a diagram with m pure crossings sums the 2^m branch
+assignments of its pure crossings that keep the number of components, as
+canonical forms mod 2 (m = 0 gives the diagram's own canonical form).  A
+pure splice rewires only its own component, so an assignment is kept exactly
+when each component's share of it leaves that component one curve.  Each
+component is therefore expanded alone, over its own 2^(m_c) states, curves
+equal up to rotation or reversal cancel there, and only the products of the
+survivors are canonicalized and reduced mod 2.
 
 Bracket values are compared as sets of canonical forms: equality and
 distinctness verdicts are sound, but since equivalence of individual
@@ -34,15 +37,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from . import invariant as _invariant
 from .diagram import (
     ComponentCode,
     Diagram,
-    canonical_form,
     canonical_key,
-    crossing_occurrences,
     is_good_condition,
     pure_crossings,
     validate,
@@ -99,7 +100,45 @@ class Verdict:
 # -- simultaneous splicing via port rewiring ----------------------------------
 
 
-def _splice_components(d: Diagram, branches: dict[str, str]):
+def _port_table(d: Diagram):
+    """The wiring of ``d`` before any splice: ``(where, comp_of, names, arc)``.
+
+    Passes are numbered in scan order.  Pass g has the in-port 2g and the
+    out-port 2g + 1; with P ports on passes, component ci has the endpoint
+    ports P + 2(ci - 1) (start) and P + 2(ci - 1) + 1 (end).  ``where`` maps
+    each crossing to its passes, ``comp_of[g]`` and ``names[g]`` are the
+    component and the crossing of pass g, and ``arc`` maps each port to the
+    port at the other end of its arc.  None of it depends on the branches.
+    """
+    comp_of = [ci for ci, comp in enumerate(d.components, start=1) for _ in comp.passes]
+    names = [name for comp in d.components for name in comp.passes]
+    where: dict[str, list[int]] = {}
+    for g, name in enumerate(names):
+        where.setdefault(name, []).append(g)
+    P = 2 * len(names)
+    arc = [0] * (P + 2 * d.n)
+
+    def join(p, q):
+        arc[p] = q
+        arc[q] = p
+
+    g = 0
+    for ci, comp in enumerate(d.components, start=1):
+        L, s = len(comp.passes), P + 2 * (ci - 1)
+        for k in range(g, g + L - 1):
+            join(2 * k + 1, 2 * k + 2)
+        if L and comp.closed:
+            join(2 * (g + L) - 1, 2 * g)
+        elif L:
+            join(s, 2 * g)
+            join(2 * (g + L) - 1, s + 1)
+        elif not comp.closed:
+            join(s, s + 1)
+        g += L
+    return where, comp_of, names, arc
+
+
+def _splice_components(d: Diagram, branches: dict[str, str], table=None):
     """Apply all splices of ``branches`` at once.
 
     Returns ``(components, sources)`` where ``sources[k]`` is the set of
@@ -107,88 +146,64 @@ def _splice_components(d: Diagram, branches: dict[str, str]):
     traverses.  Result components are ordered: for each source component in
     index order, the curve through its start (open) or through the arc
     leaving its first pass (closed, when that pass is spliced) or through its
-    first pass itself; then all remaining curves in scan order.
+    first pass itself; then all remaining curves in scan order.  ``table``
+    is ``_port_table(d)``, built here when not given.
     """
-    occs = crossing_occurrences(d)
+    where, comp_of, names, arc = _port_table(d) if table is None else table
+    P = 2 * len(names)
+    via: dict[int, int] = {}
     for name, branch in branches.items():
-        if name not in occs:
+        if name not in where:
             raise BracketError(f"unknown crossing {name!r}")
         if branch not in ("A", "B"):
             raise BracketError(f"branch must be 'A' or 'B', got {branch!r}")
+        g1, g2 = where[name]
+        # A joins in1-out2 and out1-in2, B joins in1-in2 and out1-out2
+        u, v = 2 * g1, 2 * g2 + (branch == "A")
+        via[u], via[v], via[u ^ 1], via[v ^ 1] = v, u, v ^ 1, u ^ 1
 
-    arc: dict[tuple, tuple] = {}
-
-    def join(p, q):
-        arc[p] = q
-        arc[q] = p
-
-    for ci, comp in enumerate(d.components, start=1):
-        L = len(comp.passes)
-        if L == 0:
-            if not comp.closed:
-                join(("s", ci), ("e", ci))
-            continue
-        for k in range(L - 1):
-            join((ci, k, "o"), (ci, k + 1, "i"))
-        if comp.closed:
-            join((ci, L - 1, "o"), (ci, 0, "i"))
-        else:
-            join(("s", ci), (ci, 0, "i"))
-            join((ci, L - 1, "o"), ("e", ci))
-
-    via: dict[tuple, tuple] = {}
-    spliced: set[tuple[int, int]] = set()
-    for name, branch in branches.items():
-        (c1, p1), (c2, p2) = occs[name]
-        spliced.update(((c1, p1), (c2, p2)))
-        if branch == "A":
-            links = (((c1, p1, "i"), (c2, p2, "o")), ((c1, p1, "o"), (c2, p2, "i")))
-        else:
-            links = (((c1, p1, "i"), (c2, p2, "i")), ((c1, p1, "o"), (c2, p2, "o")))
-        for u, v in links:
-            via[u] = v
-            via[v] = u
-
-    visited: set[tuple] = set()
-    names = {occ: name for name, places in occs.items() for occ in places}
+    visited = bytearray(len(arc))
 
     def trace(start, cycle: bool):
         """Walk from a port entered via its arc; emit surviving passes."""
         seq: list[str] = []
         touched: set[int] = set()
         port = start
-        first = True
         while True:
-            if cycle and not first and port == start:
-                return seq, touched, None
-            if port[0] in ("s", "e"):
-                visited.add(port)
+            if port >= P:
+                visited[port] = 1
                 return seq, touched, port
-            ci, pos, side = port
-            touched.add(ci)
-            visited.add(port)
-            if (ci, pos) in spliced:
-                out = via[port]
-            else:
-                seq.append(names[(ci, pos)])
-                out = (ci, pos, "o" if side == "i" else "i")
-            visited.add(out)
-            touched.add(out[0])
+            visited[port] = 1
+            touched.add(comp_of[port >> 1])
+            out = via.get(port)
+            if out is None:
+                seq.append(names[port >> 1])
+                out = port ^ 1
+            visited[out] = 1
+            touched.add(comp_of[out >> 1])
             port = arc[out]
-            first = False
+            if cycle and port == start:
+                return seq, touched, None
 
     components: list[ComponentCode] = []
     sources: list[set[int]] = []
 
+    def loop(start):
+        seq, touched, _ = trace(start, cycle=True)
+        components.append(ComponentCode(True, tuple(seq)))
+        sources.append(touched)
+
     # curves anchored at original components, in index order
+    first = 0
     for ci, comp in enumerate(d.components, start=1):
+        head, first = first, first + 2 * len(comp.passes)
         if not comp.closed:
-            start = ("s", ci)
-            if start in visited:
+            start = P + 2 * (ci - 1)
+            if visited[start]:
                 continue
-            visited.add(start)
+            visited[start] = 1
             seq, touched, end = trace(arc[start], cycle=False)
-            if end[0] == "s":
+            if (end - P) % 2 == 0:
                 # the reconnection would join two lower endpoints, so the
                 # result is not readable as lower-to-upper strands
                 raise BracketError(
@@ -202,32 +217,19 @@ def _splice_components(d: Diagram, branches: dict[str, str]):
             components.append(ComponentCode(True, ()))
             sources.append({ci})
         else:
-            anchor = arc[(ci, 0, "o")] if (ci, 0) in spliced else (ci, 0, "i")
-            if anchor in visited:
-                continue
-            seq, touched, _ = trace(anchor, cycle=True)
-            components.append(ComponentCode(True, tuple(seq)))
-            sources.append(touched)
+            anchor = arc[head + 1] if head in via else head
+            if not visited[anchor]:
+                loop(anchor)
 
     # leftover closed curves: start at the first surviving pass so segments
     # read forward, then sweep pass-free cycles
-    for ci, comp in enumerate(d.components, start=1):
-        for pos in range(len(comp.passes)):
-            port = (ci, pos, "i")
-            if (ci, pos) in spliced or port in visited:
-                continue
-            seq, touched, _ = trace(port, cycle=True)
-            components.append(ComponentCode(True, tuple(seq)))
-            sources.append(touched)
-    for ci, comp in enumerate(d.components, start=1):
-        for pos in range(len(comp.passes)):
-            for side in ("i", "o"):
-                port = (ci, pos, side)
-                if port in visited:
-                    continue
-                seq, touched, _ = trace(port, cycle=True)
-                components.append(ComponentCode(True, tuple(seq)))
-                sources.append(touched)
+    for port in range(0, P, 2):
+        if port not in via and not visited[port]:
+            loop(port)
+    port = visited.find(0, 0, P)
+    while port >= 0:
+        loop(port)
+        port = visited.find(0, port + 1, P)
 
     return components, sources
 
@@ -262,30 +264,38 @@ def splice_expansion(d: Diagram, crossings: tuple[str, ...] | None = None):
     """
     if crossings is None:
         crossings = tuple(sorted(pure_crossings(d)))
-    m = len(crossings)
-    for code in range(1 << m):
-        assignment = {
-            crossings[r]: "AB"[(code >> r) & 1] for r in range(m)
-        }
-        components, sources = _splice_components(d, assignment)
+    table = _port_table(d)
+    for code in range(1 << len(crossings)):
+        assignment = {name: "AB"[(code >> r) & 1] for r, name in enumerate(crossings)}
+        components, sources = _splice_components(d, assignment, table)
         yield assignment, components, sources
 
 
-def _summand_from(d: Diagram, components, sources) -> Diagram | None:
-    """Order an exactly-n splice result by inherited component index."""
-    if len(components) != d.n:
-        return None
-    owners = []
-    for touched in sources:
-        if len(touched) != 1:
-            raise BracketError(
-                "splice result mixes source components; only pure crossings may be spliced"
-            )
-        owners.append(next(iter(touched)))
-    if sorted(owners) != list(range(1, d.n + 1)):
-        return None
-    ordered = [comp for _, comp in sorted(zip(owners, components))]
-    return Diagram(kind=d.kind, components=tuple(ordered))
+def _least_turn(comp: ComponentCode) -> ComponentCode:
+    """A closed curve at its least rotation or reversal; open ones as they are."""
+    p = comp.passes
+    if not comp.closed or not p:
+        return comp
+    return ComponentCode(True, min(s[r:] + s[:r] for s in (p, p[::-1]) for r in range(len(p))))
+
+
+def _component_states(task):
+    """Mod-2 set of the one-curve results of a range of one component's states.
+
+    ``task`` is ``(index, sub, pures, start, stop)``: ``sub`` holds the
+    component alone, and bit r of a state picks the branch of ``pures[r]``.
+    Returns ``(index, curves)``, each curve at its least rotation or
+    reversal, so that curves equal as closed curves cancel.
+    """
+    index, sub, pures, start, stop = task
+    table = _port_table(sub)
+    odd: set[ComponentCode] = set()
+    for code in range(start, stop):
+        branches = {name: "AB"[(code >> r) & 1] for r, name in enumerate(pures)}
+        components, _ = _splice_components(sub, branches, table)
+        if len(components) == 1:
+            odd ^= {_least_turn(components[0])}
+    return index, odd
 
 
 def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
@@ -296,35 +306,48 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
     without pure crossings brackets to the singleton of its own canonical
     form.  Raises when the diagram is invalid or has more than ``max_pure``
     pure crossings.
+
+    Each component's states are expanded on their own; with ``jobs > 1``
+    and at least four pure crossings, chunks of each component's state
+    range run in a pool of ``jobs`` processes.
     """
     bad = validate(d)
     if bad:
         raise BracketError("invalid diagram: " + "; ".join(str(v) for v in bad))
-    pures = tuple(sorted(pure_crossings(d)))
+    pures = pure_crossings(d)
     if len(pures) > max_pure:
         raise BracketError(
             f"{len(pures)} pure crossings exceed the expansion cap of {max_pure}; "
             "raise max_pure explicitly to proceed"
         )
-    if jobs > 1 and len(pures) >= 4:
-        keys = _expand_parallel(d, pures, jobs)
-        members = {key: _diagram_from_key(key) for key in keys}
+    parallel = jobs > 1 and len(pures) >= 4
+    parts = jobs * 4 if parallel else 1
+    tasks = []
+    for index, comp in enumerate(d.components):
+        own = tuple(sorted(pures.intersection(comp.passes)))
+        sub = Diagram(kind=d.kind, components=(comp,))
+        total = 1 << len(own)
+        step = -(-total // parts)
+        tasks += [(index, sub, own, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    if parallel:
+        from multiprocessing import get_context
+
+        with get_context("spawn").Pool(jobs) as pool:
+            results = pool.map(_component_states, tasks)
     else:
-        members: dict[tuple, Diagram] = {}
-        for _, components, sources in splice_expansion(d, pures):
-            summand = _summand_from(d, components, sources)
-            if summand is None:
-                continue
-            canonical = canonical_form(summand)
-            key = canonical_key(canonical)
-            if key in members:
-                del members[key]
-            else:
-                members[key] = canonical
-    for summand in members.values():
+        results = map(_component_states, tasks)
+    survivors: list[set[ComponentCode]] = [set() for _ in d.components]
+    for index, odd in results:
+        survivors[index] ^= odd
+
+    keys: set[tuple] = set()
+    for combo in product(*survivors):
+        keys ^= {canonical_key(Diagram(kind=d.kind, components=combo))}
+    members = frozenset(_diagram_from_key(key) for key in keys)
+    for summand in members:
         if pure_crossings(summand):
             raise BracketError("bracket summand retained a pure crossing")
-    return Bracket(kind=d.kind, n=d.n, summands=frozenset(members.values()))
+    return Bracket(kind=d.kind, n=d.n, summands=members)
 
 
 def _diagram_from_key(key) -> Diagram:
@@ -335,32 +358,6 @@ def _diagram_from_key(key) -> Diagram:
             ComponentCode(closed, tuple(str(c) for c in rel)) for closed, rel in parts
         ),
     )
-
-
-def _expand_chunk(args):
-    d, pures, start, stop = args
-    odd: set[tuple] = set()
-    for code in range(start, stop):
-        assignment = {pures[r]: "AB"[(code >> r) & 1] for r in range(len(pures))}
-        components, sources = _splice_components(d, assignment)
-        summand = _summand_from(d, components, sources)
-        if summand is None:
-            continue
-        odd ^= {canonical_key(summand)}
-    return odd
-
-
-def _expand_parallel(d: Diagram, pures, jobs: int) -> set[tuple]:
-    from multiprocessing import Pool
-
-    total = 1 << len(pures)
-    step = max(1, total // (jobs * 4))
-    ranges = [(d, pures, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    result: set[tuple] = set()
-    with Pool(jobs) as pool:
-        for odd in pool.imap_unordered(_expand_chunk, ranges):
-            result ^= odd
-    return result
 
 
 def serialize_bracket(b: Bracket) -> str:

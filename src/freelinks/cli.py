@@ -70,12 +70,36 @@ def _basepoints(text: str) -> list[Basepoint]:
     return points
 
 
-def _load(path: str) -> Diagram:
+def _bounded_int(low: int):
+    """An argparse type for integers of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_jobs = _bounded_int(1)
+_count = _bounded_int(0)
+
+
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
-    return parse_diagram(text)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
+
+
+def _load(path: str) -> Diagram:
+    return parse_diagram(_read(path))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,23 +122,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", help="mod-2 splicing bracket of a diagram")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("compare", help="decide equal / distinct / unknown for two diagrams")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--pair", type=_pair, default=None, metavar="I,J")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--depth", type=_count, default=4)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("fuzz", help="random move walk with invariant checks")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--forbid-pure", action="store_true")
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=_count, default=None)
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("orbit", help="masked conjugacy representatives of a word")
@@ -177,6 +201,10 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
+def _odd_pairs(table: dict[tuple[int, int], int]) -> str:
+    return ", ".join(f"({i},{j})" for (i, j), bit in sorted(table.items()) if bit) or "none"
+
+
 def _cmd_compare(args) -> int:
     a = _load(args.file_a)
     b = _load(args.file_b)
@@ -189,8 +217,19 @@ def _cmd_compare(args) -> int:
             f"cannot compare: {a.kind} n={a.n} versus {b.kind} n={b.n}"
         )
 
+    # the mixed-crossing parity table survives every move, so it is checked
+    # before anything that searches
+    parity_a, parity_b = is_good_condition(a)[1], is_good_condition(b)[1]
+    if parity_a != parity_b:
+        print("distinct")
+        print(
+            "certificate: odd crossing parities at pairs "
+            f"{_odd_pairs(parity_a)} != {_odd_pairs(parity_b)}"
+        )
+        return 1
+
     pure_free = not pure_crossings(a) and not pure_crossings(b)
-    good = is_good_condition(a)[0] and is_good_condition(b)[0]
+    good = not any(parity_a.values())
 
     if pure_free and good:
         fa, fb = fingerprint(a), fingerprint(b)
@@ -294,11 +333,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_replay(args) -> int:
     d = _load(args.file)
-    try:
-        text = Path(args.trace).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read {args.trace}: {e.strerror or e}")
-    final = replay(d, parse_trace(text))
+    final = replay(d, parse_trace(_read(args.trace)))
     sys.stdout.write(serialize_diagram(final))
     return 0
 

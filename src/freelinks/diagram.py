@@ -139,11 +139,15 @@ def parse_diagram(text: str | bytes) -> Diagram:
     Line 1 is ``tangle n=<N>`` or ``link n=<N>``, followed by N lines
     ``component <i> open: <tok> ...`` or ``component <i> closed: <tok> ...``.
     ``#`` starts a comment; blank lines are skipped.  Raises :class:`ParseError`
-    on malformed syntax, on a crossing that does not occur exactly twice, and
-    on duplicate or missing component indices.
+    on bytes that are not UTF-8, on malformed syntax, on a crossing that does
+    not occur exactly twice, and on duplicate or missing component indices.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = text.count(b"\n", 0, e.start) + 1
+            raise ParseError(f"input is not UTF-8 ({e.reason} at byte {e.start})", line)
 
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

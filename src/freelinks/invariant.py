@@ -30,6 +30,7 @@ from .words import (
     GroupContext,
     Letter,
     Word,
+    _lex_key,
     canonical_class_word,
     make_word,
     reduce,
@@ -209,15 +210,27 @@ def fingerprint(d: Diagram) -> Fingerprint:
 
     Keys are ``((i, j), along)`` with i < j and along in {i, j}.  Defined for
     diagrams in good condition without pure crossings; tangles use their
-    words directly, links cut at offset-0 basepoints.
+    words directly, links cut at offset-0 basepoints.  On a link, each word
+    is the least of the class words of both directions along its component,
+    so reversing a closed component leaves the fingerprint unchanged.
     """
     base = cut_link(d, _default_basepoints(d)) if d.kind == "link" else d
     table = word_table(base)
+
+    def class_word(word: Word) -> Word:
+        # reversing a closed component reverses the words read along it and
+        # keeps every letter, since it meets each other component evenly often
+        best = canonical_class_word(word)
+        if d.kind == "link":
+            back = canonical_class_word(Word(word.context, word.letters[::-1]))
+            best = min(best, back, key=lambda v: _lex_key(v.letters))
+        return best
+
     out: dict[tuple[tuple[int, int], int], Word] = {}
     for i in range(1, d.n + 1):
         for j in range(i + 1, d.n + 1):
-            out[((i, j), i)] = canonical_class_word(table[(i, j)])
-            out[((i, j), j)] = canonical_class_word(table[(j, i)])
+            out[((i, j), i)] = class_word(table[(i, j)])
+            out[((i, j), j)] = class_word(table[(j, i)])
     return out
 
 

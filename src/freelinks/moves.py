@@ -32,6 +32,7 @@ from .diagram import (
     ComponentCode,
     Diagram,
     DiagramError,
+    ParseError,
     canonical_key,
     pure_crossings,
     validate,
@@ -617,44 +618,56 @@ def serialize_trace(trace: WalkTrace) -> str:
 def _parse_slot(token: str, lineno: int) -> tuple[int, int, bool]:
     m = _SLOT_RE.match(token)
     if m is None:
-        raise MoveError(f"trace line {lineno}: bad location {token!r}")
+        raise ParseError(f"trace: bad location {token!r}", lineno)
     ci = int(m.group(1))
     if m.group(2) == "w":
         return ci, 0, True
     return ci, int(m.group(2)), False
 
 
+# move kind -> (crossing names, locations) on a trace line
+_TRACE_FIELDS = {
+    "R1_delete": (1, 1),
+    "R1_insert": (1, 1),
+    "R2_delete": (2, 2),
+    "R2_insert": (2, 2),
+    "R3": (3, 3),
+}
+
+
 def parse_trace(text: str) -> list[MoveSite]:
-    """Parse the line-oriented trace log emitted by :func:`serialize_trace`."""
+    """Parse the line-oriented trace log emitted by :func:`serialize_trace`.
+
+    Raises :class:`ParseError`, with the line number, on an unknown move
+    kind, a wrong number of fields, a bad location or an ``R2_insert``
+    order other than ``same`` or ``swap``.
+    """
     moves = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "R1_delete":
-            (x, loc) = parts[1], _parse_slot(parts[2], lineno)
-            moves.append(MoveSite(kind, names=(x,), pairs=((loc[0], loc[1]),)))
-        elif kind == "R1_insert":
-            (x, slot) = parts[1], _parse_slot(parts[2], lineno)
-            moves.append(MoveSite(kind, names=(x,), slots=(slot,)))
-        elif kind == "R2_delete":
-            x, y = parts[1], parts[2]
-            locs = [_parse_slot(tok, lineno) for tok in parts[3:5]]
-            moves.append(MoveSite(kind, names=(x, y), pairs=tuple((c, p) for c, p, _ in locs)))
-        elif kind == "R2_insert":
-            x, y = parts[1], parts[2]
-            slots = tuple(_parse_slot(tok, lineno) for tok in parts[3:5])
-            if parts[5] not in ("same", "swap"):
-                raise MoveError(f"trace line {lineno}: expected 'same' or 'swap', got {parts[5]!r}")
-            moves.append(MoveSite(kind, names=(x, y), slots=slots, same_order=parts[5] == "same"))
-        elif kind == "R3":
-            names = tuple(parts[1:4])
-            locs = [_parse_slot(tok, lineno) for tok in parts[4:7]]
-            moves.append(MoveSite(kind, names=names, pairs=tuple((c, p) for c, p, _ in locs)))
+        kind, *fields = line.split()
+        if kind not in _TRACE_FIELDS:
+            raise ParseError(f"trace: unknown move kind {kind!r}", lineno)
+        n_names, n_locs = _TRACE_FIELDS[kind]
+        order = kind == "R2_insert"
+        if len(fields) != n_names + n_locs + order:
+            raise ParseError(
+                f"trace: {kind} takes {n_names} crossing names and {n_locs} locations"
+                + (" and 'same' or 'swap'" if order else "")
+                + f", got {len(fields)} fields",
+                lineno,
+            )
+        names = tuple(fields[:n_names])
+        locs = tuple(_parse_slot(tok, lineno) for tok in fields[n_names : n_names + n_locs])
+        if order and fields[-1] not in ("same", "swap"):
+            raise ParseError(f"trace: expected 'same' or 'swap', got {fields[-1]!r}", lineno)
+        if kind.endswith("_insert"):
+            same_order = not order or fields[-1] == "same"
+            moves.append(MoveSite(kind, names=names, slots=locs, same_order=same_order))
         else:
-            raise MoveError(f"trace line {lineno}: unknown move kind {kind!r}")
+            moves.append(MoveSite(kind, names=names, pairs=tuple((c, p) for c, p, _ in locs)))
     return moves
 
 

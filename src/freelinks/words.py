@@ -224,15 +224,13 @@ def canonical_class_word(w: Word) -> Word:
     words have equal canonical class words exactly when they are
     slide-conjugacy equal.
     """
-    core = cyclic_reduce(w)
-    best: tuple[Letter, ...] | None = None
-    for mask in _all_masks(w.context):
-        masked = apply_mask(core, mask).letters  # masking preserves cyclic reducedness
-        for rot in _rotations(masked):
-            if best is None or _lex_key(rot) < _lex_key(best):
-                best = rot
-    assert best is not None
-    return Word(w.context, best)
+    # on letter indices a mask is an XOR, and the order is the tuple order
+    width = w.context.width
+    core = [letter_index(x) for x in cyclic_reduce(w).letters]
+    best = min(
+        rot for mask in range(1 << width) for rot in _rotations(tuple(x ^ mask for x in core))
+    )
+    return Word(w.context, tuple(tuple((x >> r) & 1 for r in range(width)) for x in best))
 
 
 def orbit_representatives(w: Word) -> dict[Letter, Word]:

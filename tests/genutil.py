@@ -11,8 +11,14 @@ import random
 from collections import Counter
 from itertools import product
 
-from freelinks.bracket import SpliceChoice, splice
-from freelinks.diagram import ComponentCode, Diagram, canonical_key, pure_crossings
+from freelinks.bracket import BracketError, SpliceChoice, splice, splice_expansion
+from freelinks.diagram import (
+    ComponentCode,
+    Diagram,
+    canonical_key,
+    crossing_occurrences,
+    pure_crossings,
+)
 from freelinks.words import GroupContext, Word, make_word
 
 
@@ -48,6 +54,24 @@ def random_good_diagram(
             name = f"c{serial}"
             per_comp[i].append(name)
             per_comp[j].append(name)
+    return _assemble(n, kind, per_comp, rng)
+
+
+def random_pure_diagram(rng: random.Random, n: int, kind: str) -> Diagram:
+    """A diagram with 2-4 pure crossings on each of at least two components
+    and 2-8 mixed crossings, any parity."""
+    per_comp: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
+    owners = rng.sample(range(1, n + 1), rng.randint(2, n))
+    serial = 0
+    for i in owners:
+        for _ in range(rng.randint(2, 4)):
+            serial += 1
+            per_comp[i] += [f"p{serial}", f"p{serial}"]
+    for _ in range(rng.randint(2, 8)):
+        serial += 1
+        i, j = rng.sample(range(1, n + 1), 2)
+        per_comp[i].append(f"m{serial}")
+        per_comp[j].append(f"m{serial}")
     return _assemble(n, kind, per_comp, rng)
 
 
@@ -160,6 +184,23 @@ def brute_conjugate_equal(u: Word, v: Word, max_len: int = 4) -> bool:
     return False
 
 
+def naive_class_word(w: Word) -> Word:
+    """The least rotation of every masked cyclic reduction of w, comparing
+    rotations letter by letter through each letter's factor number."""
+    letters = _reduce_letters(w.letters)
+    while len(letters) >= 2 and letters[0] == letters[-1]:
+        letters = letters[1:-1]
+    best = None
+    for mask in product((0, 1), repeat=w.context.width):
+        masked = tuple(tuple(b ^ m for b, m in zip(x, mask)) for x in letters)
+        for r in range(max(1, len(masked))):
+            rot = masked[r:] + masked[:r]
+            key = tuple(sum(bit << k for k, bit in enumerate(x)) for x in rot)
+            if best is None or key < best[0]:
+                best = (key, rot)
+    return Word(w.context, best[1])
+
+
 def random_word(rng: random.Random, context: GroupContext, max_len: int) -> Word:
     alphabet = list(product((0, 1), repeat=context.width))
     k = rng.randint(0, max_len)
@@ -193,3 +234,162 @@ def sequential_bracket_keys(d: Diagram, rng: random.Random) -> set:
 
     expand(d, tuple(sorted(pure_crossings(d))))
     return {key for key, count in odd.items() if count % 2}
+
+
+def brute_bracket_keys(d: Diagram) -> set:
+    """Mod-2 summand keys over all 2^m branch assignments of the whole diagram.
+
+    Every assignment of the pure crossings is spliced on the whole diagram at
+    once; a result is kept when it has exactly one curve per source
+    component, ordered by source component, and canonicalized.
+    """
+    odd: set = set()
+    for _, components, sources in splice_expansion(d):
+        if len(components) != d.n:
+            continue
+        owners = []
+        for touched in sources:
+            assert len(touched) == 1, "a pure splice mixed source components"
+            owners.append(next(iter(touched)))
+        if sorted(owners) != list(range(1, d.n + 1)):
+            continue
+        ordered = tuple(comp for _, comp in sorted(zip(owners, components)))
+        odd ^= {canonical_key(Diagram(d.kind, ordered))}
+    return odd
+
+
+# -- reference splice kernel ------------------------------------------------------
+
+
+def reference_splice_components(d: Diagram, branches: dict[str, str]):
+    """The splice kernel on tuple-named ports, kept as a reference for
+    ``bracket._splice_components``: apply all splices of ``branches`` at once.
+
+    Returns ``(components, sources)`` where ``sources[k]`` is the set of
+    source component indices whose arcs or passes the k-th result component
+    traverses.  Result components are ordered: for each source component in
+    index order, the curve through its start (open) or through the arc
+    leaving its first pass (closed, when that pass is spliced) or through its
+    first pass itself; then all remaining curves in scan order.
+    """
+    occs = crossing_occurrences(d)
+    for name, branch in branches.items():
+        if name not in occs:
+            raise BracketError(f"unknown crossing {name!r}")
+        if branch not in ("A", "B"):
+            raise BracketError(f"branch must be 'A' or 'B', got {branch!r}")
+
+    arc: dict[tuple, tuple] = {}
+
+    def join(p, q):
+        arc[p] = q
+        arc[q] = p
+
+    for ci, comp in enumerate(d.components, start=1):
+        L = len(comp.passes)
+        if L == 0:
+            if not comp.closed:
+                join(("s", ci), ("e", ci))
+            continue
+        for k in range(L - 1):
+            join((ci, k, "o"), (ci, k + 1, "i"))
+        if comp.closed:
+            join((ci, L - 1, "o"), (ci, 0, "i"))
+        else:
+            join(("s", ci), (ci, 0, "i"))
+            join((ci, L - 1, "o"), ("e", ci))
+
+    via: dict[tuple, tuple] = {}
+    spliced: set[tuple[int, int]] = set()
+    for name, branch in branches.items():
+        (c1, p1), (c2, p2) = occs[name]
+        spliced.update(((c1, p1), (c2, p2)))
+        if branch == "A":
+            links = (((c1, p1, "i"), (c2, p2, "o")), ((c1, p1, "o"), (c2, p2, "i")))
+        else:
+            links = (((c1, p1, "i"), (c2, p2, "i")), ((c1, p1, "o"), (c2, p2, "o")))
+        for u, v in links:
+            via[u] = v
+            via[v] = u
+
+    visited: set[tuple] = set()
+    names = {occ: name for name, places in occs.items() for occ in places}
+
+    def trace(start, cycle: bool):
+        """Walk from a port entered via its arc; emit surviving passes."""
+        seq: list[str] = []
+        touched: set[int] = set()
+        port = start
+        first = True
+        while True:
+            if cycle and not first and port == start:
+                return seq, touched, None
+            if port[0] in ("s", "e"):
+                visited.add(port)
+                return seq, touched, port
+            ci, pos, side = port
+            touched.add(ci)
+            visited.add(port)
+            if (ci, pos) in spliced:
+                out = via[port]
+            else:
+                seq.append(names[(ci, pos)])
+                out = (ci, pos, "o" if side == "i" else "i")
+            visited.add(out)
+            touched.add(out[0])
+            port = arc[out]
+            first = False
+
+    components: list[ComponentCode] = []
+    sources: list[set[int]] = []
+
+    # curves anchored at original components, in index order
+    for ci, comp in enumerate(d.components, start=1):
+        if not comp.closed:
+            start = ("s", ci)
+            if start in visited:
+                continue
+            visited.add(start)
+            seq, touched, end = trace(arc[start], cycle=False)
+            if end[0] == "s":
+                # the reconnection would join two lower endpoints, so the
+                # result is not readable as lower-to-upper strands
+                raise BracketError(
+                    "splice reverses one open component onto another; "
+                    "such a reconnection has no open-strand representation"
+                )
+            touched.add(ci)
+            components.append(ComponentCode(False, tuple(seq)))
+            sources.append(touched)
+        elif len(comp.passes) == 0:
+            components.append(ComponentCode(True, ()))
+            sources.append({ci})
+        else:
+            anchor = arc[(ci, 0, "o")] if (ci, 0) in spliced else (ci, 0, "i")
+            if anchor in visited:
+                continue
+            seq, touched, _ = trace(anchor, cycle=True)
+            components.append(ComponentCode(True, tuple(seq)))
+            sources.append(touched)
+
+    # leftover closed curves: start at the first surviving pass so segments
+    # read forward, then sweep pass-free cycles
+    for ci, comp in enumerate(d.components, start=1):
+        for pos in range(len(comp.passes)):
+            port = (ci, pos, "i")
+            if (ci, pos) in spliced or port in visited:
+                continue
+            seq, touched, _ = trace(port, cycle=True)
+            components.append(ComponentCode(True, tuple(seq)))
+            sources.append(touched)
+    for ci, comp in enumerate(d.components, start=1):
+        for pos in range(len(comp.passes)):
+            for side in ("i", "o"):
+                port = (ci, pos, side)
+                if port in visited:
+                    continue
+                seq, touched, _ = trace(port, cycle=True)
+                components.append(ComponentCode(True, tuple(seq)))
+                sources.append(touched)
+
+    return components, sources

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -23,7 +24,15 @@ from freelinks.diagram import (
 )
 from freelinks.moves import apply_move, move_candidates
 
-from genutil import random_any_diagram, sequential_bracket_keys
+_splice_components = importlib.import_module("freelinks.bracket")._splice_components
+
+from genutil import (
+    brute_bracket_keys,
+    random_any_diagram,
+    random_pure_diagram,
+    reference_splice_components,
+    sequential_bracket_keys,
+)
 
 CIRCLE = parse_diagram("link n=1\ncomponent 1 closed:")
 KINK = parse_diagram("link n=1\ncomponent 1 closed: x x")
@@ -81,6 +90,26 @@ class TestSplice:
         d = parse_diagram("tangle n=2\ncomponent 1 open: x a a\ncomponent 2 open: b x b")
         with pytest.raises(BracketError, match="open"):
             splice(d, SpliceChoice("x", "B"))
+
+    def test_kernel_matches_reference(self):
+        # any subset of crossings, pure or mixed, spliced at once: the same
+        # curves, sources and order as the tuple-port kernel, or both refuse
+        rng = random.Random(37)
+        refused = 0
+        for _ in range(300):
+            d = random_any_diagram(rng, 8)
+            names = sorted(d.crossing_names)
+            chosen = rng.sample(names, rng.randint(0, len(names)))
+            branches = {name: rng.choice("AB") for name in chosen}
+            try:
+                expected = reference_splice_components(d, branches)
+            except BracketError:
+                with pytest.raises(BracketError):
+                    _splice_components(d, branches)
+                refused += 1
+                continue
+            assert _splice_components(d, branches) == expected, (d, branches)
+        assert 0 < refused < 150
 
     def test_unknown_crossing(self):
         with pytest.raises(BracketError, match="unknown"):
@@ -167,6 +196,21 @@ class TestBracket:
             assert sequential_bracket_keys(d, rng) == simultaneous
             checked += 1
         assert checked >= 25
+
+    def test_matches_whole_diagram_expansion(self):
+        # per-component expansion against all 2^m assignments of the whole
+        # diagram, on links and tangles with pure crossings on several
+        # components, serially and in a pool
+        rng = random.Random(83)
+        several = 0
+        for _ in range(24):
+            d = random_pure_diagram(rng, rng.randint(2, 3), rng.choice(("tangle", "link")))
+            reference = brute_bracket_keys(d)
+            for jobs in (1, 2):
+                keys = {canonical_key(s) for s in bracket(d, jobs=jobs).summands}
+                assert keys == reference, (d, jobs)
+            several += len(reference) > 1
+        assert several >= 3
 
     def test_expansion_cap(self):
         passes = tuple(f"p{k}" for k in range(6) for _ in (0, 1))

@@ -1,10 +1,17 @@
+import importlib
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from freelinks.cli import run
+from freelinks.diagram import ComponentCode, Diagram, serialize_diagram
 
 from conftest import DATA
+from genutil import random_good_diagram
 
 SAMPLE = str(DATA / "three_strand.tangle")
 TRIVIAL = str(DATA / "trivial_3_3.tangle")
@@ -18,6 +25,25 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def invoke_process(*argv):
+    """Run ``python -m freelinks`` in a child process, as a user would."""
+    src = str(DATA.parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "freelinks", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def write_link(path, components) -> str:
+    d = Diagram("link", tuple(ComponentCode(True, tuple(c.split())) for c in components))
+    path.write_text(serialize_diagram(d))
+    return str(path)
 
 
 class TestValidate:
@@ -44,6 +70,14 @@ class TestValidate:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = invoke(capsys, "validate", "no_such_file.tangle")
         assert code == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.link"
+        bad.write_bytes(b"\xff\xfe")
+        code, _, err = invoke_process("validate", str(bad))
+        assert code == 2
+        assert "error" in err
+        assert "Traceback" not in err
 
 
 class TestInvariant:
@@ -93,6 +127,12 @@ class TestBracket:
         assert code == 0
         assert parallel == serial
 
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_bad_jobs_exit_2(self, capsys, jobs):
+        code, out, _ = invoke(capsys, "bracket", KINK, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+
 
 class TestCompare:
     def test_distinct_with_certificate(self, capsys):
@@ -122,6 +162,58 @@ class TestCompare:
         assert code in (0, 1)
         assert out.splitlines()[0] in ("equal", "distinct", "unknown")
 
+    def test_negative_depth_exits_2(self, capsys):
+        code, out, _ = invoke(capsys, "compare", TRIANGLE, TRIANGLE_MOVED, "--depth", "-1")
+        assert code == 2
+        assert out == ""
+
+    def test_parity_decides_before_any_search(self, capsys, tmp_path, monkeypatch):
+        a = write_link(tmp_path / "a.link", ["a b c f g", "a d e f g h", "b c d e h"])
+        b = write_link(tmp_path / "b.link", ["a b c d", "a b e f g h", "c d e f g h"])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the parity tables differ; no search is needed")
+
+        for module in ("freelinks.cli", "freelinks.bracket"):
+            monkeypatch.setattr(
+                importlib.import_module(module), "bounded_equivalence_search", forbidden
+            )
+        code, out, _ = invoke(capsys, "compare", a, b)
+        assert code == 1
+        assert out.splitlines() == [
+            "distinct",
+            "certificate: odd crossing parities at pairs (1,2), (2,3) != none",
+        ]
+
+    def test_reversed_component_is_equal(self, capsys, tmp_path):
+        comps = [
+            "c4 c6 c10 c1 c8 c5 c7 c2 c9 c11 c3 c12",
+            "c13 c15 c14 c16 c18 c17",
+            "c13 c19 c3 c14 c5 c20 c2 c16 c4 c6 c1 c15",
+            "c11 c20 c19 c12 c18 c9 c7 c10 c17 c8",
+        ]
+        a = write_link(tmp_path / "a.link", comps)
+        flipped = [" ".join(reversed(comps[0].split()))] + comps[1:]
+        b = write_link(tmp_path / "b.link", flipped)
+        code, out, _ = invoke(capsys, "compare", a, b)
+        assert (code, out) == (0, "equal\n")
+
+    def test_reversing_closed_components_is_never_distinct(self, capsys, tmp_path):
+        # five components give letters of three bits, where a reversed word
+        # is often not in the slide/conjugacy class of the original
+        rng = random.Random(89)
+        for trial in range(30):
+            d = random_good_diagram(rng, 5, 20, kind="link")
+            comps = [" ".join(c.passes) for c in d.components]
+            flipped = [
+                " ".join(reversed(c.split())) if rng.random() < 0.5 else c for c in comps
+            ]
+            a = write_link(tmp_path / f"a{trial}.link", comps)
+            b = write_link(tmp_path / f"b{trial}.link", flipped)
+            code, out, _ = invoke(capsys, "compare", a, b)
+            assert out.splitlines()[0] != "distinct", (comps, flipped, out)
+            assert code == 0
+
     def test_mismatched_inputs_exit_3(self, capsys, tmp_path):
         single = tmp_path / "one.tangle"
         single.write_text("tangle n=1\ncomponent 1 open:\n")
@@ -141,6 +233,12 @@ class TestFuzz:
         _, first, _ = invoke(capsys, "fuzz", SAMPLE, "--steps", "20", "--seed", "3")
         _, second, _ = invoke(capsys, "fuzz", SAMPLE, "--steps", "20", "--seed", "3")
         assert first == second
+
+    @pytest.mark.parametrize("flags", [("--steps", "-1"), ("--steps", "3", "--max-size", "-3")])
+    def test_negative_counts_exit_2(self, capsys, flags):
+        code, out, _ = invoke(capsys, "fuzz", SAMPLE, "--seed", "7", *flags)
+        assert code == 2
+        assert out == ""
 
     def test_fail_fast_serializes_trace(self, capsys, monkeypatch):
         # a rigged word check must surface as FAIL plus the offending trace
@@ -190,6 +288,39 @@ class TestReplay:
         trace.write_text("R1_delete q 1:0\n")
         code, _, err = invoke(capsys, "replay", TRIANGLE, str(trace))
         assert code == 3
+
+    def test_truncated_trace_line_exits_2(self, tmp_path):
+        trace = tmp_path / "moves.trace"
+        trace.write_text("R1_delete x\n")
+        code, out, err = invoke_process("replay", KINK, str(trace))
+        assert code == 2
+        assert out == ""
+        assert "line 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "R3 x y z 1:0 2:0",
+            "R2_insert x y 1:0 2:0 sideways",
+            "R1_insert x 1:zz",
+            "R4 x 1:0",
+            "R2_delete x y 1:0 2:0 3:0",
+        ],
+    )
+    def test_malformed_trace_lines_exit_2(self, capsys, tmp_path, line):
+        trace = tmp_path / "moves.trace"
+        trace.write_text("R1_insert q 1:0\n" + line + "\n")
+        code, out, err = invoke(capsys, "replay", KINK, str(trace))
+        assert code == 2
+        assert "line 2" in err
+
+    def test_non_utf8_trace_exits_2(self, capsys, tmp_path):
+        trace = tmp_path / "moves.trace"
+        trace.write_bytes(b"R3 \xff\xfe\n")
+        code, _, err = invoke(capsys, "replay", KINK, str(trace))
+        assert code == 2
+        assert "UTF-8" in err
 
 
 class TestDeterminism:

@@ -21,7 +21,7 @@ from freelinks.words import (
     slide_conjugacy_equal,
 )
 
-from genutil import brute_conjugate_equal, random_word
+from genutil import brute_conjugate_equal, naive_class_word, random_word
 
 CTX3 = GroupContext(3, 1, 2)
 CTX4 = GroupContext(4, 1, 2)
@@ -218,6 +218,15 @@ class TestCanonicalClassWord:
             assert slide_conjugacy_equal(u, v) == (
                 canonical_class_word(u) == canonical_class_word(v)
             )
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_naive_minimum(self, n):
+        rng = random.Random(97 + n)
+        ctx = GroupContext(n, 1, 2)
+        for _ in range(100):
+            w = random_word(rng, ctx, 8)
+            assert canonical_class_word(w) == naive_class_word(w), w
 
 
 class TestOrbit:
