@@ -43,6 +43,7 @@ from . import invariant as _invariant
 from .diagram import (
     ComponentCode,
     Diagram,
+    _closed_variants,
     canonical_key,
     is_good_condition,
     pure_crossings,
@@ -271,14 +272,6 @@ def splice_expansion(d: Diagram, crossings: tuple[str, ...] | None = None):
         yield assignment, components, sources
 
 
-def _least_turn(comp: ComponentCode) -> ComponentCode:
-    """A closed curve at its least rotation or reversal; open ones as they are."""
-    p = comp.passes
-    if not comp.closed or not p:
-        return comp
-    return ComponentCode(True, min(s[r:] + s[:r] for s in (p, p[::-1]) for r in range(len(p))))
-
-
 def _component_states(task):
     """Mod-2 set of the one-curve results of a range of one component's states.
 
@@ -294,8 +287,17 @@ def _component_states(task):
         branches = {name: "AB"[(code >> r) & 1] for r, name in enumerate(pures)}
         components, _ = _splice_components(sub, branches, table)
         if len(components) == 1:
-            odd ^= {_least_turn(components[0])}
+            curve = components[0]
+            if curve.closed:
+                curve = ComponentCode(True, _closed_variants(curve.passes)[0])
+            odd ^= {curve}
     return index, odd
+
+
+# Fewest states (summed over the components) for which ``jobs > 1`` starts a
+# pool.  On a 2-core x86-64 machine two processes lost to one at 2^10 states
+# of a knot, broke about even at 2^12-2^13 and won by 1.4-2x from 2^14 on.
+_POOL_MIN_STATES = 1 << 14
 
 
 def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
@@ -308,8 +310,8 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
     pure crossings.
 
     Each component's states are expanded on their own; with ``jobs > 1``
-    and at least four pure crossings, chunks of each component's state
-    range run in a pool of ``jobs`` processes.
+    and at least ``_POOL_MIN_STATES`` states in all, chunks of each
+    component's state range run in a pool of ``jobs`` processes.
     """
     bad = validate(d)
     if bad:
@@ -320,19 +322,19 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
             f"{len(pures)} pure crossings exceed the expansion cap of {max_pure}; "
             "raise max_pure explicitly to proceed"
         )
-    parallel = jobs > 1 and len(pures) >= 4
+    owns = [tuple(sorted(pures.intersection(comp.passes))) for comp in d.components]
+    parallel = jobs > 1 and sum(1 << len(own) for own in owns) >= _POOL_MIN_STATES
     parts = jobs * 4 if parallel else 1
     tasks = []
-    for index, comp in enumerate(d.components):
-        own = tuple(sorted(pures.intersection(comp.passes)))
+    for index, (comp, own) in enumerate(zip(d.components, owns)):
         sub = Diagram(kind=d.kind, components=(comp,))
         total = 1 << len(own)
         step = -(-total // parts)
         tasks += [(index, sub, own, lo, min(lo + step, total)) for lo in range(0, total, step)]
     if parallel:
-        from multiprocessing import get_context
+        from multiprocessing import Pool
 
-        with get_context("spawn").Pool(jobs) as pool:
+        with Pool(jobs) as pool:
             results = pool.map(_component_states, tasks)
     else:
         results = map(_component_states, tasks)

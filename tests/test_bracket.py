@@ -24,7 +24,8 @@ from freelinks.diagram import (
 )
 from freelinks.moves import apply_move, move_candidates
 
-_splice_components = importlib.import_module("freelinks.bracket")._splice_components
+_bracket_module = importlib.import_module("freelinks.bracket")
+_splice_components = _bracket_module._splice_components
 
 from genutil import (
     brute_bracket_keys,
@@ -197,10 +198,11 @@ class TestBracket:
             checked += 1
         assert checked >= 25
 
-    def test_matches_whole_diagram_expansion(self):
+    def test_matches_whole_diagram_expansion(self, monkeypatch):
         # per-component expansion against all 2^m assignments of the whole
         # diagram, on links and tangles with pure crossings on several
         # components, serially and in a pool
+        monkeypatch.setattr(_bracket_module, "_POOL_MIN_STATES", 0)
         rng = random.Random(83)
         several = 0
         for _ in range(24):
@@ -219,9 +221,24 @@ class TestBracket:
             bracket(d, max_pure=5)
         bracket(d, max_pure=6)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(_bracket_module, "_POOL_MIN_STATES", 0)
         d = parse_diagram("link n=1\ncomponent 1 closed: a b a c b d c d e e")
         assert bracket(d, jobs=2) == bracket(d, jobs=1)
+
+    def test_small_expansion_starts_no_pool(self, monkeypatch):
+        # below the cutoff a pool costs more than it saves
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        d = parse_diagram("link n=1\ncomponent 1 closed: a b a c b d c d e e")
+        assert bracket(d, jobs=2) == bracket(d, jobs=1)
+        monkeypatch.setattr(_bracket_module, "_POOL_MIN_STATES", 0)
+        with pytest.raises(AssertionError, match="pool started"):
+            bracket(d, jobs=2)
 
     def test_serialization_header(self):
         text = serialize_bracket(bracket(XYXY))
