@@ -323,47 +323,97 @@ def canonical_key(d: Diagram) -> tuple:
     Crossings are relabeled 1, 2, 3, ... in order of first occurrence while
     scanning components in index order; per closed component, the
     rotation/reversal producing the lexicographically least relabeled pass
-    sequence is chosen by exhaustive search over all combinations.  The
-    search is pruned: a combination whose relabeled prefix is already beaten
-    can never win, so only tying prefixes are carried forward (the result is
-    identical to the unpruned product).
+    sequence is chosen among all combinations.  The result is identical to
+    the minimum over the full product, which is not enumerated:
+
+    - a variant is dropped at the first position where its relabeled prefix
+      exceeds the best one found so far, since it can never win;
+    - the labelings of the tying prefixes are kept as a product of factors,
+      each a list of alternative labels for its own crossings, and only for
+      the crossings still to come.  Each pass reads one factor, so the least
+      code at a pass is the least over that factor's alternatives alone, and
+      the alternatives that give it stay a product with the other factors.
+      Components that share no crossing therefore add their tying rotations
+      as a factor instead of multiplying the states: a four-component link
+      with a dozen crossings per component otherwise carries several
+      hundred equal states.
     """
     bad = validate(d)
     if bad:
         raise DiagramError("invalid diagram: " + "; ".join(str(v) for v in bad))
 
-    # state: (labels dict, next fresh label) for one undominated prefix
-    states: list[tuple[dict[str, int], int]] = [({}, 1)]
+    # ahead[c]: the crossings of the components after component c
+    ahead: list[frozenset[str]] = []
+    later: frozenset[str] = frozenset()
+    for comp in reversed(d.components):
+        ahead.append(later)
+        later = later | frozenset(comp.passes)
+    ahead.reverse()
+
+    # A state is a set of labelings: the product of its factors.  A factor is
+    # (crossings, alternatives), each alternative a tuple of their labels.
+    states: list[tuple] = [()]
+    nxt = 1
+    earlier: set[str] = set()
     key_parts: list[tuple[bool, tuple[int, ...]]] = []
-    for comp in d.components:
+    for comp, to_come in zip(d.components, ahead):
         variants = _closed_variants(comp.passes) if comp.closed else [comp.passes]
-        best: tuple[int, ...] | None = None
-        survivors: list[tuple[dict[str, int], int]] = []
-        seen: set[tuple] = set()
-        for labels, nxt in states:
+        best: list[int] | None = None
+        ties: list[tuple] = []
+        for factors in states:
+            owner = {tok: (f, i) for f, (toks, _) in enumerate(factors) for i, tok in enumerate(toks)}
             for variant in variants:
-                lbls = dict(labels)
+                narrowed: dict[int, list[tuple[int, ...]]] = {}
+                new: dict[str, int] = {}
                 fresh = nxt
                 rel = []
+                # 0 while rel ties best's prefix, -1 once it is below it
+                order = -1 if best is None else 0
                 for tok in variant:
-                    code = lbls.get(tok)
-                    if code is None:
-                        code = lbls[tok] = fresh
-                        fresh += 1
+                    place = owner.get(tok)
+                    if place is None:
+                        code = new.get(tok)
+                        if code is None:
+                            code = new[tok] = fresh
+                            fresh += 1
+                    else:
+                        f, i = place
+                        alts = narrowed.get(f) or factors[f][1]
+                        code = min(alt[i] for alt in alts)
+                        narrowed[f] = [alt for alt in alts if alt[i] == code]
+                    if not order:
+                        bound = best[len(rel)]
+                        if code > bound:
+                            break
+                        if code < bound:
+                            order = -1
                     rel.append(code)
-                key = tuple(rel)
-                if best is None or key < best:
-                    best = key
-                    survivors = [(lbls, fresh)]
-                    seen = {(fresh, tuple(sorted(lbls.items())))}
-                elif key == best:
-                    sig = (fresh, tuple(sorted(lbls.items())))
-                    if sig not in seen:
-                        seen.add(sig)
-                        survivors.append((lbls, fresh))
+                else:
+                    if order:
+                        best = rel
+                        ties = []
+                    ties.append((factors, narrowed, new))
         assert best is not None
-        key_parts.append((comp.closed, best))
-        states = survivors
+        key_parts.append((comp.closed, tuple(best)))
+        nxt = max([nxt - 1, *best]) + 1
+
+        # Ties that carry the same factors differ only in the labels of this
+        # component's new crossings, which then form one more factor.
+        fresh_toks = tuple(sorted(tok for tok in set(comp.passes) - earlier if tok in to_come))
+        earlier.update(comp.passes)
+        merged: dict[tuple, set[tuple[int, ...]]] = {}
+        for factors, narrowed, new in ties:
+            carried = []
+            for f, (toks, alts) in enumerate(factors):
+                keep = [i for i, tok in enumerate(toks) if tok in to_come]
+                if keep:
+                    alts = {tuple(alt[i] for i in keep) for alt in narrowed.get(f, alts)}
+                    carried.append((tuple(toks[i] for i in keep), tuple(sorted(alts))))
+            merged.setdefault(tuple(sorted(carried)), set()).add(tuple(new[tok] for tok in fresh_toks))
+        states = [
+            carried + (((fresh_toks, tuple(sorted(alts))),) if fresh_toks else ())
+            for carried, alts in merged.items()
+        ]
     return (d.kind, tuple(key_parts))
 
 

@@ -91,6 +91,33 @@ def random_any_diagram(rng: random.Random, max_crossings: int, kind: str | None 
     return _assemble(n, kind, per_comp, rng)
 
 
+def random_sparse_link(rng: random.Random) -> Diagram:
+    """A closed 3- or 4-component link, at most six passes per component,
+    in which some component pairs share no crossing and some components
+    start with a repeated pair ``p q p q``, so that many rotations tie."""
+    n = rng.randint(3, 4)
+    repeated = {i: [] for i in range(1, n + 1)}
+    mixed: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        if rng.random() < 0.4:
+            repeated[i] = [f"p{i}", f"q{i}"] * 2
+    serial = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.5:
+                continue
+            for _ in range(rng.randint(1, 2)):
+                if len(repeated[i] + mixed[i]) < 6 and len(repeated[j] + mixed[j]) < 6:
+                    serial += 1
+                    mixed[i].append(f"m{serial}")
+                    mixed[j].append(f"m{serial}")
+    comps = []
+    for i in range(1, n + 1):
+        rng.shuffle(mixed[i])
+        comps.append(ComponentCode(closed=True, passes=tuple(repeated[i] + mixed[i])))
+    return Diagram(kind="link", components=tuple(comps))
+
+
 def scramble(rng: random.Random, d: Diagram) -> Diagram:
     """Rename crossings and rotate/reverse closed components at random."""
     names = sorted(d.crossing_names)

@@ -20,7 +20,7 @@ from freelinks.diagram import (
     validate,
 )
 
-from genutil import naive_canonical_key, random_any_diagram, random_good_diagram, scramble
+from genutil import naive_canonical_key, random_any_diagram, random_good_diagram, random_sparse_link, scramble
 
 
 class TestParse:
@@ -183,6 +183,28 @@ class TestCanonicalForm:
         for _ in range(60):
             d = random_any_diagram(rng, 7)
             assert canonical_key(d) == naive_canonical_key(d)
+
+    def test_matches_naive_oracle_on_unlinked_components(self):
+        # Components that share no crossing tie on all their rotations at
+        # once; the key keeps those ties as separate factors.
+        rng = random.Random(41)
+        for _ in range(80):
+            d = random_sparse_link(rng)
+            assert canonical_key(d) == naive_canonical_key(d), d
+
+    def test_unlinked_components_stay_cheap(self):
+        # Four closed components of twelve crossings each, components 1 and 2
+        # unlinked: the full product has 24 * 20 * 24 * 24 combinations.
+        d = parse_diagram(
+            "link n=4\n"
+            "component 1 closed: k21 k13 k20 k22 k3 k17 k1 k6 k7 k14 k4 k10\n"
+            "component 2 closed: k9 k11 k2 k8 k5 k19 k23 k15 k16 k12\n"
+            "component 3 closed: k13 k19 k6 k5 k17 k20 k18 k16 k15 k10 k4 k7\n"
+            "component 4 closed: k21 k8 k23 k1 k11 k12 k2 k3 k9 k22 k18 k14"
+        )
+        rng = random.Random(43)
+        for _ in range(5):
+            assert canonical_key(scramble(rng, d)) == canonical_key(d)
 
 
 class TestCutLink:
