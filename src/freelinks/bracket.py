@@ -44,12 +44,13 @@ from .diagram import (
     ComponentCode,
     Diagram,
     _closed_variants,
+    _diagram_from_key,
     canonical_key,
     is_good_condition,
     pure_crossings,
     validate,
 )
-from .moves import apply_move, bounded_equivalence_search, move_candidates
+from .moves import bounded_equivalence_search
 
 __all__ = [
     "SpliceChoice",
@@ -352,16 +353,6 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
     return Bracket(kind=d.kind, n=d.n, summands=members)
 
 
-def _diagram_from_key(key) -> Diagram:
-    kind, parts = key
-    return Diagram(
-        kind=kind,
-        components=tuple(
-            ComponentCode(closed, tuple(str(c) for c in rel)) for closed, rel in parts
-        ),
-    )
-
-
 def serialize_bracket(b: Bracket) -> str:
     """Header plus each summand in the diagram file format, sorted."""
     from .diagram import serialize_diagram
@@ -403,89 +394,18 @@ def _render_class_key(key) -> str:
     return "; ".join(f"pair ({i},{j}) along {a}: {w}" for (i, j), a, w in rendered)
 
 
-def _match_leftovers(a_side: list[Diagram], b_side: list[Diagram], depth: int, max_nodes: int):
-    """Pair up summands certified equivalent through pure-crossing-free moves.
-
-    Matched pairs cancel between the two brackets; two summands of one
-    bracket in the same class cancel inside it (values are mod 2).  Returns
-    the unmatched remainders.  Certification is tiered: one-move
-    neighborhoods settle depths 1 and 2 by key lookup and intersection, and
-    full searches run only for pairs still unmatched at depth >= 3.
-    """
-    every = a_side + b_side
-    nA = len(a_side)
-    if not every or depth < 1:
-        return a_side, b_side
-    max_size = max(s.crossing_count for s in every) + 2
-    keys = [canonical_key(s) for s in every]
-    neighborhoods = []
-    for s in every:
-        seen = set()
-        for site in move_candidates(s, forbid_pure=True, max_size=max_size):
-            seen.add(canonical_key(apply_move(s, site)))
-        neighborhoods.append(frozenset(seen))
-
-    searched: dict[tuple[int, int], bool] = {}
-
-    def linked(u: int, v: int, deep: bool) -> bool:
-        if keys[v] in neighborhoods[u] or keys[u] in neighborhoods[v]:
-            return True
-        if depth >= 2 and neighborhoods[u] & neighborhoods[v]:
-            return True
-        if deep:
-            pair = (min(u, v), max(u, v))
-            if pair not in searched:
-                searched[pair] = bounded_equivalence_search(
-                    every[pair[0]],
-                    every[pair[1]],
-                    depth,
-                    forbid_pure=True,
-                    max_nodes=max_nodes,
-                ).equivalent
-            return searched[pair]
-        return False
-
-    rest_a = list(range(nA))
-    rest_b = list(range(nA, len(every)))
-    for deep in (False, True) if depth >= 3 else (False,):
-        adjacency = {u: [v for v in rest_b if linked(u, v, deep)] for u in rest_a}
-        match_b: dict[int, int] = {}
-
-        def augment(u: int, banned: set[int]) -> bool:
-            for v in adjacency[u]:
-                if v in banned:
-                    continue
-                banned.add(v)
-                if v not in match_b or augment(match_b[v], banned):
-                    match_b[v] = u
-                    return True
-            return False
-
-        for u in list(rest_a):
-            augment(u, set())
-        matched_a = set(match_b.values())
-        rest_a = [u for u in rest_a if u not in matched_a]
-        rest_b = [v for v in rest_b if v not in match_b]
-        for rest in (rest_a, rest_b):
-            dropped: set[int] = set()
-            for u, v in combinations(list(rest), 2):
-                if u not in dropped and v not in dropped and linked(u, v, deep):
-                    dropped.update((u, v))
-            rest[:] = [w for w in rest if w not in dropped]
-        if not rest_a and not rest_b:
-            break
-    return [every[u] for u in rest_a], [every[v] for v in rest_b]
-
-
-def bracket_equal(p: Bracket, q: Bracket, depth: int, *, max_nodes: int = 20000) -> Verdict:
+def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
     """Compare two bracket values; sound for ``equal`` and ``distinct``.
 
-    Stage 1 tests canonical-form set equality.  Stage 2 tries to cancel the
-    symmetric difference by pairing summands certified equivalent through
-    pure-crossing-free move sequences of at most ``depth`` moves.  Stage 3
-    compares invariant class keys of whatever remains: a key with odd
-    multiplicity difference certifies distinctness and is returned as the
-    certificate.  Otherwise the answer is unknown.
+    Stage 1 tests canonical-form set equality.  Stage 2 sorts the symmetric
+    difference into classes: one :func:`bounded_equivalence_search` of at
+    most ``depth`` pure-crossing-free moves runs for each pair of summands
+    not yet in one class, and each class found equivalent merges.  Values
+    are mod 2, so a class of even size cancels, and one summand stands for
+    each class of odd size.  Stage 3 counts the invariant class keys of
+    those summands mod 2: a key counted an odd number of times certifies
+    distinctness and is returned as the certificate.  Otherwise the answer
+    is unknown.
     """
     if p.n != q.n:
         raise BracketError(f"mismatched component counts: {p.n} vs {q.n}")
@@ -495,15 +415,29 @@ def bracket_equal(p: Bracket, q: Bracket, depth: int, *, max_nodes: int = 20000)
     b_members = {canonical_key(s): s for s in q.summands}
     if set(a_members) == set(b_members):
         return Verdict("equal")
-    a_only = [a_members[k] for k in sorted(set(a_members) - set(b_members))]
-    b_only = [b_members[k] for k in sorted(set(b_members) - set(a_members))]
+    members = {**a_members, **b_members}
+    every = [members[k] for k in sorted(set(a_members) ^ set(b_members))]
 
-    rest_a, rest_b = _match_leftovers(a_only, b_only, depth, max_nodes)
-    if not rest_a and not rest_b:
+    root = list(range(len(every)))
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for u, v in combinations(range(len(every)), 2):
+        ru, rv = find(u), find(v)
+        if ru != rv and bounded_equivalence_search(
+            every[u], every[v], depth, forbid_pure=True
+        ).equivalent:
+            root[rv] = ru
+    sizes = Counter(find(u) for u in range(len(every)))
+    rest = [every[r] for r, size in sizes.items() if size % 2]
+    if not rest:
         return Verdict("equal")
 
-    counts: Counter = Counter(_class_key(s) for s in rest_a)
-    counts.subtract(_class_key(s) for s in rest_b)
+    counts = Counter(_class_key(s) for s in rest)
     odd = sorted(
         (key for key, c in counts.items() if c % 2 != 0),
         key=lambda key: (key[1] is None, str(key)),

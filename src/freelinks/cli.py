@@ -253,17 +253,20 @@ def _cmd_compare(args) -> int:
         print("equal")
         return 0
 
+    depth = args.depth
     if pure_free:
-        found = bounded_equivalence_search(a, b, args.depth, forbid_pure=True)
+        # searched here, not between the brackets' summands, because only a
+        # trace from the input diagrams themselves replays from file A
+        found = bounded_equivalence_search(a, b, depth, forbid_pure=True)
         if found.equivalent:
             print("equal")
             print("trace:")
             sys.stdout.write(serialize_trace(found.trace))
             return 0
+        # the brackets are {A} and {B}, just searched: only class keys remain
+        depth = 0
 
-    verdict = bracket_equal(
-        bracket(a, jobs=args.jobs), bracket(b, jobs=args.jobs), args.depth
-    )
+    verdict = bracket_equal(bracket(a, jobs=args.jobs), bracket(b, jobs=args.jobs), depth)
     print(verdict.status)
     if verdict.status == "distinct":
         print(f"certificate: {verdict.certificate}")

@@ -426,7 +426,12 @@ def canonical_form(d: Diagram) -> Diagram:
     renaming, closed-component basepoint rotation, or closed-component
     traversal reversal.
     """
-    kind, parts = canonical_key(d)
+    return _diagram_from_key(canonical_key(d))
+
+
+def _diagram_from_key(key) -> Diagram:
+    """The canonical form whose :func:`canonical_key` is ``key``."""
+    kind, parts = key
     comps = tuple(
         ComponentCode(closed=closed, passes=tuple(str(code) for code in rel))
         for closed, rel in parts

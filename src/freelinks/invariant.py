@@ -196,13 +196,28 @@ def link_word(d: Diagram, basepoints: list[Basepoint], i: int, j: int) -> Word:
     return word_invariant(cut_link(d, basepoints), i, j)
 
 
+def _class_word(word: Word, closed: bool) -> Word:
+    """The canonical class word of ``word``, read along a closed component
+    when ``closed``: then the least of the class words of both directions.
+
+    Reversing a closed component reverses the words read along it and keeps
+    every letter, since it meets each other component evenly often.
+    """
+    best = canonical_class_word(word)
+    if closed:
+        back = canonical_class_word(Word(word.context, word.letters[::-1]))
+        best = min(best, back, key=lambda v: _lex_key(v.letters))
+    return best
+
+
 def link_invariant(d: Diagram, i: int, j: int) -> Word:
-    """The canonical slide/conjugacy class word of the link, pair (i, j).
+    """The canonical slide/conjugacy class word of the link, pair (i, j),
+    taken up to reversing component i.
 
     Computed from the offset-0 basepoints; the class does not depend on that
-    choice.
+    choice, nor on the direction in which any component is stored.
     """
-    return canonical_class_word(link_word(d, _default_basepoints(d), i, j))
+    return _class_word(link_word(d, _default_basepoints(d), i, j), True)
 
 
 def fingerprint(d: Diagram) -> Fingerprint:
@@ -214,23 +229,14 @@ def fingerprint(d: Diagram) -> Fingerprint:
     is the least of the class words of both directions along its component,
     so reversing a closed component leaves the fingerprint unchanged.
     """
-    base = cut_link(d, _default_basepoints(d)) if d.kind == "link" else d
+    closed = d.kind == "link"
+    base = cut_link(d, _default_basepoints(d)) if closed else d
     table = word_table(base)
-
-    def class_word(word: Word) -> Word:
-        # reversing a closed component reverses the words read along it and
-        # keeps every letter, since it meets each other component evenly often
-        best = canonical_class_word(word)
-        if d.kind == "link":
-            back = canonical_class_word(Word(word.context, word.letters[::-1]))
-            best = min(best, back, key=lambda v: _lex_key(v.letters))
-        return best
-
     out: dict[tuple[tuple[int, int], int], Word] = {}
     for i in range(1, d.n + 1):
         for j in range(i + 1, d.n + 1):
-            out[((i, j), i)] = class_word(table[(i, j)])
-            out[((i, j), j)] = class_word(table[(j, i)])
+            out[((i, j), i)] = _class_word(table[(i, j)], closed)
+            out[((i, j), j)] = _class_word(table[(j, i)], closed)
     return out
 
 

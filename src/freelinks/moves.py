@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -481,7 +480,6 @@ def move_candidates(
     *,
     forbid_pure: bool = False,
     max_size: int,
-    insertions: bool = True,
 ) -> list[MoveSite]:
     """Deletions and third-move sites plus a finite slate of insertions.
 
@@ -490,8 +488,6 @@ def move_candidates(
     first-move insertions and same-component second-move insertions).
     """
     sites = enumerate_moves(d, forbid_pure=forbid_pure)
-    if not insertions:
-        return sites
     count = d.crossing_count
     slots = _insert_slots(d)
     if not forbid_pure and count + 1 <= max_size:
@@ -553,43 +549,89 @@ def bounded_equivalence_search(
     forbid_pure: bool = False,
     max_nodes: int = 50000,
 ) -> SearchVerdict:
-    """Breadth-first search for a move sequence from ``a`` to ``b``.
+    """Search for a sequence of at most ``depth`` moves from ``a`` to ``b``.
 
-    States are deduplicated by canonical form; insertions are bounded by the
-    larger input's crossing count plus a slack of 2.  Returns a replayable
-    trace on success and ``unknown`` otherwise (never claims inequivalence;
-    exhausting ``max_nodes`` also yields unknown).
+    A breadth-first search grows from both ends, one whole level at a time,
+    alternating and starting at ``a``, so a sequence of ``depth`` moves is
+    found after about ``depth / 2`` levels on each side.  Moves are
+    invertible, so a level grown from ``b`` holds the diagrams one move
+    further back toward it.  States are deduplicated by canonical form;
+    insertions are bounded by the larger input's crossing count plus a slack
+    of 2, and ``max_nodes`` bounds the states kept on both sides together.
+    Under ``forbid_pure`` no diagram on the way has a pure crossing, and
+    :class:`MoveError` is raised unless both inputs have none.
+
+    Returns a trace that replays from ``a`` to a diagram with ``b``'s
+    canonical form on success, and ``unknown`` otherwise: the search never
+    claims inequivalence, and exhausting ``max_nodes`` also yields unknown.
     """
     if a.n != b.n:
         raise MoveError(f"mismatched component counts: {a.n} vs {b.n}")
     if a.kind != b.kind:
         raise MoveError(f"mismatched kinds: {a.kind} vs {b.kind}")
-    target = canonical_key(b)
-    if canonical_key(a) == target:
+    if forbid_pure and (pure_crossings(a) or pure_crossings(b)):
+        # only between pure-crossing-free diagrams is every restricted move
+        # undone by a restricted move, which the search from b relies on
+        raise MoveError("a search without pure crossings needs inputs without pure crossings")
+    source, target = canonical_key(a), canonical_key(b)
+    if source == target:
         return SearchVerdict(True, WalkTrace(a, (), a))
     max_size = max(a.crossing_count, b.crossing_count) + 2
-    visited = {canonical_key(a)}
-    frontier: deque[tuple[Diagram, tuple[MoveSite, ...]]] = deque([(a, ())])
+    # per side: canonical key -> (diagram, key it was reached from, move)
+    sides = ({source: (a, None, None)}, {target: (b, None, None)})
+    frontiers = [[source], [target]]
     nodes = 0
-    for _ in range(depth):
-        next_frontier: deque[tuple[Diagram, tuple[MoveSite, ...]]] = deque()
-        while frontier:
-            diag, trace = frontier.popleft()
+    for level in range(depth):
+        grow = level % 2
+        seen, other = sides[grow], sides[1 - grow]
+        grown = []
+        for key in frontiers[grow]:
+            diag = seen[key][0]
             for site in move_candidates(diag, forbid_pure=forbid_pure, max_size=max_size):
                 neighbor = apply_move(diag, site)
-                key = canonical_key(neighbor)
-                if key in visited:
+                found = canonical_key(neighbor)
+                if found in seen:
                     continue
-                visited.add(key)
-                extended = trace + (site,)
-                if key == target:
-                    return SearchVerdict(True, WalkTrace(a, extended, neighbor))
+                seen[found] = (neighbor, key, site)
+                if found in other:
+                    trace = _joined_trace(a, sides, found, forbid_pure, max_size)
+                    return SearchVerdict(True, trace)
                 nodes += 1
                 if nodes >= max_nodes:
                     return SearchVerdict(False, None)
-                next_frontier.append((neighbor, extended))
-        frontier = next_frontier
+                grown.append(found)
+        frontiers[grow] = grown
     return SearchVerdict(False, None)
+
+
+def _joined_trace(a: Diagram, sides, meet, forbid_pure: bool, max_size: int) -> WalkTrace:
+    """The trace through the key ``meet`` that both sides of the search hold.
+
+    The moves stored on ``a``'s side replay from ``a`` to its diagram of
+    ``meet``.  The other side holds only a chain of keys toward ``b``, whose
+    diagrams are named and rotated independently, so each step takes the
+    first candidate move whose result has the next key of the chain.
+    """
+    ahead, behind = sides
+    moves: list[MoveSite] = []
+    key = meet
+    while ahead[key][1] is not None:
+        _, key, site = ahead[key]
+        moves.append(site)
+    moves.reverse()
+    current = ahead[meet][0]
+    step = behind[meet][1]
+    while step is not None:
+        for site in move_candidates(current, forbid_pure=forbid_pure, max_size=max_size):
+            neighbor = apply_move(current, site)
+            if canonical_key(neighbor) == step:
+                break
+        else:
+            raise MoveError("no candidate move reaches the next diagram toward the target")
+        moves.append(site)
+        current = neighbor
+        step = behind[step][1]
+    return WalkTrace(a, tuple(moves), current)
 
 
 # -- trace serialization ------------------------------------------------------

@@ -8,7 +8,7 @@ the production code paths they check.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import product
 
 from freelinks.bracket import BracketError, SpliceChoice, splice, splice_expansion
@@ -19,6 +19,7 @@ from freelinks.diagram import (
     crossing_occurrences,
     pure_crossings,
 )
+from freelinks.moves import MoveError, SearchVerdict, WalkTrace, apply_move, move_candidates
 from freelinks.words import GroupContext, Word, make_word
 
 
@@ -420,3 +421,49 @@ def reference_splice_components(d: Diagram, branches: dict[str, str]):
                 sources.append(touched)
 
     return components, sources
+
+
+# -- reference equivalence search -------------------------------------------------
+
+
+def reference_search(
+    a: Diagram, b: Diagram, depth: int, *, forbid_pure: bool = False, max_nodes: int = 50000
+):
+    """The one-sided breadth-first search from ``a``, kept as a reference for
+    ``moves.bounded_equivalence_search``.
+
+    States are deduplicated by canonical form; insertions are bounded by the
+    larger input's crossing count plus a slack of 2.  Returns a replayable
+    trace on success and ``unknown`` otherwise (exhausting ``max_nodes``
+    also yields unknown).
+    """
+    if a.n != b.n:
+        raise MoveError(f"mismatched component counts: {a.n} vs {b.n}")
+    if a.kind != b.kind:
+        raise MoveError(f"mismatched kinds: {a.kind} vs {b.kind}")
+    target = canonical_key(b)
+    if canonical_key(a) == target:
+        return SearchVerdict(True, WalkTrace(a, (), a))
+    max_size = max(a.crossing_count, b.crossing_count) + 2
+    visited = {canonical_key(a)}
+    frontier = deque([(a, ())])
+    nodes = 0
+    for _ in range(depth):
+        next_frontier = deque()
+        while frontier:
+            diag, trace = frontier.popleft()
+            for site in move_candidates(diag, forbid_pure=forbid_pure, max_size=max_size):
+                neighbor = apply_move(diag, site)
+                key = canonical_key(neighbor)
+                if key in visited:
+                    continue
+                visited.add(key)
+                extended = trace + (site,)
+                if key == target:
+                    return SearchVerdict(True, WalkTrace(a, extended, neighbor))
+                nodes += 1
+                if nodes >= max_nodes:
+                    return SearchVerdict(False, None)
+                next_frontier.append((neighbor, extended))
+        frontier = next_frontier
+    return SearchVerdict(False, None)

@@ -21,6 +21,16 @@ FOUR = str(DATA / "four_component.link")
 KINK = str(DATA / "kink.link")
 
 
+# a closed 4-component link whose pair-(1,4) class word changes when
+# component 1 alone is read backward
+REVERSIBLE = [
+    "c4 c6 c10 c1 c8 c5 c7 c2 c9 c11 c3 c12",
+    "c13 c15 c14 c16 c18 c17",
+    "c13 c19 c3 c14 c5 c20 c2 c16 c4 c6 c1 c15",
+    "c11 c20 c19 c12 c18 c9 c7 c10 c17 c8",
+]
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -90,6 +100,15 @@ class TestInvariant:
         code, out, _ = invoke(capsys, "invariant", FOUR, "--pair", "1,2", "--along", "1")
         assert code == 0
         assert out == "(0,0)·(1,0)\n"
+
+    def test_link_class_ignores_component_direction(self, capsys, tmp_path):
+        a = write_link(tmp_path / "a.link", REVERSIBLE)
+        flipped = [" ".join(reversed(REVERSIBLE[0].split()))] + REVERSIBLE[1:]
+        b = write_link(tmp_path / "b.link", flipped)
+        _, first, _ = invoke(capsys, "invariant", a, "--pair", "1,4")
+        code, second, _ = invoke(capsys, "invariant", b, "--pair", "1,4")
+        assert code == 0
+        assert second == first
 
     def test_link_with_basepoints(self, capsys):
         code, out, _ = invoke(
@@ -184,6 +203,26 @@ class TestCompare:
             "distinct",
             "certificate: odd crossing parities at pairs (1,2), (2,3) != none",
         ]
+
+    def test_pure_free_inputs_are_searched_once(self, capsys, monkeypatch):
+        import freelinks.moves
+
+        depths = []
+
+        def counted(a, b, depth, **kwargs):
+            if depth > 0:
+                depths.append(depth)
+            return freelinks.moves.bounded_equivalence_search(a, b, depth, **kwargs)
+
+        for module in ("freelinks.cli", "freelinks.bracket"):
+            monkeypatch.setattr(
+                importlib.import_module(module), "bounded_equivalence_search", counted
+            )
+        # the (1,3) words agree, so the search runs; it cannot join the two,
+        # and the class keys of the brackets {A} and {B} decide
+        code, out, _ = invoke(capsys, "compare", SAMPLE, TRIVIAL, "--pair", "1,3")
+        assert depths == [4]
+        assert (code, out.splitlines()[0]) == (1, "distinct")
 
     def test_reversed_component_is_equal(self, capsys, tmp_path):
         comps = [

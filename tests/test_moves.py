@@ -23,7 +23,12 @@ from freelinks.moves import (
     serialize_trace,
 )
 
-from genutil import random_any_diagram, random_good_diagram
+from genutil import (
+    random_any_diagram,
+    random_good_diagram,
+    reference_search,
+    scramble,
+)
 
 
 class TestEnumerate:
@@ -223,6 +228,58 @@ class TestBoundedSearch:
         verdict = bounded_equivalence_search(a, b, 2)
         assert verdict.equivalent
         assert len(verdict.trace.moves) == 2
+
+    def test_four_step_path_meets_in_the_middle(self):
+        # two moves grown from each end, so both halves of the trace have two
+        a = parse_diagram("tangle n=1\ncomponent 1 open: x x y y z z w w")
+        b = parse_diagram("tangle n=1\ncomponent 1 open:")
+        for start, end in ((a, b), (b, a)):
+            assert not bounded_equivalence_search(start, end, 3).equivalent
+            verdict = bounded_equivalence_search(start, end, 4)
+            assert verdict.equivalent
+            assert len(verdict.trace.moves) == 4
+            assert canonical_key(replay(start, verdict.trace.moves)) == canonical_key(end)
+
+    def test_matches_one_sided_reference(self):
+        # pairs a 1-3 move walk apart, each searched both ways so that the
+        # larger diagram is sometimes the target; small enough that the
+        # reference never reaches its node cap
+        rng = random.Random(29)
+        found = 0
+        for trial in range(80):
+            forbid = trial % 2 == 1
+            if forbid:
+                d = random_good_diagram(rng, rng.randint(2, 3), 4)
+            else:
+                d = random_any_diagram(rng, 3)
+            walk = random_walk(
+                d,
+                rng.randint(1, 3),
+                seed=trial,
+                forbid_pure=forbid,
+                max_size=d.crossing_count + 2,
+            )
+            moved = scramble(rng, walk.final)
+            depth = rng.randint(1, 2)
+            for a, b in ((d, moved), (moved, d)):
+                expected = reference_search(a, b, depth, forbid_pure=forbid)
+                verdict = bounded_equivalence_search(a, b, depth, forbid_pure=forbid)
+                assert verdict.equivalent == expected.equivalent, (a, b, depth, forbid)
+                if verdict.equivalent:
+                    found += 1
+                    assert len(verdict.trace.moves) <= depth
+                    assert canonical_key(replay(a, verdict.trace.moves)) == canonical_key(b)
+        assert 100 <= found < 160
+
+    def test_forbid_pure_needs_pure_free_inputs(self, sample_tangle):
+        kinked = parse_diagram(
+            "tangle n=3\ncomponent 1 open: k k a b\n"
+            "component 2 open: a c\ncomponent 3 open: b c"
+        )
+        with pytest.raises(MoveError, match="without pure crossings"):
+            bounded_equivalence_search(sample_tangle, kinked, 2, forbid_pure=True)
+        with pytest.raises(MoveError, match="without pure crossings"):
+            bounded_equivalence_search(kinked, sample_tangle, 2, forbid_pure=True)
 
 
 class TestTraceFormat:
