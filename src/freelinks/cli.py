@@ -300,7 +300,7 @@ def _cmd_fuzz(args) -> int:
             failure = "component-count"
         elif is_good_condition(current)[1] != parity:
             failure = "parity-table"
-        elif args.forbid_pure and not pure_crossings(d) and pure_crossings(current):
+        elif args.forbid_pure and pure_crossings(current):
             failure = "pure-crossing"
         elif track_words and fingerprint(current) != reference:
             failure = "fingerprint"

@@ -71,24 +71,32 @@ def _require_tangle(d: Diagram):
         )
 
 
-def _partners(d: Diagram, occ) -> dict[str, tuple[int, int]]:
-    """Crossing name -> the two component indices it joins (scan order)."""
-    return {name: (places[0][0], places[1][0]) for name, places in occ.items()}
+def _letters(d: Diagram) -> dict[str, Letter]:
+    """Crossing name -> its letter, for a tangle without pure crossings.
 
-
-def _prefix_counts(d: Diagram, partners) -> list[list[tuple[int, ...]]]:
-    """Per component ci, per position p: how many passes before p meet each
-    other component, indexed 0..n (entry 0 unused)."""
-    tables = [[]]
+    The bit for a third component k is the parity of the type-(i, k) passes
+    before the crossing on component i plus the type-(j, k) passes before it
+    on component j, over the k outside {i, j} in ascending order.
+    """
+    occ = crossing_occurrences(d)
+    # per component, per position: the passes before it meeting each component
+    before = [[]]
     for ci, comp in enumerate(d.components, start=1):
         running = [0] * (d.n + 1)
         rows = [tuple(running)]
         for name in comp.passes:
-            a, b = partners[name]
+            (a, _), (b, _) = occ[name]
             running[b if a == ci else a] += 1
             rows.append(tuple(running))
-        tables.append(rows)
-    return tables
+        before.append(rows)
+    return {
+        name: tuple(
+            (before[ci][pi][k] + before[cj][pj][k]) % 2
+            for k in range(1, d.n + 1)
+            if k not in (ci, cj)
+        )
+        for name, ((ci, pi), (cj, pj)) in occ.items()
+    }
 
 
 def lk(d: Diagram, c: str, k: int) -> int:
@@ -103,25 +111,21 @@ def lk(d: Diagram, c: str, k: int) -> int:
     occ = crossing_occurrences(d)
     if c not in occ:
         raise InvariantError(f"unknown crossing {c!r}")
-    (ci, pi), (cj, pj) = occ[c]
+    (ci, _), (cj, _) = occ[c]
     if not 1 <= k <= d.n:
         raise InvariantError(f"component {k} out of range 1..{d.n}")
     if k in (ci, cj):
         raise InvariantError(f"component {k} is one of the two strands of crossing {c!r}")
-    tables = _prefix_counts(d, _partners(d, occ))
-    return (tables[ci][pi][k] + tables[cj][pj][k]) % 2
+    return lk_vector(d, c)[GroupContext(d.n, ci, cj).strands.index(k)]
 
 
 def lk_vector(d: Diagram, c: str) -> Letter:
     """The letter of crossing c: its linking bits over all third components."""
     _require_tangle(d)
-    occ = crossing_occurrences(d)
-    if c not in occ:
+    letters = _letters(d)
+    if c not in letters:
         raise InvariantError(f"unknown crossing {c!r}")
-    (ci, pi), (cj, pj) = occ[c]
-    context = GroupContext(d.n, ci, cj)
-    tables = _prefix_counts(d, _partners(d, occ))
-    return tuple((tables[ci][pi][k] + tables[cj][pj][k]) % 2 for k in context.strands)
+    return letters[c]
 
 
 def _checked_pair(d: Diagram, i: int, j: int):
@@ -146,29 +150,17 @@ def word_table(d: Diagram) -> dict[tuple[int, int], Word]:
     """
     _require_tangle(d)
     _require_good(d)
+    letters = _letters(d)
     occ = crossing_occurrences(d)
-    partners = _partners(d, occ)
-    tables = _prefix_counts(d, partners)
-    letters: dict[str, Letter] = {}
-    for name, ((ci, pi), (cj, pj)) in occ.items():
-        context = GroupContext(d.n, ci, cj)
-        letters[name] = tuple(
-            (tables[ci][pi][k] + tables[cj][pj][k]) % 2 for k in context.strands
-        )
-    out: dict[tuple[int, int], Word] = {}
-    for along in range(1, d.n + 1):
-        comp = d.components[along - 1]
-        for other in range(1, d.n + 1):
-            if other == along:
-                continue
-            seq = [
-                letters[name]
-                for name in comp.passes
-                if {*partners[name]} == {along, other}
-            ]
-            context = GroupContext(d.n, along, other)
-            out[(along, other)] = reduce(make_word(context, seq))
-    return out
+    seqs = {(i, j): [] for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j}
+    for along, comp in enumerate(d.components, start=1):
+        for name in comp.passes:
+            (a, _), (b, _) = occ[name]
+            seqs[(along, b if a == along else a)].append(letters[name])
+    return {
+        (along, other): reduce(make_word(GroupContext(d.n, along, other), seq))
+        for (along, other), seq in seqs.items()
+    }
 
 
 def word_invariant(d: Diagram, i: int, j: int) -> Word:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .diagram import (
     ComponentCode,
@@ -55,6 +55,8 @@ __all__ = [
 
 DELETION_KINDS = ("R1_delete", "R2_delete", "R3")
 ALL_KINDS = ("R1_delete", "R1_insert", "R2_delete", "R2_insert", "R3")
+# states a bounded equivalence search keeps, on both sides together
+MAX_NODES = 50000
 
 
 class MoveError(ValueError):
@@ -140,9 +142,11 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
     """All applicable deletion and third-move sites of the requested kinds.
 
     Insertions are infinite families and are not enumerated (see
-    :func:`move_candidates`).  Under ``forbid_pure``, first-move sites are
-    dropped entirely and the remaining sites are filtered so that the result
-    of applying them has no pure crossing.
+    :func:`move_candidates`).  Under ``forbid_pure`` no first-move site is
+    kept and every kept site's result has no pure crossing.  Deletions and
+    third moves keep every other crossing on its two components, so that
+    keeps every site of a diagram without pure crossings and, of a diagram
+    with some, only the second-move deletions that remove all of them.
     """
     bad = validate(d)
     if bad:
@@ -154,64 +158,45 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
         unknown = kinds - set(ALL_KINDS)
         if unknown:
             raise MoveError(f"unknown move kinds {sorted(unknown)}")
+    pure = pure_crossings(d) if forbid_pure else set()
 
-    pairs = _adjacent_pairs(d)
     sites: list[MoveSite] = []
-
-    if "R1_delete" in kinds and not forbid_pure:
-        for ci, p, (a, b) in pairs:
-            if a == b:
-                sites.append(MoveSite("R1_delete", names=(a,), pairs=((ci, p),)))
+    # pair locations in scan order, keyed by their two distinct letters
+    by_letters: dict[frozenset[str], list[tuple[int, int]]] = {}
+    for ci, p, (a, b) in _adjacent_pairs(d):
+        if a != b:
+            by_letters.setdefault(frozenset((a, b)), []).append((ci, p))
+        elif "R1_delete" in kinds and not forbid_pure:
+            sites.append(MoveSite("R1_delete", names=(a,), pairs=((ci, p),)))
 
     if "R2_delete" in kinds:
-        by_letters: dict[frozenset[str], list[tuple[int, int]]] = {}
-        for ci, p, (a, b) in pairs:
-            if a != b:
-                by_letters.setdefault(frozenset((a, b)), []).append((ci, p))
         for letters, places in by_letters.items():
-            for loc1, loc2 in combinations(places, 2):
-                if not _disjoint(d, loc1, loc2):
-                    continue
-                first, second = sorted((loc1, loc2))
-                ci, p = first
-                comp = d.components[ci - 1]
-                x, y = comp.passes[p], comp.passes[_pair_positions(comp, p)[1]]
-                sites.append(MoveSite("R2_delete", names=(x, y), pairs=(first, second)))
-
-    if "R3" in kinds:
-        by_letters = {}
-        for ci, p, (a, b) in pairs:
-            if a != b:
-                by_letters.setdefault(frozenset((a, b)), []).append((ci, p))
-        lettersets = sorted(by_letters, key=sorted)
-        for s1, s2, s3 in combinations(lettersets, 3):
-            union = s1 | s2 | s3
-            if len(union) != 3:
+            if not pure <= letters:
                 continue
-            # three distinct 2-subsets of a 3-set are exactly {x,y} {x,z} {y,z}
-            for loc1 in by_letters[s1]:
-                for loc2 in by_letters[s2]:
-                    for loc3 in by_letters[s3]:
-                        locs = (loc1, loc2, loc3)
-                        if all(
-                            _disjoint(d, u, v) for u, v in combinations(locs, 2)
-                        ):
-                            sites.append(
-                                MoveSite("R3", names=tuple(sorted(union)), pairs=tuple(sorted(locs)))
-                            )
+            for loc1, loc2 in combinations(places, 2):
+                if _disjoint(d, loc1, loc2):
+                    sites.append(
+                        MoveSite("R2_delete", names=_pair_letters(d, loc1), pairs=(loc1, loc2))
+                    )
 
-    seen_sites = set()
-    unique = []
-    for site in sites:
-        sig = (site.kind, site.pairs)
-        if sig not in seen_sites:
-            seen_sites.add(sig)
-            unique.append(site)
+    if "R3" in kinds and not pure:
+        near: dict[str, set[str]] = {}
+        for a, b in by_letters:
+            near.setdefault(a, set()).add(b)
+            near.setdefault(b, set()).add(a)
+        # each triangle {x,y} {x,z} {y,z} is found once, from its least letters
+        for xy, places in by_letters.items():
+            x, y = sorted(xy)
+            for z in near[x] & near[y]:
+                if z < y:
+                    continue
+                xz, yz = by_letters[frozenset((x, z))], by_letters[frozenset((y, z))]
+                for locs in product(places, xz, yz):
+                    if all(_disjoint(d, u, v) for u, v in combinations(locs, 2)):
+                        sites.append(MoveSite("R3", names=(x, y, z), pairs=tuple(sorted(locs))))
 
-    if forbid_pure:
-        unique = [s for s in unique if not pure_crossings(apply_move(d, s))]
-    unique.sort(key=lambda s: (s.kind, s.pairs, s.names))
-    return unique
+    sites.sort(key=lambda s: (s.kind, s.pairs, s.names))
+    return sites
 
 
 def _disjoint(d: Diagram, loc1: tuple[int, int], loc2: tuple[int, int]) -> bool:
@@ -484,10 +469,14 @@ def move_candidates(
     """Deletions and third-move sites plus a finite slate of insertions.
 
     Insertions are rejected when the result would exceed ``max_size``
-    crossings or, under ``forbid_pure``, would create a pure crossing (all
-    first-move insertions and same-component second-move insertions).
+    crossings.  Under ``forbid_pure`` no site's result has a pure crossing:
+    first-move insertions and same-component second-move insertions are
+    rejected, and a diagram with pure crossings gets no insertion at all,
+    since an insertion keeps them (see :func:`enumerate_moves`).
     """
     sites = enumerate_moves(d, forbid_pure=forbid_pure)
+    if forbid_pure and pure_crossings(d):
+        return sites
     count = d.crossing_count
     slots = _insert_slots(d)
     if not forbid_pure and count + 1 <= max_size:
@@ -547,7 +536,6 @@ def bounded_equivalence_search(
     depth: int,
     *,
     forbid_pure: bool = False,
-    max_nodes: int = 50000,
 ) -> SearchVerdict:
     """Search for a sequence of at most ``depth`` moves from ``a`` to ``b``.
 
@@ -557,13 +545,13 @@ def bounded_equivalence_search(
     invertible, so a level grown from ``b`` holds the diagrams one move
     further back toward it.  States are deduplicated by canonical form;
     insertions are bounded by the larger input's crossing count plus a slack
-    of 2, and ``max_nodes`` bounds the states kept on both sides together.
+    of 2, and :data:`MAX_NODES` bounds the states kept on both sides together.
     Under ``forbid_pure`` no diagram on the way has a pure crossing, and
     :class:`MoveError` is raised unless both inputs have none.
 
     Returns a trace that replays from ``a`` to a diagram with ``b``'s
     canonical form on success, and ``unknown`` otherwise: the search never
-    claims inequivalence, and exhausting ``max_nodes`` also yields unknown.
+    claims inequivalence, and exhausting :data:`MAX_NODES` also yields unknown.
     """
     if a.n != b.n:
         raise MoveError(f"mismatched component counts: {a.n} vs {b.n}")
@@ -597,7 +585,7 @@ def bounded_equivalence_search(
                     trace = _joined_trace(a, sides, found, forbid_pure, max_size)
                     return SearchVerdict(True, trace)
                 nodes += 1
-                if nodes >= max_nodes:
+                if nodes >= MAX_NODES:
                     return SearchVerdict(False, None)
                 grown.append(found)
         frontiers[grow] = grown

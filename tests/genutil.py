@@ -9,17 +9,31 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from itertools import product
+from itertools import combinations, product
 
 from freelinks.bracket import BracketError, SpliceChoice, splice, splice_expansion
 from freelinks.diagram import (
     ComponentCode,
     Diagram,
+    DiagramError,
     canonical_key,
     crossing_occurrences,
     pure_crossings,
+    validate,
 )
-from freelinks.moves import MoveError, SearchVerdict, WalkTrace, apply_move, move_candidates
+from freelinks.moves import (
+    ALL_KINDS,
+    DELETION_KINDS,
+    MoveError,
+    MoveSite,
+    SearchVerdict,
+    WalkTrace,
+    _adjacent_pairs,
+    _disjoint,
+    _pair_positions,
+    apply_move,
+    move_candidates,
+)
 from freelinks.words import GroupContext, Word, make_word
 
 
@@ -135,6 +149,22 @@ def scramble(rng: random.Random, d: Diagram) -> Diagram:
                 passes = passes[::-1]
         comps.append(ComponentCode(comp.closed, passes))
     return Diagram(d.kind, tuple(comps))
+
+
+def plant_triangle(rng: random.Random, d: Diagram) -> Diagram:
+    """``d`` with three fresh crossings inserted as adjacent pairs ``x y``,
+    ``x z`` and ``y z`` at random places, so that it has a third-move site."""
+    serial = len(d.crossing_names)
+    x, y, z = (f"t{serial + k}" for k in range(3))
+    comps = [list(comp.passes) for comp in d.components]
+    for pair in ((x, y), (x, z), (y, z)):
+        passes = comps[rng.randrange(len(comps))]
+        pos = rng.randint(0, len(passes))
+        passes[pos:pos] = pair if rng.random() < 0.5 else pair[::-1]
+    return Diagram(
+        d.kind,
+        tuple(ComponentCode(comp.closed, tuple(p)) for comp, p in zip(d.components, comps)),
+    )
 
 
 # -- naive canonical form -------------------------------------------------------
@@ -467,3 +497,81 @@ def reference_search(
                 next_frontier.append((neighbor, extended))
         frontier = next_frontier
     return SearchVerdict(False, None)
+
+
+# -- reference move enumeration ---------------------------------------------------
+
+
+def reference_enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False):
+    """The letter-set-triple enumeration, kept as a reference for
+    ``moves.enumerate_moves``: every triple of pair letter sets is tested for
+    a third move, and every site is applied and its result scanned for pure
+    crossings under ``forbid_pure``."""
+    bad = validate(d)
+    if bad:
+        raise DiagramError("invalid diagram: " + "; ".join(str(v) for v in bad))
+    if kinds is None:
+        kinds = set(DELETION_KINDS)
+    else:
+        kinds = set(kinds)
+        unknown = kinds - set(ALL_KINDS)
+        if unknown:
+            raise MoveError(f"unknown move kinds {sorted(unknown)}")
+
+    pairs = _adjacent_pairs(d)
+    sites: list[MoveSite] = []
+
+    if "R1_delete" in kinds and not forbid_pure:
+        for ci, p, (a, b) in pairs:
+            if a == b:
+                sites.append(MoveSite("R1_delete", names=(a,), pairs=((ci, p),)))
+
+    if "R2_delete" in kinds:
+        by_letters: dict[frozenset[str], list[tuple[int, int]]] = {}
+        for ci, p, (a, b) in pairs:
+            if a != b:
+                by_letters.setdefault(frozenset((a, b)), []).append((ci, p))
+        for letters, places in by_letters.items():
+            for loc1, loc2 in combinations(places, 2):
+                if not _disjoint(d, loc1, loc2):
+                    continue
+                first, second = sorted((loc1, loc2))
+                ci, p = first
+                comp = d.components[ci - 1]
+                x, y = comp.passes[p], comp.passes[_pair_positions(comp, p)[1]]
+                sites.append(MoveSite("R2_delete", names=(x, y), pairs=(first, second)))
+
+    if "R3" in kinds:
+        by_letters = {}
+        for ci, p, (a, b) in pairs:
+            if a != b:
+                by_letters.setdefault(frozenset((a, b)), []).append((ci, p))
+        lettersets = sorted(by_letters, key=sorted)
+        for s1, s2, s3 in combinations(lettersets, 3):
+            union = s1 | s2 | s3
+            if len(union) != 3:
+                continue
+            # three distinct 2-subsets of a 3-set are exactly {x,y} {x,z} {y,z}
+            for loc1 in by_letters[s1]:
+                for loc2 in by_letters[s2]:
+                    for loc3 in by_letters[s3]:
+                        locs = (loc1, loc2, loc3)
+                        if all(
+                            _disjoint(d, u, v) for u, v in combinations(locs, 2)
+                        ):
+                            sites.append(
+                                MoveSite("R3", names=tuple(sorted(union)), pairs=tuple(sorted(locs)))
+                            )
+
+    seen_sites = set()
+    unique = []
+    for site in sites:
+        sig = (site.kind, site.pairs)
+        if sig not in seen_sites:
+            seen_sites.add(sig)
+            unique.append(site)
+
+    if forbid_pure:
+        unique = [s for s in unique if not pure_crossings(apply_move(d, s))]
+    unique.sort(key=lambda s: (s.kind, s.pairs, s.names))
+    return unique

@@ -1,14 +1,20 @@
+import contextlib
 import importlib
+import io
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freelinks.cli import run
-from freelinks.diagram import ComponentCode, Diagram, serialize_diagram
+from freelinks.diagram import ComponentCode, Diagram, parse_diagram, serialize_diagram
+from freelinks.moves import random_walk, serialize_trace
 
 from conftest import DATA
 from genutil import random_good_diagram
@@ -279,6 +285,17 @@ class TestFuzz:
         assert code == 2
         assert out == ""
 
+    def test_forbid_pure_from_pure_diagram(self, capsys, tmp_path):
+        # no restricted move deletes the pure crossing k, and no insertion
+        # may keep it, so the walk makes no step
+        path = tmp_path / "kinked.tangle"
+        path.write_text("tangle n=2\ncomponent 1 open: k a k b\ncomponent 2 open: a b\n")
+        code, out, _ = invoke(
+            capsys, "fuzz", str(path), "--steps", "10", "--seed", "1", "--forbid-pure"
+        )
+        assert code == 0
+        assert out == "PASS steps=0 seed=1 crossings=3\n"
+
     def test_fail_fast_serializes_trace(self, capsys, monkeypatch):
         # a rigged word check must surface as FAIL plus the offending trace
         import freelinks.cli as cli
@@ -377,3 +394,61 @@ class TestDeterminism:
         first = invoke(capsys, *argv)
         second = invoke(capsys, *argv)
         assert first == second
+
+
+# -- mutated inputs ------------------------------------------------------------
+
+TRACE_TEXT = serialize_trace(
+    random_walk(parse_diagram(Path(SAMPLE).read_text()), 6, seed=3, max_size=10)
+).encode()
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` with a few bytes dropped, duplicated or flipped, or lines truncated."""
+    buf = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        if not buf:
+            break
+        i = draw(st.integers(0, len(buf) - 1))
+        op = draw(st.sampled_from(("drop", "duplicate", "flip", "truncate")))
+        if op == "drop":
+            del buf[i]
+        elif op == "duplicate":
+            buf.insert(i, buf[i])
+        elif op == "flip":
+            buf[i] ^= 1 << draw(st.integers(0, 7))
+        else:
+            end = buf.find(b"\n", i)
+            del buf[i : len(buf) if end < 0 else end]
+    return bytes(buf)
+
+
+COMMANDS = (
+    ("validate", "{mutated}"),
+    ("invariant", "{mutated}", "--pair", "1,2"),
+    ("bracket", "{mutated}"),
+    ("compare", "{mutated}", "{source}", "--depth", "1"),
+    ("fuzz", "{mutated}", "--steps", "3", "--seed", "1", "--forbid-pure"),
+    ("orbit", "{mutated}", "--pair", "1,2"),
+    ("replay", SAMPLE, "{mutated}"),
+)
+
+
+class TestMutatedInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_without_traceback(self, data):
+        source = data.draw(st.sampled_from((SAMPLE, FOUR, KINK, TRIANGLE)))
+        command = data.draw(st.sampled_from(COMMANDS))
+        original = TRACE_TEXT if command[0] == "replay" else Path(source).read_bytes()
+        text = data.draw(mutated(original))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated"
+            path.write_bytes(text)
+            argv = [arg.format(mutated=path, source=source) for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        assert code in (0, 1, 2, 3), (argv, text)
+        assert "Traceback" not in err.getvalue()

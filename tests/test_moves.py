@@ -24,8 +24,11 @@ from freelinks.moves import (
 )
 
 from genutil import (
+    plant_triangle,
     random_any_diagram,
     random_good_diagram,
+    random_pure_diagram,
+    reference_enumerate_moves,
     reference_search,
     scramble,
 )
@@ -78,6 +81,33 @@ class TestEnumerate:
             d = random_any_diagram(rng, 8)
             for site in enumerate_moves(d):
                 apply_move(d, site)
+
+    def test_matches_reference(self):
+        # random any, good and pure diagrams, half with a planted triangle,
+        # and their 1-6 step walk neighbours
+        rng = random.Random(41)
+        kind_sets = (None, {"R3"}, {"R1_delete", "R2_delete"}, {"R2_delete", "R3"})
+        third_moves = 0
+        for trial in range(48):
+            kind = rng.choice(("tangle", "link"))
+            if trial % 3 == 0:
+                d = random_any_diagram(rng, 8, kind)
+            elif trial % 3 == 1:
+                d = random_good_diagram(rng, rng.randint(2, 4), 8, kind)
+            else:
+                d = random_pure_diagram(rng, rng.randint(2, 3), kind)
+            if trial % 2:
+                d = plant_triangle(rng, d)
+            forbid = not pure_crossings(d)
+            walk = random_walk(d, rng.randint(1, 6), seed=trial, forbid_pure=forbid)
+            for e in (d, walk.final):
+                for forbid_pure in (False, True):
+                    for kinds in kind_sets:
+                        sites = enumerate_moves(e, kinds=kinds, forbid_pure=forbid_pure)
+                        expected = reference_enumerate_moves(e, kinds=kinds, forbid_pure=forbid_pure)
+                        assert sites == expected, (e, kinds, forbid_pure)
+                        third_moves += sum(site.kind == "R3" for site in sites)
+        assert third_moves >= 200
 
 
 class TestApply:
@@ -188,6 +218,21 @@ class TestRandomWalk:
         trace = random_walk(d, 10, seed=1, forbid_pure=True, max_size=2)
         # no deletions survive the pure filter and no insertions are allowed
         assert trace.moves == ()
+
+    def test_forbid_pure_from_pure_diagram_never_inserts(self):
+        # an insertion keeps the pure crossing k, so none is a candidate
+        d = parse_diagram("tangle n=2\ncomponent 1 open: k a k b\ncomponent 2 open: a b")
+        for seed in range(20):
+            trace = random_walk(d, 10, seed, forbid_pure=True)
+            assert all(site.kind != "R2_insert" for site in trace.moves)
+
+    def test_forbid_pure_deletes_every_pure_crossing(self):
+        d = parse_diagram(
+            "tangle n=2\ncomponent 1 open: p q a q p b\ncomponent 2 open: a b"
+        )
+        sites = move_candidates(d, forbid_pure=True, max_size=10)
+        assert [(s.kind, s.names) for s in sites] == [("R2_delete", ("p", "q"))]
+        assert not pure_crossings(apply_move(d, sites[0]))
 
 
 class TestBoundedSearch:
