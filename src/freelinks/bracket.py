@@ -35,6 +35,7 @@ unknown.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -46,9 +47,7 @@ from .diagram import (
     _closed_variants,
     _diagram_from_key,
     canonical_key,
-    is_good_condition,
-    pure_crossings,
-    validate,
+    require_valid,
 )
 from .moves import bounded_equivalence_search
 
@@ -265,7 +264,7 @@ def splice_expansion(d: Diagram, crossings: tuple[str, ...] | None = None):
     component count disqualifies them from the bracket.
     """
     if crossings is None:
-        crossings = tuple(sorted(pure_crossings(d)))
+        crossings = tuple(sorted(d.pure))
     table = _port_table(d)
     for code in range(1 << len(crossings)):
         assignment = {name: "AB"[(code >> r) & 1] for r, name in enumerate(crossings)}
@@ -307,25 +306,24 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
     Keeps exactly the summands with ``d.n`` components; each is
     canonicalized, and pairs of equal canonical forms cancel.  A diagram
     without pure crossings brackets to the singleton of its own canonical
-    form.  Raises when the diagram is invalid or has more than ``max_pure``
-    pure crossings.
+    form.  Raises :class:`DiagramError` when the diagram is invalid and
+    :class:`BracketError` when it has more than ``max_pure`` pure crossings.
 
     Each component's states are expanded on their own; with ``jobs > 1``
     and at least ``_POOL_MIN_STATES`` states in all, chunks of each
-    component's state range run in a pool of ``jobs`` processes.
+    component's state range run in a pool of ``min(jobs, os.cpu_count())``
+    processes.
     """
-    bad = validate(d)
-    if bad:
-        raise BracketError("invalid diagram: " + "; ".join(str(v) for v in bad))
-    pures = pure_crossings(d)
+    pures = require_valid(d).pure
     if len(pures) > max_pure:
         raise BracketError(
             f"{len(pures)} pure crossings exceed the expansion cap of {max_pure}; "
             "raise max_pure explicitly to proceed"
         )
     owns = [tuple(sorted(pures.intersection(comp.passes))) for comp in d.components]
-    parallel = jobs > 1 and sum(1 << len(own) for own in owns) >= _POOL_MIN_STATES
-    parts = jobs * 4 if parallel else 1
+    workers = min(jobs, os.cpu_count() or 1)
+    parallel = workers > 1 and sum(1 << len(own) for own in owns) >= _POOL_MIN_STATES
+    parts = workers * 4 if parallel else 1
     tasks = []
     for index, (comp, own) in enumerate(zip(d.components, owns)):
         sub = Diagram(kind=d.kind, components=(comp,))
@@ -335,7 +333,7 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
     if parallel:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             results = pool.map(_component_states, tasks)
     else:
         results = map(_component_states, tasks)
@@ -348,7 +346,7 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
         keys ^= {canonical_key(Diagram(kind=d.kind, components=combo))}
     members = frozenset(_diagram_from_key(key) for key in keys)
     for summand in members:
-        if pure_crossings(summand):
+        if summand.pure:
             raise BracketError("bracket summand retained a pure crossing")
     return Bracket(kind=d.kind, n=d.n, summands=members)
 
@@ -373,9 +371,8 @@ def _class_key(s: Diagram):
     through pure-crossing-free diagrams, so differing multiset parities of
     these keys certify distinct bracket values.
     """
-    good, table = is_good_condition(s)
-    parity = tuple(sorted(table.items()))
-    if not good:
+    parity = tuple(sorted(s.parity.items()))
+    if any(s.parity.values()):
         return (parity, None)
     fp = _invariant.fingerprint(s)
     from .words import render_word

@@ -4,8 +4,9 @@ Subcommands: ``validate``, ``invariant``, ``bracket``, ``compare``,
 ``fuzz``, ``orbit``, ``replay``.  Exit codes: 0 success (results on
 stdout), 1 a comparison or fuzz check found the inputs distinct or a
 failure, 2 usage or parse errors, 3 precondition failures (for example a
-diagram out of good condition).  Output is deterministic for fixed inputs
-and seed; diagnostics go to stderr.
+diagram out of good condition).  Every input diagram is validated once, when
+it is loaded; only ``validate`` reads an invalid one.  Output is
+deterministic for fixed inputs and seed; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from .diagram import (
     DiagramError,
     ParseError,
     canonical_key,
-    is_good_condition,
     parse_diagram,
-    pure_crossings,
+    require_valid,
     serialize_diagram,
-    validate,
 )
 from .invariant import (
     InvariantError,
+    _checked_pair,
     fingerprint,
     link_invariant,
     link_word,
@@ -99,7 +99,8 @@ def _read(path: str) -> str:
 
 
 def _load(path: str) -> Diagram:
-    return parse_diagram(_read(path))
+    """The valid diagram in the file ``path``."""
+    return require_valid(parse_diagram(_read(path)), path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,17 +156,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    d = _load(args.file)
-    violations = validate(d)
-    if violations:
-        print(f"invalid, n={d.n}, violations={len(violations)}")
-        for v in violations:
+    d = parse_diagram(_read(args.file))
+    if d.violations:
+        print(f"invalid, n={d.n}, violations={len(d.violations)}")
+        for v in d.violations:
             print(f"  {v}")
         return 0
-    good, _ = is_good_condition(d)
+    good = not any(d.parity.values())
     print(
         f"valid, n={d.n}, crossings={d.crossing_count}, "
-        f"good-condition={'true' if good else 'false'}, pure={len(pure_crossings(d))}"
+        f"good-condition={'true' if good else 'false'}, pure={len(d.pure)}"
     )
     return 0
 
@@ -185,6 +185,8 @@ def _cmd_invariant(args) -> int:
     d = _load(args.file)
     along, other = _resolve_along(args)
     if d.kind == "tangle":
+        if args.basepoints is not None:
+            raise InvariantError(f"--basepoints applies to links; {args.file} is a tangle")
         word = word_invariant(d, along, other)
     elif args.basepoints is not None:
         word = link_word(d, args.basepoints, along, other)
@@ -208,28 +210,25 @@ def _odd_pairs(table: dict[tuple[int, int], int]) -> str:
 def _cmd_compare(args) -> int:
     a = _load(args.file_a)
     b = _load(args.file_b)
-    for name, d in ((args.file_a, a), (args.file_b, b)):
-        violations = validate(d)
-        if violations:
-            raise DiagramError(f"{name} is invalid: " + "; ".join(str(v) for v in violations))
     if a.n != b.n or a.kind != b.kind:
         raise DiagramError(
             f"cannot compare: {a.kind} n={a.n} versus {b.kind} n={b.n}"
         )
+    if args.pair is not None:
+        _checked_pair(a, *args.pair)
 
     # the mixed-crossing parity table survives every move, so it is checked
     # before anything that searches
-    parity_a, parity_b = is_good_condition(a)[1], is_good_condition(b)[1]
-    if parity_a != parity_b:
+    if a.parity != b.parity:
         print("distinct")
         print(
             "certificate: odd crossing parities at pairs "
-            f"{_odd_pairs(parity_a)} != {_odd_pairs(parity_b)}"
+            f"{_odd_pairs(a.parity)} != {_odd_pairs(b.parity)}"
         )
         return 1
 
-    pure_free = not pure_crossings(a) and not pure_crossings(b)
-    good = not any(parity_a.values())
+    pure_free = not a.pure and not b.pure
+    good = not any(a.parity.values())
 
     if pure_free and good:
         fa, fb = fingerprint(a), fingerprint(b)
@@ -274,33 +273,25 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _fingerprint_applicable(d: Diagram) -> bool:
-    return not pure_crossings(d) and is_good_condition(d)[0]
-
-
 def _cmd_fuzz(args) -> int:
     d = _load(args.file)
-    violations = validate(d)
-    if violations:
-        raise DiagramError(f"{args.file} is invalid: " + "; ".join(str(v) for v in violations))
     walk = random_walk(
         d, args.steps, args.seed, forbid_pure=args.forbid_pure, max_size=args.max_size
     )
-    parity = is_good_condition(d)[1]
-    track_words = args.forbid_pure and _fingerprint_applicable(d)
+    track_words = args.forbid_pure and not d.pure and not any(d.parity.values())
     reference = fingerprint(d) if track_words else None
 
     current = d
     for step, site in enumerate(walk.moves, start=1):
         current = apply_move(current, site)
         failure = None
-        if validate(current):
+        if current.violations:
             failure = "validity"
         elif current.n != d.n or current.kind != d.kind:
             failure = "component-count"
-        elif is_good_condition(current)[1] != parity:
+        elif current.parity != d.parity:
             failure = "parity-table"
-        elif args.forbid_pure and pure_crossings(current):
+        elif args.forbid_pure and current.pure:
             failure = "pure-crossing"
         elif track_words and fingerprint(current) != reference:
             failure = "fingerprint"

@@ -11,6 +11,13 @@ every unsigned code is realizable, so no planarity check is performed.
 Components are enumerated: ``components[k]`` is component ``k + 1`` and the
 numbering is part of the data (it is preserved by all move and splice
 operations elsewhere in the package).
+
+Data derived from a diagram (the passes of each crossing, the pure
+crossings, the mixed pair counts and parities, the violations) is computed
+once per diagram and cached on the frozen :class:`Diagram`, to be read and
+never changed; the module functions return copies.  Operations that
+need a valid diagram call the one guard :func:`require_valid`; the command
+line validates each input once, when it loads the file.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Diagram",
@@ -30,6 +38,7 @@ __all__ = [
     "parse_diagram",
     "serialize_diagram",
     "validate",
+    "require_valid",
     "crossing_occurrences",
     "crossing_type",
     "pure_crossings",
@@ -83,13 +92,78 @@ class Diagram:
     def n(self) -> int:
         return len(self.components)
 
-    @property
+    @cached_property
     def crossing_names(self) -> frozenset[str]:
         return frozenset(name for comp in self.components for name in comp.passes)
 
     @property
     def crossing_count(self) -> int:
         return sum(len(comp) for comp in self.components) // 2
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """The broken diagram invariants.  Names are counted without
+        :attr:`occurrences`, which most diagrams met in a search never need."""
+        violations: list[Violation] = []
+        if self.kind not in ("tangle", "link"):
+            violations.append(Violation("kind", "header", f"unknown kind {self.kind!r}"))
+
+        counts: Counter[str] = Counter()
+        for ci, comp in enumerate(self.components, start=1):
+            counts.update(comp.passes)
+            if self.kind == "tangle" and comp.closed:
+                violations.append(
+                    Violation("kind", f"component {ci}", "closed component in a tangle")
+                )
+            elif self.kind == "link" and not comp.closed:
+                violations.append(
+                    Violation("kind", f"component {ci}", "open component in a link")
+                )
+            for tok in comp.passes:
+                if TOKEN_RE.match(tok) is None:
+                    violations.append(
+                        Violation("token", f"component {ci}", f"unserializable name {tok!r}")
+                    )
+
+        for name in sorted(counts):
+            if counts[name] != 2:
+                violations.append(
+                    Violation("arity", f"crossing {name}", f"occurs {counts[name]} times, expected 2")
+                )
+        return tuple(violations)
+
+    @cached_property
+    def occurrences(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        """Crossing name -> its passes as 1-based ``(component, position)``."""
+        occ: dict[str, list[tuple[int, int]]] = {}
+        for ci, comp in enumerate(self.components, start=1):
+            for pos, name in enumerate(comp.passes):
+                occ.setdefault(name, []).append((ci, pos))
+        return {name: tuple(places) for name, places in occ.items()}
+
+    @cached_property
+    def pure(self) -> frozenset[str]:
+        """Crossings whose two passes lie on a single component."""
+        return frozenset(
+            name
+            for name, places in self.occurrences.items()
+            if len(places) == 2 and places[0][0] == places[1][0]
+        )
+
+    @cached_property
+    def pair_counts(self) -> dict[tuple[int, int], int]:
+        """The number of crossings joining each mixed pair (i, j), i < j."""
+        counts = {(i, j): 0 for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)}
+        for places in self.occurrences.values():
+            if len(places) == 2 and places[0][0] != places[1][0]:
+                i, j = places[0][0], places[1][0]
+                counts[min(i, j), max(i, j)] += 1
+        return counts
+
+    @cached_property
+    def parity(self) -> dict[tuple[int, int], int]:
+        """The good-condition parity table: each mixed pair's count mod 2."""
+        return {pair: count % 2 for pair, count in self.pair_counts.items()}
 
     def component(self, i: int) -> ComponentCode:
         """Component by its 1-based index."""
@@ -227,33 +301,15 @@ def validate(d: Diagram) -> list[Violation]:
     Violations are data, not errors: invalid diagrams are representable so
     that their defects can be reported.
     """
-    violations: list[Violation] = []
-    if d.kind not in ("tangle", "link"):
-        violations.append(Violation("kind", "header", f"unknown kind {d.kind!r}"))
+    return list(d.violations)
 
-    counts: Counter[str] = Counter()
-    for ci, comp in enumerate(d.components, start=1):
-        counts.update(comp.passes)
-        if d.kind == "tangle" and comp.closed:
-            violations.append(
-                Violation("kind", f"component {ci}", "closed component in a tangle")
-            )
-        elif d.kind == "link" and not comp.closed:
-            violations.append(
-                Violation("kind", f"component {ci}", "open component in a link")
-            )
-        for tok in comp.passes:
-            if TOKEN_RE.match(tok) is None:
-                violations.append(
-                    Violation("token", f"component {ci}", f"unserializable name {tok!r}")
-                )
 
-    for name in sorted(counts):
-        if counts[name] != 2:
-            violations.append(
-                Violation("arity", f"crossing {name}", f"occurs {counts[name]} times, expected 2")
-            )
-    return violations
+def require_valid(d: Diagram, source: str = "") -> Diagram:
+    """``d`` if it is valid, else :class:`DiagramError` naming ``source``."""
+    if d.violations:
+        where = f" in {source}" if source else ""
+        raise DiagramError(f"invalid diagram{where}: " + "; ".join(str(v) for v in d.violations))
+    return d
 
 
 def crossing_occurrences(d: Diagram) -> dict[str, list[tuple[int, int]]]:
@@ -261,16 +317,12 @@ def crossing_occurrences(d: Diagram) -> dict[str, list[tuple[int, int]]]:
 
     Components are 1-based and occurrences are listed in scan order.
     """
-    occ: dict[str, list[tuple[int, int]]] = {}
-    for ci, comp in enumerate(d.components, start=1):
-        for pos, name in enumerate(comp.passes):
-            occ.setdefault(name, []).append((ci, pos))
-    return occ
+    return {name: list(places) for name, places in d.occurrences.items()}
 
 
 def crossing_type(d: Diagram, c: str) -> CrossingType:
     """The normalized pair (i, j), i <= j, of components carrying the two passes of c."""
-    occ = crossing_occurrences(d).get(c)
+    occ = d.occurrences.get(c)
     if occ is None:
         raise DiagramError(f"unknown crossing {c!r}")
     if len(occ) != 2:
@@ -281,8 +333,7 @@ def crossing_type(d: Diagram, c: str) -> CrossingType:
 
 def pure_crossings(d: Diagram) -> set[str]:
     """Crossings whose two passes lie on a single component."""
-    occ = crossing_occurrences(d)
-    return {name for name, places in occ.items() if len(places) == 2 and places[0][0] == places[1][0]}
+    return set(d.pure)
 
 
 def is_good_condition(d: Diagram) -> tuple[bool, dict[tuple[int, int], int]]:
@@ -291,15 +342,7 @@ def is_good_condition(d: Diagram) -> tuple[bool, dict[tuple[int, int], int]]:
     Returns the verdict and the full parity table (count mod 2 per pair).
     Pure-crossing counts are unconstrained.
     """
-    table = {(i, j): 0 for i in range(1, d.n + 1) for j in range(i + 1, d.n + 1)}
-    for places in crossing_occurrences(d).values():
-        if len(places) != 2:
-            continue
-        i, j = places[0][0], places[1][0]
-        if i != j:
-            key = (min(i, j), max(i, j))
-            table[key] ^= 1
-    return all(bit == 0 for bit in table.values()), table
+    return not any(d.parity.values()), dict(d.parity)
 
 
 # -- canonical form -----------------------------------------------------------
@@ -338,9 +381,7 @@ def canonical_key(d: Diagram) -> tuple:
       with a dozen crossings per component otherwise carries several
       hundred equal states.
     """
-    bad = validate(d)
-    if bad:
-        raise DiagramError("invalid diagram: " + "; ".join(str(v) for v in bad))
+    require_valid(d)
 
     # ahead[c]: the crossings of the components after component c
     ahead: list[frozenset[str]] = []

@@ -17,15 +17,7 @@ slide/conjugacy class of the word is a link invariant.
 
 from __future__ import annotations
 
-from .diagram import (
-    Basepoint,
-    Diagram,
-    crossing_occurrences,
-    cut_link,
-    is_good_condition,
-    pure_crossings,
-    validate,
-)
+from .diagram import Basepoint, Diagram, cut_link, require_valid
 from .words import (
     GroupContext,
     Letter,
@@ -59,15 +51,12 @@ Fingerprint = dict[tuple[tuple[int, int], int], Word]
 
 
 def _require_tangle(d: Diagram):
-    bad = validate(d)
-    if bad:
-        raise InvariantError("invalid diagram: " + "; ".join(str(v) for v in bad))
+    require_valid(d)
     if any(comp.closed for comp in d.components):
         raise InvariantError("closed component present; cut the link first")
-    pure = pure_crossings(d)
-    if pure:
+    if d.pure:
         raise InvariantError(
-            "pure crossings present: " + " ".join(sorted(pure)) + "; expand with the bracket instead"
+            "pure crossings present: " + " ".join(sorted(d.pure)) + "; expand with the bracket instead"
         )
 
 
@@ -78,7 +67,7 @@ def _letters(d: Diagram) -> dict[str, Letter]:
     before the crossing on component i plus the type-(j, k) passes before it
     on component j, over the k outside {i, j} in ascending order.
     """
-    occ = crossing_occurrences(d)
+    occ = d.occurrences
     # per component, per position: the passes before it meeting each component
     before = [[]]
     for ci, comp in enumerate(d.components, start=1):
@@ -107,16 +96,13 @@ def lk(d: Diagram, c: str, k: int) -> int:
     (i, j) is the type of c.  Requires a pure-crossing-free tangle and
     k outside {i, j}.
     """
-    _require_tangle(d)
-    occ = crossing_occurrences(d)
-    if c not in occ:
-        raise InvariantError(f"unknown crossing {c!r}")
-    (ci, _), (cj, _) = occ[c]
+    letter = lk_vector(d, c)
+    (ci, _), (cj, _) = d.occurrences[c]
     if not 1 <= k <= d.n:
         raise InvariantError(f"component {k} out of range 1..{d.n}")
     if k in (ci, cj):
         raise InvariantError(f"component {k} is one of the two strands of crossing {c!r}")
-    return lk_vector(d, c)[GroupContext(d.n, ci, cj).strands.index(k)]
+    return letter[GroupContext(d.n, ci, cj).strands.index(k)]
 
 
 def lk_vector(d: Diagram, c: str) -> Letter:
@@ -136,9 +122,8 @@ def _checked_pair(d: Diagram, i: int, j: int):
 
 
 def _require_good(d: Diagram):
-    good, table = is_good_condition(d)
-    if not good:
-        odd = sorted(pair for pair, bit in table.items() if bit)
+    odd = sorted(pair for pair, bit in d.parity.items() if bit)
+    if odd:
         raise InvariantError(f"good condition fails: odd crossing count for pairs {odd}")
 
 
@@ -151,7 +136,7 @@ def word_table(d: Diagram) -> dict[tuple[int, int], Word]:
     _require_tangle(d)
     _require_good(d)
     letters = _letters(d)
-    occ = crossing_occurrences(d)
+    occ = d.occurrences
     seqs = {(i, j): [] for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j}
     for along, comp in enumerate(d.components, start=1):
         for name in comp.passes:

@@ -30,11 +30,9 @@ from itertools import combinations, product
 from .diagram import (
     ComponentCode,
     Diagram,
-    DiagramError,
     ParseError,
     canonical_key,
-    pure_crossings,
-    validate,
+    require_valid,
 )
 
 __all__ = [
@@ -148,9 +146,7 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
     keeps every site of a diagram without pure crossings and, of a diagram
     with some, only the second-move deletions that remove all of them.
     """
-    bad = validate(d)
-    if bad:
-        raise DiagramError("invalid diagram: " + "; ".join(str(v) for v in bad))
+    require_valid(d)
     if kinds is None:
         kinds = set(DELETION_KINDS)
     else:
@@ -158,7 +154,7 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
         unknown = kinds - set(ALL_KINDS)
         if unknown:
             raise MoveError(f"unknown move kinds {sorted(unknown)}")
-    pure = pure_crossings(d) if forbid_pure else set()
+    pure = d.pure if forbid_pure else frozenset()
 
     sites: list[MoveSite] = []
     # pair locations in scan order, keyed by their two distinct letters
@@ -475,7 +471,7 @@ def move_candidates(
     since an insertion keeps them (see :func:`enumerate_moves`).
     """
     sites = enumerate_moves(d, forbid_pure=forbid_pure)
-    if forbid_pure and pure_crossings(d):
+    if forbid_pure and d.pure:
         return sites
     count = d.crossing_count
     slots = _insert_slots(d)
@@ -557,7 +553,7 @@ def bounded_equivalence_search(
         raise MoveError(f"mismatched component counts: {a.n} vs {b.n}")
     if a.kind != b.kind:
         raise MoveError(f"mismatched kinds: {a.kind} vs {b.kind}")
-    if forbid_pure and (pure_crossings(a) or pure_crossings(b)):
+    if forbid_pure and (a.pure or b.pure):
         # only between pure-crossing-free diagrams is every restricted move
         # undone by a restricted move, which the search from b relies on
         raise MoveError("a search without pure crossings needs inputs without pure crossings")

@@ -13,13 +13,12 @@ from itertools import combinations, product
 
 from freelinks.bracket import BracketError, SpliceChoice, splice, splice_expansion
 from freelinks.diagram import (
+    TOKEN_RE,
     ComponentCode,
     Diagram,
     DiagramError,
+    Violation,
     canonical_key,
-    crossing_occurrences,
-    pure_crossings,
-    validate,
 )
 from freelinks.moves import (
     ALL_KINDS,
@@ -35,6 +34,67 @@ from freelinks.moves import (
     move_candidates,
 )
 from freelinks.words import GroupContext, Word, make_word
+
+
+# -- reference per-diagram data --------------------------------------------------
+#
+# The bodies that recomputed everything on every call, kept as references for
+# the fields cached on ``Diagram`` and the functions that read them.
+
+
+def reference_validate(d: Diagram) -> list[Violation]:
+    violations: list[Violation] = []
+    if d.kind not in ("tangle", "link"):
+        violations.append(Violation("kind", "header", f"unknown kind {d.kind!r}"))
+
+    counts: Counter[str] = Counter()
+    for ci, comp in enumerate(d.components, start=1):
+        counts.update(comp.passes)
+        if d.kind == "tangle" and comp.closed:
+            violations.append(
+                Violation("kind", f"component {ci}", "closed component in a tangle")
+            )
+        elif d.kind == "link" and not comp.closed:
+            violations.append(
+                Violation("kind", f"component {ci}", "open component in a link")
+            )
+        for tok in comp.passes:
+            if TOKEN_RE.match(tok) is None:
+                violations.append(
+                    Violation("token", f"component {ci}", f"unserializable name {tok!r}")
+                )
+
+    for name in sorted(counts):
+        if counts[name] != 2:
+            violations.append(
+                Violation("arity", f"crossing {name}", f"occurs {counts[name]} times, expected 2")
+            )
+    return violations
+
+
+def reference_crossing_occurrences(d: Diagram) -> dict[str, list[tuple[int, int]]]:
+    occ: dict[str, list[tuple[int, int]]] = {}
+    for ci, comp in enumerate(d.components, start=1):
+        for pos, name in enumerate(comp.passes):
+            occ.setdefault(name, []).append((ci, pos))
+    return occ
+
+
+def reference_pure_crossings(d: Diagram) -> set[str]:
+    occ = reference_crossing_occurrences(d)
+    return {name for name, places in occ.items() if len(places) == 2 and places[0][0] == places[1][0]}
+
+
+def reference_is_good_condition(d: Diagram) -> tuple[bool, dict[tuple[int, int], int]]:
+    table = {(i, j): 0 for i in range(1, d.n + 1) for j in range(i + 1, d.n + 1)}
+    for places in reference_crossing_occurrences(d).values():
+        if len(places) != 2:
+            continue
+        i, j = places[0][0], places[1][0]
+        if i != j:
+            key = (min(i, j), max(i, j))
+            table[key] ^= 1
+    return all(bit == 0 for bit in table.values()), table
 
 
 # -- random diagrams -----------------------------------------------------------
@@ -290,7 +350,7 @@ def sequential_bracket_keys(d: Diagram, rng: random.Random) -> set:
         for branch in "AB":
             expand(splice(current, SpliceChoice(name, branch)), rest)
 
-    expand(d, tuple(sorted(pure_crossings(d))))
+    expand(d, tuple(sorted(reference_pure_crossings(d))))
     return {key for key, count in odd.items() if count % 2}
 
 
@@ -330,7 +390,7 @@ def reference_splice_components(d: Diagram, branches: dict[str, str]):
     leaving its first pass (closed, when that pass is spliced) or through its
     first pass itself; then all remaining curves in scan order.
     """
-    occs = crossing_occurrences(d)
+    occs = reference_crossing_occurrences(d)
     for name, branch in branches.items():
         if name not in occs:
             raise BracketError(f"unknown crossing {name!r}")
@@ -507,7 +567,7 @@ def reference_enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = Fal
     ``moves.enumerate_moves``: every triple of pair letter sets is tested for
     a third move, and every site is applied and its result scanned for pure
     crossings under ``forbid_pure``."""
-    bad = validate(d)
+    bad = reference_validate(d)
     if bad:
         raise DiagramError("invalid diagram: " + "; ".join(str(v) for v in bad))
     if kinds is None:
@@ -572,6 +632,6 @@ def reference_enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = Fal
             unique.append(site)
 
     if forbid_pure:
-        unique = [s for s in unique if not pure_crossings(apply_move(d, s))]
+        unique = [s for s in unique if not reference_pure_crossings(apply_move(d, s))]
     unique.sort(key=lambda s: (s.kind, s.pairs, s.names))
     return unique

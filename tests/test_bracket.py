@@ -240,6 +240,41 @@ class TestBracket:
         with pytest.raises(AssertionError, match="pool started"):
             bracket(d, jobs=2)
 
+    @pytest.mark.parametrize("cpus, size", [(3, 3), (None, None)])
+    def test_pool_size_capped_by_cpu_count(self, monkeypatch, cpus, size):
+        # a stand-in pool records its size and chunk count and runs the tasks
+        # inline, so no process starts whatever ``jobs`` asks for
+        import multiprocessing
+        import os
+
+        started = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                self.processes = processes
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                started.append((self.processes, len(tasks)))
+                return list(map(fn, tasks))
+
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_bracket_module, "_POOL_MIN_STATES", 0)
+        d = parse_diagram("link n=1\ncomponent 1 closed: a b a c b d c d e e")
+        assert bracket(d, jobs=10**6) == bracket(d, jobs=1)
+        if size is None:
+            assert started == []
+        else:
+            ((processes, chunks),) = started
+            assert processes == size
+            assert size < chunks <= 4 * size
+
     def test_serialization_header(self):
         text = serialize_bracket(bracket(XYXY))
         head, rest = text.split("\n", 1)

@@ -123,6 +123,13 @@ class TestInvariant:
         assert code == 0
         assert out == "(0,0)·(0,1)·(1,1)·(0,0)\n"
 
+    def test_basepoints_on_tangle_exit_3(self, capsys):
+        code, out, err = invoke(
+            capsys, "invariant", SAMPLE, "--pair", "1,2", "--basepoints", "7:0"
+        )
+        assert (code, out) == (3, "")
+        assert "--basepoints applies to links" in err
+
     def test_precondition_failure_exits_3(self, capsys):
         code, _, err = invoke(capsys, "invariant", TRIANGLE, "--pair", "1,2")
         assert code == 3
@@ -186,6 +193,12 @@ class TestCompare:
         # bracket stage decides
         assert code in (0, 1)
         assert out.splitlines()[0] in ("equal", "distinct", "unknown")
+
+    @pytest.mark.parametrize("pair", ["9,9", "2,2", "0,5", "1,4"])
+    def test_impossible_pair_exits_3(self, capsys, pair):
+        code, out, err = invoke(capsys, "compare", SAMPLE, TRIVIAL, "--pair", pair)
+        assert (code, out) == (3, "")
+        assert "pair" in err
 
     def test_negative_depth_exits_2(self, capsys):
         code, out, _ = invoke(capsys, "compare", TRIANGLE, TRIANGLE_MOVED, "--depth", "-1")
@@ -377,6 +390,40 @@ class TestReplay:
         code, _, err = invoke(capsys, "replay", KINK, str(trace))
         assert code == 2
         assert "UTF-8" in err
+
+
+class TestInvalidInput:
+    """A parsable but invalid diagram fails every subcommand but ``validate``."""
+
+    TEXT = "tangle n=1\ncomponent 1 closed: x x\n"
+
+    def test_replay_exits_3(self, tmp_path):
+        bad = tmp_path / "closed.tangle"
+        bad.write_text(self.TEXT)
+        trace = tmp_path / "empty.trace"
+        trace.write_text("")
+        code, out, err = invoke_process("replay", str(bad), str(trace))
+        assert (code, out) == (3, "")
+        assert "closed component in a tangle" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invariant", "{bad}", "--pair", "1,2"),
+            ("bracket", "{bad}"),
+            ("orbit", "{bad}", "--pair", "1,2"),
+            ("compare", SAMPLE, "{bad}"),
+            ("compare", "{bad}", SAMPLE),
+            ("fuzz", "{bad}", "--steps", "3", "--seed", "1"),
+        ],
+    )
+    def test_reports_the_file(self, capsys, tmp_path, argv):
+        bad = tmp_path / "closed.tangle"
+        bad.write_text(self.TEXT)
+        code, out, err = invoke(capsys, *(arg.format(bad=bad) for arg in argv))
+        assert (code, out) == (3, "")
+        assert f"invalid diagram in {bad}" in err
 
 
 class TestDeterminism:

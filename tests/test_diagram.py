@@ -11,16 +11,29 @@ from freelinks.diagram import (
     ParseError,
     canonical_form,
     canonical_key,
+    crossing_occurrences,
     crossing_type,
     cut_link,
     is_good_condition,
     parse_diagram,
     pure_crossings,
+    require_valid,
     serialize_diagram,
     validate,
 )
 
-from genutil import naive_canonical_key, random_any_diagram, random_good_diagram, random_sparse_link, scramble
+from genutil import (
+    naive_canonical_key,
+    random_any_diagram,
+    random_good_diagram,
+    random_pure_diagram,
+    random_sparse_link,
+    reference_crossing_occurrences,
+    reference_is_good_condition,
+    reference_pure_crossings,
+    reference_validate,
+    scramble,
+)
 
 
 class TestParse:
@@ -140,6 +153,112 @@ class TestGoodCondition:
     def test_pure_crossings_not_constrained(self):
         d = parse_diagram("link n=1\ncomponent 1 closed: x x")
         assert is_good_condition(d) == (True, {})
+
+
+# invalid diagrams built by hand: odd arity, a crossing on three passes, a
+# closed component in a tangle, an open one in a link, a bad token and an
+# unknown kind
+INVALID = [
+    Diagram("tangle", (ComponentCode(False, ("x",)),)),
+    Diagram("tangle", (ComponentCode(False, ("x", "a", "x")), ComponentCode(False, ("x", "a")))),
+    Diagram("tangle", (ComponentCode(True, ("x", "x")),)),
+    Diagram("link", (ComponentCode(True, ("a", "b")), ComponentCode(False, ("b", "a")))),
+    Diagram("tangle", (ComponentCode(False, ("x-y", "a", "x-y")), ComponentCode(False, ("a",)))),
+    Diagram("knot", (ComponentCode(True, ("x", "y", "x", "y")),)),
+]
+
+
+def _broken(rng: random.Random, d: Diagram) -> Diagram:
+    """``d`` made invalid, or at least changed, in one random way."""
+    comps = list(d.components)
+    k = rng.randrange(len(comps))
+    comp = comps[k]
+    how = rng.choice(("drop", "repeat", "flip", "token", "kind"))
+    if how == "drop" and comp.passes:
+        comps[k] = ComponentCode(comp.closed, comp.passes[1:])
+    elif how == "repeat" and comp.passes:
+        comps[k] = ComponentCode(comp.closed, comp.passes + comp.passes[:1])
+    elif how == "flip":
+        comps[k] = ComponentCode(not comp.closed, comp.passes)
+    elif how == "token":
+        comps[k] = ComponentCode(comp.closed, comp.passes + ("no way", "no way"))
+    else:
+        return Diagram("knot", d.components)
+    return Diagram(d.kind, tuple(comps))
+
+
+def _index_cases():
+    rng = random.Random(61)
+    cases = list(INVALID)
+    for _ in range(40):
+        kind = rng.choice(("tangle", "link"))
+        cases += [
+            random_any_diagram(rng, 9),
+            random_good_diagram(rng, rng.randint(1, 5), 12, kind=kind),
+            random_pure_diagram(rng, rng.randint(2, 4), kind),
+        ]
+    cases += [_broken(rng, d) for d in cases[len(INVALID):]]
+    return cases
+
+
+class TestIndex:
+    """The fields cached on ``Diagram`` against the bodies that recomputed
+    them on every call (``genutil.reference_*``)."""
+
+    def test_matches_reference(self):
+        invalid = 0
+        for d in _index_cases():
+            occ = reference_crossing_occurrences(d)
+            assert crossing_occurrences(d) == occ, d
+            assert pure_crossings(d) == reference_pure_crossings(d), d
+            assert is_good_condition(d) == reference_is_good_condition(d), d
+            assert validate(d) == reference_validate(d), d
+            for name, places in occ.items():
+                if len(places) == 2:
+                    i, j = sorted(ci for ci, _ in places)
+                    assert crossing_type(d, name) == CrossingType(i, j), (d, name)
+                else:
+                    with pytest.raises(DiagramError, match=f"{len(places)} times"):
+                        crossing_type(d, name)
+            for (i, j), count in d.pair_counts.items():
+                joined = [p for p in occ.values() if len(p) == 2 and sorted(c for c, _ in p) == [i, j]]
+                assert count == len(joined), (d, i, j)
+            if reference_validate(d):
+                invalid += 1
+                with pytest.raises(DiagramError, match="invalid diagram") as caught:
+                    require_valid(d)
+                assert all(str(v) in str(caught.value) for v in reference_validate(d))
+            else:
+                assert require_valid(d) is d
+        assert invalid >= 80
+
+    def test_results_are_copies(self):
+        # callers may change what they get without changing the diagram
+        for d in (INVALID[1], parse_diagram("link n=2\ncomponent 1 closed: x x a\ncomponent 2 closed: a")):
+            before = (crossing_occurrences(d), pure_crossings(d), is_good_condition(d), validate(d))
+            crossing_occurrences(d)["x"].append((9, 9))
+            crossing_occurrences(d)["zz"] = []
+            pure_crossings(d).add("zz")
+            is_good_condition(d)[1].clear()
+            validate(d).clear()
+            after = (crossing_occurrences(d), pure_crossings(d), is_good_condition(d), validate(d))
+            assert after == before
+
+    def test_fields_outside_equality(self):
+        d = parse_diagram("tangle n=2\ncomponent 1 open: a k k\ncomponent 2 open: a")
+        assert d.occurrences is d.occurrences
+        assert d.pure == {"k"}
+        fresh = Diagram(d.kind, d.components)
+        assert fresh == d and hash(fresh) == hash(d)
+        assert "occurrences" not in vars(fresh)
+
+    def test_keying_builds_no_occurrence_index(self):
+        # a search keys many more diagrams than it expands; keyed diagrams
+        # must not each carry the index
+        d = random_good_diagram(random.Random(5), 4, 12, kind="link")
+        canonical_key(d)
+        assert d.violations == ()
+        assert "occurrences" not in vars(d)
 
 
 class TestCanonicalForm:
