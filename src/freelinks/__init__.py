@@ -68,6 +68,7 @@ from .moves import (
     enumerate_moves,
     inverse_site,
     move_candidates,
+    move_lower_bound,
     parse_trace,
     random_walk,
     replay,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .diagram import (
@@ -46,6 +46,7 @@ __all__ = [
     "move_candidates",
     "random_walk",
     "bounded_equivalence_search",
+    "move_lower_bound",
     "serialize_trace",
     "parse_trace",
     "replay",
@@ -53,8 +54,12 @@ __all__ = [
 
 DELETION_KINDS = ("R1_delete", "R2_delete", "R3")
 ALL_KINDS = ("R1_delete", "R1_insert", "R2_delete", "R2_insert", "R3")
-# states a bounded equivalence search keeps, on both sides together
+# states one run of a bounded equivalence search keeps, on both sides together
 MAX_NODES = 50000
+# the change each move kind makes to the crossing count of the pair it touches
+_COUNT_CHANGE = {"R1_delete": -1, "R1_insert": 1, "R2_delete": -2, "R2_insert": 2}
+# component pair (i, j), i <= j -> the number of crossings between them
+PairCounts = dict[tuple[int, int], int]
 
 
 class MoveError(ValueError):
@@ -91,10 +96,18 @@ class WalkTrace:
 
 @dataclass(frozen=True)
 class SearchVerdict:
-    """Outcome of a bounded equivalence search; never claims inequivalence."""
+    """Outcome of a bounded equivalence search; never claims inequivalence.
+
+    ``reason`` is ``found`` with a trace, and otherwise says why the search
+    gave up: ``bound`` (the move lower bound exceeds the depth), ``depth``
+    (no sequence within the depth was found), ``cap`` (a run kept
+    :data:`MAX_NODES` states) or ``exhausted`` (one end's whole space of
+    diagrams within the size bound was searched without meeting the other).
+    """
 
     equivalent: bool
     trace: WalkTrace | None = None
+    reason: str = field(kw_only=True)
 
 
 # -- pattern scanning ---------------------------------------------------------
@@ -526,6 +539,63 @@ def random_walk(
     return WalkTrace(initial=d, moves=tuple(applied), final=current)
 
 
+def move_lower_bound(x: Diagram, y: Diagram) -> int:
+    """A lower bound on the number of moves between ``x`` and ``y``.
+
+    A move changes the crossing count of at most one component pair: a first
+    move that of a pure pair (i, i) by 1, a second move that of one pair by
+    2, and a third move none.  So the bound is the sum over the pairs, mixed
+    and pure, of ``ceil(|n(x) - n(y)| / 2)``.  It holds with and without
+    ``forbid_pure``: between diagrams without pure crossings the pure pairs
+    add nothing.
+    """
+    return _distance(_pair_vector(x), _pair_vector(y))
+
+
+def _pair_vector(d: Diagram) -> PairCounts:
+    """The crossing count of each mixed pair (i, j), i < j, and of each pure
+    pair (i, i), read from :attr:`Diagram.pair_counts`."""
+    counts = dict(d.pair_counts)
+    mixed = [0] * (d.n + 1)
+    for (i, j), count in d.pair_counts.items():
+        mixed[i] += count
+        mixed[j] += count
+    for c, comp in enumerate(d.components, start=1):
+        counts[c, c] = (len(comp.passes) - mixed[c]) // 2
+    return counts
+
+
+def _half(gap: int) -> int:
+    return (abs(gap) + 1) // 2
+
+
+def _distance(here: PairCounts, goal: PairCounts) -> int:
+    return sum(_half(count - goal[pair]) for pair, count in here.items())
+
+
+def _bound_step(here: PairCounts, goal: PairCounts, site: MoveSite) -> int:
+    """The change, -1, 0 or 1, that applying ``site`` to a diagram with pair
+    counts ``here`` makes to its move lower bound to ``goal``."""
+    change = _COUNT_CHANGE.get(site.kind)
+    if change is None:
+        return 0
+    ends = sorted(loc[0] for loc in site.pairs or site.slots)
+    gap = here[ends[0], ends[-1]] - goal[ends[0], ends[-1]]
+    return _half(gap + change) - _half(gap)
+
+
+def _over_bound(d: Diagram, goal: PairCounts, budget: int):
+    """A test, from the site alone, for the sites of ``d`` whose result has a
+    move lower bound above ``budget`` to the diagram with pair counts
+    ``goal``; None when no site's result has."""
+    here = _pair_vector(d)
+    slack = budget - _distance(here, goal)
+    if slack >= 1:
+        # one move raises the bound by at most one
+        return None
+    return lambda site: _bound_step(here, goal, site) > slack
+
+
 def bounded_equivalence_search(
     a: Diagram,
     b: Diagram,
@@ -541,13 +611,26 @@ def bounded_equivalence_search(
     invertible, so a level grown from ``b`` holds the diagrams one move
     further back toward it.  States are deduplicated by canonical form;
     insertions are bounded by the larger input's crossing count plus a slack
-    of 2, and :data:`MAX_NODES` bounds the states kept on both sides together.
-    Under ``forbid_pure`` no diagram on the way has a pure crossing, and
-    :class:`MoveError` is raised unless both inputs have none.
+    of 2.  Under ``forbid_pure`` no diagram on the way has a pure crossing,
+    and :class:`MoveError` is raised unless both inputs have none.
+
+    The search is pruned by :func:`move_lower_bound` h.  If ``h(a, b) >
+    depth`` it answers at once, without a move.  Otherwise a run with limit
+    L drops, before applying it, every move whose result lies g moves from
+    its own end and has ``g + h > L`` to the other end.  No sequence of at
+    most L moves passes through a dropped diagram, so the run finds what the
+    unpruned search of depth L finds, with the same trace.
+    :data:`MAX_NODES` bounds the states of each run, on both sides together.
+    The answer is that of the runs with limits ``h(a, b)``, ``h(a, b) + 1``,
+    ... up to ``depth`` in turn, up to the first that finds a trace, reaches
+    the cap or runs out of diagrams, so an answer found at some depth is
+    found at every larger depth: a larger depth never loses an answer.  A
+    run that drops no move and runs out of diagrams on one side ends the
+    search, since no run of any limit can differ.
 
     Returns a trace that replays from ``a`` to a diagram with ``b``'s
-    canonical form on success, and ``unknown`` otherwise: the search never
-    claims inequivalence, and exhausting :data:`MAX_NODES` also yields unknown.
+    canonical form on success, and ``unknown`` otherwise, with the
+    :class:`SearchVerdict` reason: the search never claims inequivalence.
     """
     if a.n != b.n:
         raise MoveError(f"mismatched component counts: {a.n} vs {b.n}")
@@ -559,19 +642,62 @@ def bounded_equivalence_search(
         raise MoveError("a search without pure crossings needs inputs without pure crossings")
     source, target = canonical_key(a), canonical_key(b)
     if source == target:
-        return SearchVerdict(True, WalkTrace(a, (), a))
+        return SearchVerdict(True, WalkTrace(a, (), a), reason="found")
+    # per side: the pair counts of the other side's end
+    goals = (_pair_vector(b), _pair_vector(a))
+    least = _distance(*goals)
+    if least > depth:
+        return SearchVerdict(False, reason="bound")
     max_size = max(a.crossing_count, b.crossing_count) + 2
+
+    def run(limit: int) -> SearchVerdict | None:
+        return _search_run(a, b, (source, target), goals, limit, forbid_pure, max_size)
+
+    # The answer is that of the runs with these limits in turn, up to the
+    # first that does not run out of levels.  A run holds every state of the
+    # runs with smaller limits, so the deepest gives that answer alone unless
+    # it reaches the cap.  The two tightest runs go first: they are the
+    # cheapest, and most traces are at most one move longer than the bound.
+    # Then the deepest goes, and only if it reaches the cap the rest in turn.
+    limits = range(max(least, 1), depth + 1)
+    for limit in limits[:2]:
+        verdict = run(limit)
+        if verdict is not None:
+            return verdict
+    if len(limits) > 2:
+        deepest = run(depth)
+        if deepest is None or deepest.reason != "cap":
+            return deepest or SearchVerdict(False, reason="depth")
+        for limit in limits[2:-1]:
+            verdict = run(limit)
+            if verdict is not None:
+                return verdict
+        return deepest
+    return SearchVerdict(False, reason="depth")
+
+
+def _search_run(a, b, keys, goals, limit: int, forbid_pure: bool, max_size: int):
+    """One run of the bidirectional search, pruned to sequences of at most
+    ``limit`` moves; None when its levels run out without an answer."""
+    source, target = keys
     # per side: canonical key -> (diagram, key it was reached from, move)
     sides = ({source: (a, None, None)}, {target: (b, None, None)})
     frontiers = [[source], [target]]
+    pruned = [False, False]
     nodes = 0
-    for level in range(depth):
+    for level in range(limit):
         grow = level % 2
         seen, other = sides[grow], sides[1 - grow]
+        # what the bound may leave a neighbour level // 2 + 1 moves from its end
+        budget = limit - (level // 2 + 1)
         grown = []
         for key in frontiers[grow]:
             diag = seen[key][0]
+            over = _over_bound(diag, goals[grow], budget)
             for site in move_candidates(diag, forbid_pure=forbid_pure, max_size=max_size):
+                if over is not None and over(site):
+                    pruned[grow] = True
+                    continue
                 neighbor = apply_move(diag, site)
                 found = canonical_key(neighbor)
                 if found in seen:
@@ -579,13 +705,17 @@ def bounded_equivalence_search(
                 seen[found] = (neighbor, key, site)
                 if found in other:
                     trace = _joined_trace(a, sides, found, forbid_pure, max_size)
-                    return SearchVerdict(True, trace)
+                    return SearchVerdict(True, trace, reason="found")
                 nodes += 1
                 if nodes >= MAX_NODES:
-                    return SearchVerdict(False, None)
+                    return SearchVerdict(False, reason="cap")
                 grown.append(found)
         frontiers[grow] = grown
-    return SearchVerdict(False, None)
+        if not grown and not pruned[grow]:
+            # this side holds every diagram its end reaches, none of them the
+            # other end, so no run of any limit can meet
+            return SearchVerdict(False, reason="exhausted")
+    return None
 
 
 def _joined_trace(a: Diagram, sides, meet, forbid_pure: bool, max_size: int) -> WalkTrace:

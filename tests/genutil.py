@@ -7,6 +7,7 @@ the production code paths they check.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, deque
 from itertools import combinations, product
@@ -29,6 +30,7 @@ from freelinks.moves import (
     WalkTrace,
     _adjacent_pairs,
     _disjoint,
+    _joined_trace,
     _pair_positions,
     apply_move,
     move_candidates,
@@ -533,7 +535,7 @@ def reference_search(
         raise MoveError(f"mismatched kinds: {a.kind} vs {b.kind}")
     target = canonical_key(b)
     if canonical_key(a) == target:
-        return SearchVerdict(True, WalkTrace(a, (), a))
+        return SearchVerdict(True, WalkTrace(a, (), a), reason="found")
     max_size = max(a.crossing_count, b.crossing_count) + 2
     visited = {canonical_key(a)}
     frontier = deque([(a, ())])
@@ -550,13 +552,74 @@ def reference_search(
                 visited.add(key)
                 extended = trace + (site,)
                 if key == target:
-                    return SearchVerdict(True, WalkTrace(a, extended, neighbor))
+                    return SearchVerdict(True, WalkTrace(a, extended, neighbor), reason="found")
                 nodes += 1
                 if nodes >= max_nodes:
-                    return SearchVerdict(False, None)
+                    return SearchVerdict(False, None, reason="cap")
                 next_frontier.append((neighbor, extended))
         frontier = next_frontier
-    return SearchVerdict(False, None)
+    return SearchVerdict(False, None, reason="depth")
+
+
+def reference_bidirectional_search(
+    a: Diagram, b: Diagram, depth: int, *, forbid_pure: bool = False, max_nodes: int = 50000
+):
+    """The unpruned bidirectional search, kept as a reference for
+    ``moves.bounded_equivalence_search``, which must give the same trace
+    wherever this one does not reach ``max_nodes``.
+
+    Whole levels grow alternately from ``a`` and from ``b``, starting at
+    ``a``, for ``depth`` levels; ``max_nodes`` bounds the states of both
+    sides together.  An unknown answer has the reason ``cap`` or ``depth``.
+    """
+    if a.n != b.n:
+        raise MoveError(f"mismatched component counts: {a.n} vs {b.n}")
+    if a.kind != b.kind:
+        raise MoveError(f"mismatched kinds: {a.kind} vs {b.kind}")
+    source, target = canonical_key(a), canonical_key(b)
+    if source == target:
+        return SearchVerdict(True, WalkTrace(a, (), a), reason="found")
+    max_size = max(a.crossing_count, b.crossing_count) + 2
+    sides = ({source: (a, None, None)}, {target: (b, None, None)})
+    frontiers = [[source], [target]]
+    nodes = 0
+    for level in range(depth):
+        grow = level % 2
+        seen, other = sides[grow], sides[1 - grow]
+        grown = []
+        for key in frontiers[grow]:
+            diag = seen[key][0]
+            for site in move_candidates(diag, forbid_pure=forbid_pure, max_size=max_size):
+                neighbor = apply_move(diag, site)
+                found = canonical_key(neighbor)
+                if found in seen:
+                    continue
+                seen[found] = (neighbor, key, site)
+                if found in other:
+                    trace = _joined_trace(a, sides, found, forbid_pure, max_size)
+                    return SearchVerdict(True, trace, reason="found")
+                nodes += 1
+                if nodes >= max_nodes:
+                    return SearchVerdict(False, None, reason="cap")
+                grown.append(found)
+        frontiers[grow] = grown
+    return SearchVerdict(False, None, reason="depth")
+
+
+def reference_move_lower_bound(x: Diagram, y: Diagram) -> int:
+    """The move lower bound from a fresh scan of the passes: the sum over
+    component pairs (i, j), i <= j, of the crossing count difference halved
+    and rounded up."""
+
+    def counts(d: Diagram) -> Counter:
+        tally: Counter = Counter()
+        for places in reference_crossing_occurrences(d).values():
+            (i, _), (j, _) = places
+            tally[min(i, j), max(i, j)] += 1
+        return tally
+
+    cx, cy = counts(x), counts(y)
+    return sum(math.ceil(abs(cx[pair] - cy[pair]) / 2) for pair in cx.keys() | cy.keys())
 
 
 # -- reference move enumeration ---------------------------------------------------

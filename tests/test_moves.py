@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from freelinks import moves
 from freelinks.diagram import (
     canonical_key,
     is_good_condition,
@@ -12,11 +14,13 @@ from freelinks.diagram import (
 from freelinks.moves import (
     MoveError,
     MoveSite,
+    SearchVerdict,
     apply_move,
     bounded_equivalence_search,
     enumerate_moves,
     inverse_site,
     move_candidates,
+    move_lower_bound,
     parse_trace,
     random_walk,
     replay,
@@ -28,10 +32,28 @@ from genutil import (
     random_any_diagram,
     random_good_diagram,
     random_pure_diagram,
+    reference_bidirectional_search,
     reference_enumerate_moves,
+    reference_move_lower_bound,
     reference_search,
     scramble,
 )
+
+# two codes of the 3-component unlink with move lower bound 5: two bigons
+# between components 2 and 3 and one between 1 and 3, against two between 1
+# and 2
+FAR_A = parse_diagram(
+    "link n=3\ncomponent 1 closed: e f\n"
+    "component 2 closed: a b c d\ncomponent 3 closed: a b c d f e"
+)
+FAR_B = parse_diagram(
+    "link n=3\ncomponent 1 closed: a b c d\n"
+    "component 2 closed: a b d c\ncomponent 3 closed:"
+)
+# four crossings between two components against one: no move changes the
+# parity of their count, and the diagrams within the size bound are few
+APART_A = parse_diagram("link n=2\ncomponent 1 closed: a b c d\ncomponent 2 closed: a b c d")
+APART_B = parse_diagram("link n=2\ncomponent 1 closed: a\ncomponent 2 closed: a")
 
 
 class TestEnumerate:
@@ -325,6 +347,178 @@ class TestBoundedSearch:
             bounded_equivalence_search(sample_tangle, kinked, 2, forbid_pure=True)
         with pytest.raises(MoveError, match="without pure crossings"):
             bounded_equivalence_search(kinked, sample_tangle, 2, forbid_pure=True)
+
+
+def _walk_pairs(rng: random.Random, count: int):
+    """Diagrams without pure crossings and a scrambled copy of the end of a
+    1-4 move walk from each, restricted or not, in both orders."""
+    for trial in range(count):
+        forbid = trial % 2 == 1
+        d = random_good_diagram(rng, rng.randint(2, 3), 4)
+        walk = random_walk(
+            d, rng.randint(1, 4), seed=trial, forbid_pure=forbid, max_size=d.crossing_count + 2
+        )
+        moved = scramble(rng, walk.final)
+        yield d, moved, forbid
+        yield moved, scramble(rng, d), forbid
+
+
+class TestSearchBound:
+    def test_bound_matches_fresh_count(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            x = random_any_diagram(rng, 6)
+            y = random_any_diagram(rng, 6, kind=x.kind)
+            if x.n == y.n:
+                assert move_lower_bound(x, y) == reference_move_lower_bound(x, y)
+
+    def test_bound_is_at_most_the_walk_length(self):
+        rng = random.Random(43)
+        for forbid in (False, True):
+            for trial in range(60):
+                d = random_good_diagram(rng, rng.randint(2, 4), 6)
+                walk = random_walk(d, 6, seed=trial, forbid_pure=forbid)
+                current = d
+                for k, site in enumerate(walk.moves, start=1):
+                    current = apply_move(current, site)
+                    assert move_lower_bound(d, current) <= k
+                    assert move_lower_bound(current, d) <= k
+
+    def test_site_step_matches_recomputed_bound(self):
+        rng = random.Random(47)
+        for forbid in (False, True):
+            for _ in range(30):
+                d = random_good_diagram(rng, rng.randint(2, 3), 4)
+                if not forbid:
+                    d = random_walk(d, 2, seed=rng.randrange(100)).final
+                goal = random_walk(d, 3, seed=rng.randrange(100), forbid_pure=forbid).final
+                here, there = moves._pair_vector(d), moves._pair_vector(goal)
+                h = move_lower_bound(d, goal)
+                tests = {k: moves._over_bound(d, there, k) for k in (h - 1, h, h + 1)}
+                for site in move_candidates(d, forbid_pure=forbid, max_size=d.crossing_count + 2):
+                    after = move_lower_bound(apply_move(d, site), goal)
+                    assert moves._bound_step(here, there, site) == after - h
+                    for budget, over in tests.items():
+                        assert (over is not None and over(site)) == (after > budget)
+
+    def test_reason_bound_answers_before_any_move(self, monkeypatch):
+        def no_moves(*args, **kwargs):
+            raise AssertionError("the search expanded a diagram")
+
+        monkeypatch.setattr(moves, "move_candidates", no_moves)
+        assert move_lower_bound(FAR_A, FAR_B) == 5
+        verdict = bounded_equivalence_search(FAR_A, FAR_B, 4, forbid_pure=True)
+        assert (verdict.equivalent, verdict.reason) == (False, "bound")
+
+    def test_reason_depth_then_found(self):
+        a = parse_diagram("tangle n=1\ncomponent 1 open: x x y y")
+        b = parse_diagram("tangle n=1\ncomponent 1 open:")
+        assert bounded_equivalence_search(a, b, 1).reason == "depth"
+        verdict = bounded_equivalence_search(a, b, 2)
+        assert (verdict.equivalent, verdict.reason) == (True, "found")
+
+    def test_reason_cap(self, monkeypatch):
+        monkeypatch.setattr(moves, "MAX_NODES", 3)
+        a = parse_diagram("tangle n=1\ncomponent 1 open: x x y y z z w w")
+        b = parse_diagram("tangle n=1\ncomponent 1 open:")
+        verdict = bounded_equivalence_search(a, b, 4)
+        assert (verdict.equivalent, verdict.reason) == (False, "cap")
+
+    def test_reason_exhausted_at_any_depth(self):
+        for depth in (10, 10**9):
+            start = time.perf_counter()
+            verdict = bounded_equivalence_search(APART_A, APART_B, depth, forbid_pure=True)
+            assert time.perf_counter() - start < 1.0
+            assert (verdict.equivalent, verdict.reason) == (False, "exhausted")
+
+    def test_prunes_exactly_the_moves_over_the_bound(self, monkeypatch):
+        # bound 1 and two moves apart: the run with limit 2 tries, from each
+        # end, just the moves whose result has bound at most 1 to the other
+        a = parse_diagram("tangle n=1\ncomponent 1 open: x x y y")
+        b = parse_diagram("tangle n=1\ncomponent 1 open:")
+        tried = []
+        apply = moves.apply_move
+        monkeypatch.setattr(moves, "apply_move", lambda d, s: tried.append((d, s)) or apply(d, s))
+        assert bounded_equivalence_search(a, b, 2).equivalent
+        for end, other in ((a, b), (b, a)):
+            kept = [
+                site
+                for site in move_candidates(end, max_size=4)
+                if move_lower_bound(apply(end, site), other) <= 1
+            ]
+            sites = {site for d, site in tried if d is end}
+            assert sites <= set(kept)
+            if end is a:
+                assert sites == set(kept)
+
+    def test_answer_is_that_of_the_runs_in_turn(self, monkeypatch):
+        # scripted runs: limit L finds a trace from `dist` on and reaches the
+        # cap from `capped` on, as the runs of a real search do
+        a = parse_diagram("tangle n=1\ncomponent 1 open: x x y y")
+        b = parse_diagram("tangle n=1\ncomponent 1 open:")
+        for dist in range(1, 7):
+            for capped in range(1, 7):
+
+                def outcome(limit):
+                    if limit >= capped:
+                        return SearchVerdict(False, reason="cap")
+                    if limit >= dist:
+                        return SearchVerdict(True, reason="found")
+                    return None
+
+                runs = []
+                monkeypatch.setattr(
+                    moves, "_search_run", lambda *args: runs.append(args[4]) or outcome(args[4])
+                )
+                verdict = bounded_equivalence_search(a, b, 5)
+                first = next(filter(None, map(outcome, range(1, 6))), None)
+                assert verdict.reason == (first.reason if first else "depth"), (dist, capped)
+                assert len(runs) == len(set(runs))
+
+    def test_matches_unpruned_search(self, monkeypatch):
+        # also: no run applies a move to an end whose result has a bound of
+        # depth or more to the other end
+        tried = []
+        apply = moves.apply_move
+        monkeypatch.setattr(moves, "apply_move", lambda d, s: tried.append((d, s)) or apply(d, s))
+        rng = random.Random(53)
+        found = bounded = 0
+        for a, b, forbid in _walk_pairs(rng, 120):
+            depth = rng.randint(0, 3 if a.crossing_count + b.crossing_count <= 8 else 2)
+            expected = reference_bidirectional_search(a, b, depth, forbid_pure=forbid)
+            tried.clear()
+            verdict = bounded_equivalence_search(a, b, depth, forbid_pure=forbid)
+            if not verdict.equivalent:
+                # a found trace is joined by unpruned moves, so only here
+                for d, site in tried:
+                    for end, other in ((a, b), (b, a)):
+                        if d is end:
+                            assert move_lower_bound(apply(end, site), other) < depth
+            if expected.reason == "cap":
+                continue
+            assert verdict.equivalent == expected.equivalent, (a, b, depth, forbid)
+            assert verdict.trace == expected.trace
+            assert (verdict.reason == "bound") == (reference_move_lower_bound(a, b) > depth)
+            if verdict.equivalent:
+                found += 1
+                assert verdict.reason == "found"
+                assert len(verdict.trace.moves) <= depth
+            else:
+                bounded += verdict.reason == "bound"
+                assert verdict.reason in ("bound", "depth", "exhausted")
+        assert found >= 20 and bounded >= 5, (found, bounded)
+
+    def test_larger_depth_never_loses_an_answer(self, monkeypatch):
+        # with this cap, a single run of limit d + 1 reaches the cap on six
+        # of these pairs where the run of limit d finds a trace
+        monkeypatch.setattr(moves, "MAX_NODES", 150)
+        rng = random.Random(59)
+        for a, b, forbid in _walk_pairs(rng, 40):
+            answers = [
+                bounded_equivalence_search(a, b, depth, forbid_pure=forbid).equivalent
+                for depth in range(1, 6)
+            ]
+            assert answers == sorted(answers), (a, b, forbid)
 
 
 class TestTraceFormat:
