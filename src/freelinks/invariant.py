@@ -22,7 +22,6 @@ from .words import (
     GroupContext,
     Letter,
     Word,
-    _lex_key,
     canonical_class_word,
     make_word,
     reduce,
@@ -173,20 +172,6 @@ def link_word(d: Diagram, basepoints: list[Basepoint], i: int, j: int) -> Word:
     return word_invariant(cut_link(d, basepoints), i, j)
 
 
-def _class_word(word: Word, closed: bool) -> Word:
-    """The canonical class word of ``word``, read along a closed component
-    when ``closed``: then the least of the class words of both directions.
-
-    Reversing a closed component reverses the words read along it and keeps
-    every letter, since it meets each other component evenly often.
-    """
-    best = canonical_class_word(word)
-    if closed:
-        back = canonical_class_word(Word(word.context, word.letters[::-1]))
-        best = min(best, back, key=lambda v: _lex_key(v.letters))
-    return best
-
-
 def link_invariant(d: Diagram, i: int, j: int) -> Word:
     """The canonical slide/conjugacy class word of the link, pair (i, j),
     taken up to reversing component i.
@@ -194,7 +179,7 @@ def link_invariant(d: Diagram, i: int, j: int) -> Word:
     Computed from the offset-0 basepoints; the class does not depend on that
     choice, nor on the direction in which any component is stored.
     """
-    return _class_word(link_word(d, _default_basepoints(d), i, j), True)
+    return canonical_class_word(link_word(d, _default_basepoints(d), i, j), undirected=True)
 
 
 def fingerprint(d: Diagram) -> Fingerprint:
@@ -204,7 +189,9 @@ def fingerprint(d: Diagram) -> Fingerprint:
     diagrams in good condition without pure crossings; tangles use their
     words directly, links cut at offset-0 basepoints.  On a link, each word
     is the least of the class words of both directions along its component,
-    so reversing a closed component leaves the fingerprint unchanged.
+    so reversing a closed component leaves the fingerprint unchanged: that
+    reverses the words read along it and keeps every letter, since it meets
+    each other component evenly often.
     """
     closed = d.kind == "link"
     base = cut_link(d, _default_basepoints(d)) if closed else d
@@ -212,8 +199,8 @@ def fingerprint(d: Diagram) -> Fingerprint:
     out: dict[tuple[tuple[int, int], int], Word] = {}
     for i in range(1, d.n + 1):
         for j in range(i + 1, d.n + 1):
-            out[((i, j), i)] = _class_word(table[(i, j)], closed)
-            out[((i, j), j)] = _class_word(table[(j, i)], closed)
+            out[((i, j), i)] = canonical_class_word(table[(i, j)], undirected=closed)
+            out[((i, j), j)] = canonical_class_word(table[(j, i)], undirected=closed)
     return out
 
 

@@ -16,8 +16,9 @@ basepoint.  Insertions may likewise be "wrapped" (one letter prepended, one
 appended), which makes every deletion exactly invertible.
 
 Deletions and third-move sites are finitely enumerable; insertions form
-infinite families and are produced as candidate lists for the random walk
-and the bounded search instead.
+infinite families, of which :func:`move_candidates` lists a finite slate for
+the bounded search.  The random walk draws uniformly from the same slate
+without building it.
 """
 
 from __future__ import annotations
@@ -511,6 +512,48 @@ def move_candidates(
     return sites
 
 
+def _slate(d: Diagram, *, forbid_pure: bool, max_size: int):
+    """The size of the :func:`move_candidates` slate of ``d`` and a function
+    that builds its site at an index alone, without building the slate.
+
+    Its insertions are laid out in the slate's order: one first-move site per
+    slot, then, per first slot ``a``, a contiguous run of second slots from
+    ``a`` (under ``forbid_pure``, from the first slot past ``a``'s component,
+    since the slots are in component order) with both letter orders each.
+    """
+    sites = enumerate_moves(d, forbid_pure=forbid_pure)
+    count = d.crossing_count
+    slots = [] if forbid_pure and d.pure else _insert_slots(d)
+    first = slots if not forbid_pure and count + 1 <= max_size else []
+    ends = {ci: b + 1 for b, (ci, _) in enumerate(slots)}
+    starts = [] if count + 2 > max_size else [
+        ends[ci] if forbid_pure else a for a, (ci, _) in enumerate(slots)
+    ]
+    spans = [2 * (len(slots) - start) for start in starts]
+
+    def site_at(k: int) -> MoveSite:
+        if k < len(sites):
+            return sites[k]
+        k -= len(sites)
+        if k < len(first):
+            ci, pos = first[k]
+            return MoveSite("R1_insert", names=tuple(_fresh_names(d, 1)), slots=((ci, pos, False),))
+        k -= len(first)
+        for a, span in enumerate(spans):
+            if k < span:
+                (ca, pa), (cb, pb) = slots[a], slots[starts[a] + k // 2]
+                return MoveSite(
+                    "R2_insert",
+                    names=tuple(_fresh_names(d, 2)),
+                    slots=((ca, pa, False), (cb, pb, False)),
+                    same_order=k % 2 == 0,
+                )
+            k -= span
+        raise IndexError("slate index out of range")
+
+    return len(sites) + len(first) + sum(spans), site_at
+
+
 def random_walk(
     d: Diagram,
     steps: int,
@@ -519,10 +562,13 @@ def random_walk(
     forbid_pure: bool = False,
     max_size: int | None = None,
 ) -> WalkTrace:
-    """Apply ``steps`` uniformly chosen applicable moves; deterministic per seed.
+    """Apply ``steps`` moves, each drawn uniformly from the
+    :func:`move_candidates` slate; deterministic per seed.
 
-    Stops early (recording fewer steps) if no move is applicable under the
-    options.
+    Each step draws one index into the slate and builds only the site at
+    that index, so the walk is the one that drawing from the built slate
+    gives.  Stops early (recording fewer steps) if no move is applicable
+    under the options.
     """
     if max_size is None:
         max_size = d.crossing_count + 4
@@ -530,10 +576,10 @@ def random_walk(
     current = d
     applied: list[MoveSite] = []
     for _ in range(steps):
-        candidates = move_candidates(current, forbid_pure=forbid_pure, max_size=max_size)
-        if not candidates:
+        total, site_at = _slate(current, forbid_pure=forbid_pure, max_size=max_size)
+        if not total:
             break
-        site = candidates[rng.randrange(len(candidates))]
+        site = site_at(rng.randrange(total))
         current = apply_move(current, site)
         applied.append(site)
     return WalkTrace(initial=d, moves=tuple(applied), final=current)

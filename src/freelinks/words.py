@@ -216,19 +216,28 @@ def _lex_key(letters: tuple[Letter, ...]) -> tuple[int, ...]:
     return tuple(letter_index(letter) for letter in letters)
 
 
-def canonical_class_word(w: Word) -> Word:
+def canonical_class_word(w: Word, *, undirected: bool = False) -> Word:
     """The least word in the slide/conjugacy class of w.
 
     Lexicographically least (letters ordered by :func:`letter_index`) among
     all rotations of the cyclic reduction of every masked image of w.  Two
     words have equal canonical class words exactly when they are
-    slide-conjugacy equal.
+    slide-conjugacy equal.  When ``undirected``, the lesser of the class
+    words of w and of w read backward; reading a word backward reverses its
+    cyclic reduction, so both come from one reduction.
+
+    Only anchored masks are tried.  The mask equal to a rotation's first
+    letter turns that letter into letter 0, the least letter, so the least
+    word starts with letter 0, and its mask is the letter its rotation
+    starts with: one mask per rotation, not all 2^(n-2).
     """
     # on letter indices a mask is an XOR, and the order is the tuple order
     width = w.context.width
     core = [letter_index(x) for x in cyclic_reduce(w).letters]
+    cores = (core, core[::-1]) if undirected else (core,)
     best = min(
-        rot for mask in range(1 << width) for rot in _rotations(tuple(x ^ mask for x in core))
+        (tuple(x ^ c[p] for x in c[p:] + c[:p]) for c in cores for p in range(len(c))),
+        default=(),
     )
     return Word(w.context, tuple(tuple((x >> r) & 1 for r in range(width)) for x in best))
 

@@ -622,6 +622,35 @@ def reference_move_lower_bound(x: Diagram, y: Diagram) -> int:
     return sum(math.ceil(abs(cx[pair] - cy[pair]) / 2) for pair in cx.keys() | cy.keys())
 
 
+# -- reference random walk --------------------------------------------------------
+
+
+def reference_random_walk(
+    d: Diagram,
+    steps: int,
+    seed: int,
+    *,
+    forbid_pure: bool = False,
+    max_size: int | None = None,
+) -> WalkTrace:
+    """The walk that builds the whole ``move_candidates`` slate at each step
+    and draws one site from it, kept as a reference for
+    ``moves.random_walk``."""
+    if max_size is None:
+        max_size = d.crossing_count + 4
+    rng = random.Random(seed)
+    current = d
+    applied: list[MoveSite] = []
+    for _ in range(steps):
+        candidates = move_candidates(current, forbid_pure=forbid_pure, max_size=max_size)
+        if not candidates:
+            break
+        site = candidates[rng.randrange(len(candidates))]
+        current = apply_move(current, site)
+        applied.append(site)
+    return WalkTrace(initial=d, moves=tuple(applied), final=current)
+
+
 # -- reference move enumeration ---------------------------------------------------
 
 

@@ -329,6 +329,35 @@ class TestFuzz:
         assert len(lines) == 2  # the one offending move, serialized
 
 
+# ``fuzz FILE --steps 20 --seed S`` for S = 1, 2, 3: (file, --forbid-pure) ->
+# the final crossing counts, and the step counts when not all 20; each line
+# pins the walk's drawing order, so that it changes only on purpose
+FUZZ_GOLDEN = {
+    ("four_component.link", False): (16, 16, 16),
+    ("four_component.link", True): (16, 16, 16),
+    ("kink.link", False): (5, 5, 5),
+    ("kink.link", True): ((0, 1), (0, 1), (0, 1)),
+    ("three_strand.tangle", False): (10, 10, 10),
+    ("three_strand.tangle", True): (10, 10, 10),
+    ("triangle.tangle", False): (5, 6, 6),
+    ("triangle.tangle", True): (7, 7, 7),
+    ("triangle_moved.tangle", False): (5, 6, 7),
+    ("triangle_moved.tangle", True): (5, 7, 5),
+    ("trivial_3_3.tangle", False): (2, 4, 3),
+    ("trivial_3_3.tangle", True): (4, 4, 4),
+}
+
+
+@pytest.mark.parametrize("name,forbid", sorted(FUZZ_GOLDEN))
+def test_fuzz_golden_output(capsys, name, forbid):
+    flags = ("--forbid-pure",) if forbid else ()
+    for seed, expected in enumerate(FUZZ_GOLDEN[name, forbid], start=1):
+        steps, crossings = expected if isinstance(expected, tuple) else (20, expected)
+        code, out, _ = invoke(
+            capsys, "fuzz", str(DATA / name), "--steps", "20", "--seed", str(seed), *flags
+        )
+        assert (code, out) == (0, f"PASS steps={steps} seed={seed} crossings={crossings}\n")
+
 class TestOrbit:
     def test_four_component_orbit(self, capsys):
         code, out, _ = invoke(capsys, "orbit", FOUR, "--pair", "1,2")

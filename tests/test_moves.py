@@ -35,6 +35,7 @@ from genutil import (
     reference_bidirectional_search,
     reference_enumerate_moves,
     reference_move_lower_bound,
+    reference_random_walk,
     reference_search,
     scramble,
 )
@@ -256,6 +257,47 @@ class TestRandomWalk:
         assert [(s.kind, s.names) for s in sites] == [("R2_delete", ("p", "q"))]
         assert not pure_crossings(apply_move(d, sites[0]))
 
+
+def slate_diagrams(count: int, seed: int):
+    """Good, any and pure diagrams, tangles and links, some with a planted
+    third-move site, so that every kind of site is on some slate."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        kind = ("tangle", "link")[trial % 2]
+        pick = trial % 3
+        if pick == 0:
+            d = random_good_diagram(rng, rng.randint(1, 4), 8, kind)
+        elif pick == 1:
+            d = random_any_diagram(rng, 6, kind)
+        else:
+            d = random_pure_diagram(rng, rng.randint(2, 3), kind)
+        yield plant_triangle(rng, d) if rng.random() < 0.3 else d
+
+
+class TestSlate:
+    """``random_walk`` builds the site it draws alone; these tie it to the
+    ``move_candidates`` slate and to the walk that builds the slate."""
+
+    def test_site_at_each_index_matches_the_slate(self):
+        for d in slate_diagrams(90, seed=41):
+            for forbid in (True, False):
+                for max_size in range(d.crossing_count, d.crossing_count + 3):
+                    slate = move_candidates(d, forbid_pure=forbid, max_size=max_size)
+                    total, site_at = moves._slate(d, forbid_pure=forbid, max_size=max_size)
+                    assert total == len(slate), (d, forbid, max_size)
+                    assert [site_at(k) for k in range(total)] == slate, (d, forbid, max_size)
+                    with pytest.raises(IndexError):
+                        site_at(total)
+
+    def test_walk_matches_reference_walk(self):
+        rng = random.Random(43)
+        for trial, d in enumerate(slate_diagrams(300, seed=47)):
+            forbid = trial % 2 == 0
+            max_size = None if trial % 3 else d.crossing_count + rng.randint(0, 2)
+            options = dict(forbid_pure=forbid, max_size=max_size)
+            seed = rng.randrange(10**6)
+            walk = random_walk(d, 8, seed, **options)
+            assert walk == reference_random_walk(d, 8, seed, **options), (d, options)
 
 class TestBoundedSearch:
     def test_reflexive(self, sample_tangle):

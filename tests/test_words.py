@@ -195,6 +195,10 @@ class TestLetterIndex:
         assert indices == list(range(2**width))
 
 
+def index_key(w):
+    return [letter_index(x) for x in w.letters]
+
+
 class TestCanonicalClassWord:
     def test_example_classes_coincide(self):
         assert canonical_class_word(EXAMPLE) == canonical_class_word(
@@ -220,13 +224,27 @@ class TestCanonicalClassWord:
             )
 
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_naive_minimum(self, n):
         rng = random.Random(97 + n)
         ctx = GroupContext(n, 1, 2)
-        for _ in range(100):
-            w = random_word(rng, ctx, 8)
+        for trial in range(150):
+            w = random_word(rng, ctx, 16)
+            if trial % 3 == 0:
+                # a power of a short word: its rotations tie
+                w = make_word(ctx, random_word(rng, ctx, 4).letters * rng.randint(2, 4))
             assert canonical_class_word(w) == naive_class_word(w), w
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_undirected_is_least_of_both_directions(self, n):
+        rng = random.Random(131 + n)
+        ctx = GroupContext(n, 1, 2)
+        for _ in range(150):
+            w = random_word(rng, ctx, 16)
+            back = make_word(ctx, w.letters[::-1])
+            expected = min(naive_class_word(w), naive_class_word(back), key=index_key)
+            assert canonical_class_word(w, undirected=True) == expected, w
+            assert canonical_class_word(back, undirected=True) == expected, w
 
 
 class TestOrbit:
