@@ -27,6 +27,12 @@ component is therefore expanded alone, over its own 2^(m_c) states, curves
 equal up to rotation or reversal cancel there, and only the products of the
 survivors are canonicalized and reduced mod 2.
 
+Which states leave one curve is decided before anything is traced: a state
+does exactly when the GF(2) interlacement matrix of the component's pure
+chords, with the chords set to branch ``B`` on the diagonal, is nonsingular
+(Cohn and Lempel 1972; Zulli 1995).  A depth-first search over the rows
+finds those states, and only they are traced.
+
 Bracket values are compared as sets of canonical forms: equality and
 distinctness verdicts are sound, but since equivalence of individual
 summands is only certified by bounded search, the comparison may also answer
@@ -272,32 +278,99 @@ def splice_expansion(d: Diagram, crossings: tuple[str, ...] | None = None):
         yield assignment, components, sources
 
 
+def _interlacement_rows(passes: tuple[str, ...], pures: tuple[str, ...]) -> list[int]:
+    """The GF(2) interlacement matrix of one component's pure chords, as rows.
+
+    Bit s of row r is set when exactly one pass of ``pures[s]`` lies between
+    the two passes of ``pures[r]``; the diagonal is zero.  Passes of other
+    crossings are skipped, and an open component reads as if its ends were
+    joined, which changes no interlacing.
+    """
+    index = {name: r for r, name in enumerate(pures)}
+    rows = [0] * len(pures)
+    seen = 0  # the chords with exactly one pass read so far
+    for name in passes:
+        r = index.get(name)
+        if r is None:
+            continue
+        bit = 1 << r
+        # a chord has one pass between the two of chord r exactly when its
+        # bit of ``seen`` differs between them
+        if seen & bit:
+            rows[r] ^= seen ^ bit
+        else:
+            rows[r] = seen
+        seen ^= bit
+    return rows
+
+
+def _one_curve_codes(rows: list[int], start: int, stop: int) -> list[int]:
+    """The codes in ``[start, stop)`` whose splice state leaves one curve.
+
+    Bit r of a code sets the diagonal entry r; by Cohn-Lempel and Zulli the
+    state leaves one curve exactly when ``rows`` plus that diagonal is
+    nonsingular over GF(2).  A depth-first search decides the rows from the
+    highest bit down, so that each subtree is a range of codes, and inserts
+    each row into an XOR basis: a row that reduces to zero ends its whole
+    subtree, since later rows cannot restore the rank.  Ascending order.
+    """
+    pivots = [0] * len(rows)  # pivots[p]: the basis vector whose top bit is p
+    codes: list[int] = []
+
+    def descend(r: int, code: int):
+        if r < 0:
+            if start <= code < stop:
+                codes.append(code)
+            return
+        for bit in (0, 1):
+            low = code | bit << r
+            if low + (1 << r) <= start or low >= stop:
+                continue
+            v = rows[r] | bit << r
+            while v and pivots[v.bit_length() - 1]:
+                v ^= pivots[v.bit_length() - 1]
+            if v:
+                top = v.bit_length() - 1
+                pivots[top] = v
+                descend(r - 1, low)
+                pivots[top] = 0
+
+    descend(len(rows) - 1, 0)
+    return codes
+
+
 def _component_states(task):
     """Mod-2 set of the one-curve results of a range of one component's states.
 
     ``task`` is ``(index, sub, pures, start, stop)``: ``sub`` holds the
     component alone, and bit r of a state picks the branch of ``pures[r]``.
+    Only the states that :func:`_one_curve_codes` finds are traced.
     Returns ``(index, curves)``, each curve at its least rotation or
     reversal, so that curves equal as closed curves cancel.
     """
     index, sub, pures, start, stop = task
     table = _port_table(sub)
+    rows = _interlacement_rows(sub.components[0].passes, pures)
     odd: set[ComponentCode] = set()
-    for code in range(start, stop):
+    for code in _one_curve_codes(rows, start, stop):
         branches = {name: "AB"[(code >> r) & 1] for r, name in enumerate(pures)}
         components, _ = _splice_components(sub, branches, table)
-        if len(components) == 1:
-            curve = components[0]
-            if curve.closed:
-                curve = ComponentCode(True, _closed_variants(curve.passes)[0])
-            odd ^= {curve}
+        if len(components) != 1:
+            raise BracketError(
+                f"state {code} of component {index + 1} left {len(components)} "
+                "curves where the interlacement test predicts one"
+            )
+        curve = components[0]
+        if curve.closed:
+            curve = ComponentCode(True, _closed_variants(curve.passes)[0])
+        odd ^= {curve}
     return index, odd
 
 
 # Fewest states (summed over the components) for which ``jobs > 1`` starts a
-# pool.  On a 2-core x86-64 machine two processes lost to one at 2^10 states
-# of a knot, broke about even at 2^12-2^13 and won by 1.4-2x from 2^14 on.
-_POOL_MIN_STATES = 1 << 14
+# pool.  On random knots on a 2-core x86-64 machine two processes lost to one
+# at 2^12-2^14 states, were mixed at 2^16 and won by 1.3-2x from 2^17 on.
+_POOL_MIN_STATES = 1 << 17
 
 
 def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
@@ -309,7 +382,8 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
     form.  Raises :class:`DiagramError` when the diagram is invalid and
     :class:`BracketError` when it has more than ``max_pure`` pure crossings.
 
-    Each component's states are expanded on their own; with ``jobs > 1``
+    Each component's states are expanded on their own, and only those that
+    leave it one curve are traced; with ``jobs > 1``
     and at least ``_POOL_MIN_STATES`` states in all, chunks of each
     component's state range run in a pool of ``min(jobs, os.cpu_count())``
     processes.

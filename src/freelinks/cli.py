@@ -12,6 +12,7 @@ deterministic for fixed inputs and seed; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -103,7 +104,9 @@ def _load(path: str) -> Diagram:
     return require_valid(parse_diagram(_read(path)), path)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="freelinks",
         description="Invariants of free knots, links and n-n tangles on Gauss codes.",

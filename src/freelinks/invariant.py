@@ -22,8 +22,8 @@ from .words import (
     GroupContext,
     Letter,
     Word,
+    _word,
     canonical_class_word,
-    make_word,
     reduce,
 )
 
@@ -142,7 +142,7 @@ def word_table(d: Diagram) -> dict[tuple[int, int], Word]:
             (a, _), (b, _) = occ[name]
             seqs[(along, b if a == along else a)].append(letters[name])
     return {
-        (along, other): reduce(make_word(GroupContext(d.n, along, other), seq))
+        (along, other): reduce(_word(GroupContext(d.n, along, other), tuple(seq)))
         for (along, other), seq in seqs.items()
     }
 

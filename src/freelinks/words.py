@@ -96,6 +96,15 @@ def make_word(context: GroupContext, letters) -> Word:
     return Word(context, tuple(tuple(letter) for letter in letters))
 
 
+def _word(context: GroupContext, letters: tuple[Letter, ...]) -> Word:
+    """A ``Word`` of letters already known to be bit tuples of the context's
+    width, built without checking them again."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "context", context)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def _same_context(u: Word, v: Word) -> GroupContext:
     if u.context != v.context:
         raise WordError(f"mixed contexts: {u.context} vs {v.context}")
@@ -120,7 +129,7 @@ def reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append(letter)
-    return Word(w.context, tuple(stack))
+    return _word(w.context, tuple(stack))
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -134,7 +143,7 @@ def cyclic_reduce(w: Word) -> Word:
     # interior stays reduced after stripping, so no re-reduction is needed
     while len(letters) >= 2 and letters[0] == letters[-1]:
         letters = letters[1:-1]
-    return Word(w.context, tuple(letters))
+    return _word(w.context, tuple(letters))
 
 
 def _rotations(letters: tuple[Letter, ...]):
@@ -171,14 +180,16 @@ def slide(w: Word, l: int) -> Word:
     flipped = tuple(
         letter[:r] + (letter[r] ^ 1,) + letter[r + 1 :] for letter in w.letters
     )
-    return Word(w.context, flipped)
+    return _word(w.context, flipped)
 
 
 def apply_mask(w: Word, mask: Letter) -> Word:
     """XOR every letter of w with ``mask`` (a composite of slides)."""
     if len(mask) != w.context.width:
         raise WordError(f"mask {mask} has length {len(mask)}, expected {w.context.width}")
-    return Word(
+    if any(bit not in (0, 1) for bit in mask):
+        raise WordError(f"mask {mask} has non-bit entries")
+    return _word(
         w.context,
         tuple(tuple(b ^ m for b, m in zip(letter, mask)) for letter in w.letters),
     )
@@ -239,7 +250,7 @@ def canonical_class_word(w: Word, *, undirected: bool = False) -> Word:
         (tuple(x ^ c[p] for x in c[p:] + c[:p]) for c in cores for p in range(len(c))),
         default=(),
     )
-    return Word(w.context, tuple(tuple((x >> r) & 1 for r in range(width)) for x in best))
+    return _word(w.context, tuple(tuple((x >> r) & 1 for r in range(width)) for x in best))
 
 
 def orbit_representatives(w: Word) -> dict[Letter, Word]:
@@ -252,7 +263,7 @@ def orbit_representatives(w: Word) -> dict[Letter, Word]:
     for mask in _all_masks(w.context):
         masked = apply_mask(cyclic_reduce(w), mask).letters
         best = min(_rotations(masked), key=_lex_key)
-        reps[mask] = Word(w.context, best)
+        reps[mask] = _word(w.context, best)
     return reps
 
 

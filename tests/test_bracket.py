@@ -26,6 +26,8 @@ from freelinks.moves import apply_move, move_candidates
 
 _bracket_module = importlib.import_module("freelinks.bracket")
 _splice_components = _bracket_module._splice_components
+_interlacement_rows = _bracket_module._interlacement_rows
+_one_curve_codes = _bracket_module._one_curve_codes
 
 from genutil import (
     brute_bracket_keys,
@@ -146,6 +148,93 @@ class TestExpansion:
                     assert splice(d, SpliceChoice(name, branch)) == apply_splices(
                         d, {name: branch}
                     )
+
+
+def random_component(rng, pure_count, mixed_count):
+    """One closed or open component alone: ``pure_count`` chords and
+    ``mixed_count`` unpaired passes, shuffled together."""
+    passes = [f"p{r}" for r in range(pure_count) for _ in (0, 1)]
+    passes += [f"m{k}" for k in range(mixed_count)]
+    rng.shuffle(passes)
+    closed = rng.random() < 0.5
+    comp = ComponentCode(closed, tuple(passes))
+    return Diagram("link" if closed else "tangle", (comp,))
+
+
+def one_curve_codes_by_tracing(sub, pures, splice_components=_splice_components):
+    """The states of a lone component whose traced splicing leaves one curve."""
+    return [
+        code
+        for code in range(1 << len(pures))
+        if len(splice_components(sub, {p: "AB"[(code >> r) & 1] for r, p in enumerate(pures)})[0])
+        == 1
+    ]
+
+
+class TestOneCurveCriterion:
+    def test_matches_tracing(self):
+        # the GF(2) interlacement test picks exactly the traced one-curve
+        # states, on closed and open components with unpaired passes among
+        # the chords, over the whole code range and over a random part of it
+        rng = random.Random(89)
+        seen = set()
+        for _ in range(400):
+            m = rng.randint(0, 9)
+            sub = random_component(rng, m, rng.randint(0, 4))
+            (comp,) = sub.components
+            pures = tuple(sorted(sub.pure))
+            expected = one_curve_codes_by_tracing(sub, pures)
+            rows = _interlacement_rows(comp.passes, pures)
+            assert _one_curve_codes(rows, 0, 1 << m) == expected, comp
+            start = rng.randint(0, 1 << m)
+            stop = rng.randint(start, 1 << m)
+            part = [code for code in expected if start <= code < stop]
+            assert _one_curve_codes(rows, start, stop) == part, (comp, start, stop)
+            seen.add((comp.closed, 0 < len(expected) < 1 << m))
+        assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_no_chords_is_one_curve(self, closed):
+        assert _interlacement_rows(("m1", "m2"), ()) == []
+        assert _one_curve_codes([], 0, 1) == [0]
+        assert _one_curve_codes([], 0, 0) == []
+        sub = Diagram("link" if closed else "tangle", (ComponentCode(closed, ("m1", "m2")),))
+        assert one_curve_codes_by_tracing(sub, ()) == [0]
+
+    def test_one_chord(self):
+        # A splits x Q x R in two, B keeps one curve
+        assert _interlacement_rows(("x", "q", "x", "r"), ("x",)) == [0]
+        assert _one_curve_codes([0], 0, 2) == [1]
+
+    def test_traces_only_one_curve_states(self, monkeypatch):
+        # bracket traces each one-curve state once and no other state; the
+        # count comes from the reference kernel over every state
+        passes = random_component(random.Random(97), 10, 0).components[0].passes
+        knot = Diagram("link", (ComponentCode(True, passes),))
+        tangle = parse_diagram(
+            "tangle n=3\ncomponent 1 open: a x b x a y c y"
+            "\ncomponent 2 open: d b z d e z f e\ncomponent 3 open: c u g u f w g w"
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _splice_components(*args, **kwargs)
+
+        for d in (knot, tangle):
+            expected = 0
+            for comp in d.components:
+                sub = Diagram(d.kind, (comp,))
+                pures = tuple(sorted(d.pure.intersection(comp.passes)))
+                states = one_curve_codes_by_tracing(sub, pures, reference_splice_components)
+                assert 0 < len(states) < 1 << len(pures)
+                expected += len(states)
+            calls.clear()
+            monkeypatch.setattr(_bracket_module, "_splice_components", counting)
+            value = bracket(d)
+            monkeypatch.undo()
+            assert len(calls) == expected
+            assert {canonical_key(s) for s in value.summands} == brute_bracket_keys(d)
 
 
 class TestBracket:

@@ -471,6 +471,26 @@ class TestDeterminism:
         second = invoke(capsys, *argv)
         assert first == second
 
+    def test_parser_reuse_keeps_no_state(self, capsys):
+        # the parser is built once per process; a bad argument or another
+        # subcommand in between changes nothing of a later run
+        from freelinks.cli import _build_parser
+
+        calls = [
+            ("invariant", FOUR, "--pair", "1,2"),
+            ("bracket", KINK, "--jobs", "0"),
+            ("validate", SAMPLE),
+            ("compare", SAMPLE, TRIVIAL, "--depth", "x"),
+            ("bracket", KINK),
+            ("--help",),
+        ]
+        first = [invoke(capsys, *argv) for argv in calls]
+        second = [invoke(capsys, *argv) for argv in calls]
+        assert first == second
+        assert [code for code, _, _ in first] == [0, 2, 0, 2, 0, 0]
+        assert _build_parser() is _build_parser()
+        assert first[-1][1] == _build_parser.__wrapped__().format_help()
+
 
 # -- mutated inputs ------------------------------------------------------------
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from freelinks.words import (
     GroupContext,
+    Word,
     WordError,
     apply_mask,
     canonical_class_word,
@@ -281,3 +282,28 @@ class TestRendering:
     def test_bad_letter_length(self):
         with pytest.raises(WordError):
             make_word(CTX4, [(0,)])
+
+
+class TestCheckedBoundary:
+    # the operations build their results unchecked from checked letters;
+    # only the public constructors check, and they still do
+    @pytest.mark.parametrize("letters", [[(0,)], [(0, 2)], [(0, 1), (1, 1, 0)]])
+    def test_public_constructors_check(self, letters):
+        with pytest.raises(WordError):
+            make_word(CTX4, letters)
+        with pytest.raises(WordError):
+            Word(CTX4, tuple(letters))
+
+    def test_non_bit_mask_rejected(self):
+        with pytest.raises(WordError, match="non-bit"):
+            apply_mask(EXAMPLE, (0, 2))
+
+    def test_results_equal_checked_words(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            w = random_word(rng, CTX4, 8)
+            results = [reduce(w), cyclic_reduce(w), slide(w, 3), apply_mask(w, (1, 0))]
+            results += [canonical_class_word(w, undirected=True)]
+            results += orbit_representatives(w).values()
+            for u in results:
+                assert u == make_word(CTX4, u.letters)
