@@ -13,6 +13,11 @@ The package provides:
 * :mod:`freelinks.invariant` -- linking bits and the word invariants of
   tangles and links in good condition;
 * :mod:`freelinks.cli` -- the ``freelinks`` command-line tool.
+
+The package attribute ``freelinks.bracket`` is the function
+:func:`~freelinks.bracket.bracket`, which shadows the module of the same
+name, so ``import freelinks.bracket as m`` binds the function.  Reach the
+module as ``importlib.import_module("freelinks.bracket")``.
 """
 
 from .bracket import (

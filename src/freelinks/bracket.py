@@ -31,7 +31,8 @@ Which states leave one curve is decided before anything is traced: a state
 does exactly when the GF(2) interlacement matrix of the component's pure
 chords, with the chords set to branch ``B`` on the diagonal, is nonsingular
 (Cohn and Lempel 1972; Zulli 1995).  A depth-first search over the rows
-finds those states, and only they are traced.
+finds those states, and only they are traced.  The whole expansion runs
+in the calling process.
 
 Bracket values are compared as sets of canonical forms: equality and
 distinctness verdicts are sound, but since equivalence of individual
@@ -41,7 +42,6 @@ unknown.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -304,76 +304,64 @@ def _interlacement_rows(passes: tuple[str, ...], pures: tuple[str, ...]) -> list
     return rows
 
 
-def _one_curve_codes(rows: list[int], start: int, stop: int) -> list[int]:
-    """The codes in ``[start, stop)`` whose splice state leaves one curve.
+def _one_curve_codes(rows: list[int]) -> list[int]:
+    """The codes whose splice state leaves one curve, in ascending order.
 
     Bit r of a code sets the diagonal entry r; by Cohn-Lempel and Zulli the
     state leaves one curve exactly when ``rows`` plus that diagonal is
     nonsingular over GF(2).  A depth-first search decides the rows from the
-    highest bit down, so that each subtree is a range of codes, and inserts
-    each row into an XOR basis: a row that reduces to zero ends its whole
-    subtree, since later rows cannot restore the rank.  Ascending order.
+    highest bit down and inserts each row into an XOR basis: a row that
+    reduces to zero ends its whole subtree, since later rows cannot restore
+    the rank.
     """
     pivots = [0] * len(rows)  # pivots[p]: the basis vector whose top bit is p
     codes: list[int] = []
 
     def descend(r: int, code: int):
         if r < 0:
-            if start <= code < stop:
-                codes.append(code)
+            codes.append(code)
             return
         for bit in (0, 1):
-            low = code | bit << r
-            if low + (1 << r) <= start or low >= stop:
-                continue
             v = rows[r] | bit << r
             while v and pivots[v.bit_length() - 1]:
                 v ^= pivots[v.bit_length() - 1]
             if v:
                 top = v.bit_length() - 1
                 pivots[top] = v
-                descend(r - 1, low)
+                descend(r - 1, code | bit << r)
                 pivots[top] = 0
 
     descend(len(rows) - 1, 0)
     return codes
 
 
-def _component_states(task):
-    """Mod-2 set of the one-curve results of a range of one component's states.
+def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode]:
+    """Mod-2 set of the one-curve results of one component's states.
 
-    ``task`` is ``(index, sub, pures, start, stop)``: ``sub`` holds the
-    component alone, and bit r of a state picks the branch of ``pures[r]``.
-    Only the states that :func:`_one_curve_codes` finds are traced.
-    Returns ``(index, curves)``, each curve at its least rotation or
-    reversal, so that curves equal as closed curves cancel.
+    ``sub`` holds the component alone, and bit r of a state picks the
+    branch of ``pures[r]``.  Only the states that :func:`_one_curve_codes`
+    finds are traced.  Each curve is at its least rotation or reversal, so
+    that curves equal as closed curves cancel.
     """
-    index, sub, pures, start, stop = task
     table = _port_table(sub)
     rows = _interlacement_rows(sub.components[0].passes, pures)
     odd: set[ComponentCode] = set()
-    for code in _one_curve_codes(rows, start, stop):
+    for code in _one_curve_codes(rows):
         branches = {name: "AB"[(code >> r) & 1] for r, name in enumerate(pures)}
         components, _ = _splice_components(sub, branches, table)
         if len(components) != 1:
             raise BracketError(
-                f"state {code} of component {index + 1} left {len(components)} "
-                "curves where the interlacement test predicts one"
+                f"state {code} of the pure crossings {', '.join(pures)} left "
+                f"{len(components)} curves where the interlacement test predicts one"
             )
         curve = components[0]
         if curve.closed:
             curve = ComponentCode(True, _closed_variants(curve.passes)[0])
         odd ^= {curve}
-    return index, odd
+    return odd
 
 
-# Fewest states (summed over the components) for which ``jobs > 1`` starts a
-# pool.  On random knots on a 2-core x86-64 machine two processes lost to one
-# at 2^12-2^14 states, were mixed at 2^16 and won by 1.3-2x from 2^17 on.
-_POOL_MIN_STATES = 1 << 17
-
-
-def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
+def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
     """Expand all splicings of all pure crossings and reduce mod 2.
 
     Keeps exactly the summands with ``d.n`` components; each is
@@ -382,11 +370,8 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
     form.  Raises :class:`DiagramError` when the diagram is invalid and
     :class:`BracketError` when it has more than ``max_pure`` pure crossings.
 
-    Each component's states are expanded on their own, and only those that
-    leave it one curve are traced; with ``jobs > 1``
-    and at least ``_POOL_MIN_STATES`` states in all, chunks of each
-    component's state range run in a pool of ``min(jobs, os.cpu_count())``
-    processes.
+    Each component's states are expanded on their own, in this process, and
+    only those that leave it one curve are traced.
     """
     pures = require_valid(d).pure
     if len(pures) > max_pure:
@@ -394,26 +379,13 @@ def bracket(d: Diagram, *, max_pure: int = 20, jobs: int = 1) -> Bracket:
             f"{len(pures)} pure crossings exceed the expansion cap of {max_pure}; "
             "raise max_pure explicitly to proceed"
         )
-    owns = [tuple(sorted(pures.intersection(comp.passes))) for comp in d.components]
-    workers = min(jobs, os.cpu_count() or 1)
-    parallel = workers > 1 and sum(1 << len(own) for own in owns) >= _POOL_MIN_STATES
-    parts = workers * 4 if parallel else 1
-    tasks = []
-    for index, (comp, own) in enumerate(zip(d.components, owns)):
-        sub = Diagram(kind=d.kind, components=(comp,))
-        total = 1 << len(own)
-        step = -(-total // parts)
-        tasks += [(index, sub, own, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if parallel:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            results = pool.map(_component_states, tasks)
-    else:
-        results = map(_component_states, tasks)
-    survivors: list[set[ComponentCode]] = [set() for _ in d.components]
-    for index, odd in results:
-        survivors[index] ^= odd
+    survivors = [
+        _component_states(
+            Diagram(kind=d.kind, components=(comp,)),
+            tuple(sorted(pures.intersection(comp.passes))),
+        )
+        for comp in d.components
+    ]
 
     keys: set[tuple] = set()
     for combo in product(*survivors):
@@ -468,15 +440,16 @@ def _render_class_key(key) -> str:
 def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
     """Compare two bracket values; sound for ``equal`` and ``distinct``.
 
-    Stage 1 tests canonical-form set equality.  Stage 2 sorts the symmetric
-    difference into classes: one :func:`bounded_equivalence_search` of at
-    most ``depth`` pure-crossing-free moves runs for each pair of summands
-    not yet in one class, and each class found equivalent merges.  Values
-    are mod 2, so a class of even size cancels, and one summand stands for
-    each class of odd size.  Stage 3 counts the invariant class keys of
-    those summands mod 2: a key counted an odd number of times certifies
-    distinctness and is returned as the certificate.  Otherwise the answer
-    is unknown.
+    Stage 1 tests canonical-form set equality.  Stage 2 counts the
+    invariant class keys over the symmetric difference mod 2: a key counted
+    an odd number of times certifies distinctness and is returned as the
+    certificate.  Stage 3 sorts the symmetric difference into classes: one
+    :func:`bounded_equivalence_search` of at most ``depth``
+    pure-crossing-free moves runs for each pair of summands not yet in one
+    class, and each class found equivalent merges.  Values are mod 2, so a
+    class of even size cancels; when every class does, the answer is equal,
+    and otherwise unknown.  Every member of a class has the class's key, so
+    stage 2 reads the same parities as over one summand per odd class.
     """
     if p.n != q.n:
         raise BracketError(f"mismatched component counts: {p.n} vs {q.n}")
@@ -488,6 +461,14 @@ def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
         return Verdict("equal")
     members = {**a_members, **b_members}
     every = [members[k] for k in sorted(set(a_members) ^ set(b_members))]
+
+    counts = Counter(_class_key(s) for s in every)
+    odd = sorted(
+        (key for key, c in counts.items() if c % 2 != 0),
+        key=lambda key: (key[1] is None, str(key)),
+    )
+    if odd:
+        return Verdict("distinct", certificate=_render_class_key(odd[0]))
 
     root = list(range(len(every)))
 
@@ -504,15 +485,6 @@ def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
         ).equivalent:
             root[rv] = ru
     sizes = Counter(find(u) for u in range(len(every)))
-    rest = [every[r] for r, size in sizes.items() if size % 2]
-    if not rest:
+    if all(size % 2 == 0 for size in sizes.values()):
         return Verdict("equal")
-
-    counts = Counter(_class_key(s) for s in rest)
-    odd = sorted(
-        (key for key, c in counts.items() if c % 2 != 0),
-        key=lambda key: (key[1] is None, str(key)),
-    )
-    if odd:
-        return Verdict("distinct", certificate=_render_class_key(odd[0]))
     return Verdict("unknown")

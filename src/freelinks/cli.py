@@ -71,23 +71,15 @@ def _basepoints(text: str) -> list[Basepoint]:
     return points
 
 
-def _bounded_int(low: int):
-    """An argparse type for integers of at least ``low``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
-
-
-_jobs = _bounded_int(1)
-_count = _bounded_int(0)
+def _count(text: str) -> int:
+    """An argparse type for integers of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _read(path: str) -> str:
@@ -126,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", help="mod-2 splicing bracket of a diagram")
     p.add_argument("file")
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("compare", help="decide equal / distinct / unknown for two diagrams")
@@ -134,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.add_argument("--pair", type=_pair, default=None, metavar="I,J")
     p.add_argument("--depth", type=_count, default=4)
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("fuzz", help="random move walk with invariant checks")
@@ -201,7 +191,7 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_bracket(args) -> int:
     d = _load(args.file)
-    value = bracket(d, jobs=args.jobs)
+    value = bracket(d)
     sys.stdout.write(serialize_bracket(value))
     return 0
 
@@ -268,7 +258,7 @@ def _cmd_compare(args) -> int:
         # the brackets are {A} and {B}, just searched: only class keys remain
         depth = 0
 
-    verdict = bracket_equal(bracket(a, jobs=args.jobs), bracket(b, jobs=args.jobs), depth)
+    verdict = bracket_equal(bracket(a), bracket(b), depth)
     print(verdict.status)
     if verdict.status == "distinct":
         print(f"certificate: {verdict.certificate}")

@@ -12,7 +12,15 @@ import random
 from collections import Counter, deque
 from itertools import combinations, product
 
-from freelinks.bracket import BracketError, SpliceChoice, splice, splice_expansion
+from freelinks.bracket import (
+    Bracket,
+    BracketError,
+    SpliceChoice,
+    Verdict,
+    _class_key,
+    _render_class_key,
+    splice,
+)
 from freelinks.diagram import (
     TOKEN_RE,
     ComponentCode,
@@ -33,6 +41,7 @@ from freelinks.moves import (
     _joined_trace,
     _pair_positions,
     apply_move,
+    bounded_equivalence_search,
     move_candidates,
 )
 from freelinks.words import GroupContext, Word, make_word
@@ -360,11 +369,14 @@ def brute_bracket_keys(d: Diagram) -> set:
     """Mod-2 summand keys over all 2^m branch assignments of the whole diagram.
 
     Every assignment of the pure crossings is spliced on the whole diagram at
-    once; a result is kept when it has exactly one curve per source
-    component, ordered by source component, and canonicalized.
+    once by :func:`reference_splice_components`; a result is kept when it
+    has exactly one curve per source component, ordered by source component,
+    and canonicalized.
     """
+    pures = sorted(reference_pure_crossings(d))
     odd: set = set()
-    for _, components, sources in splice_expansion(d):
+    for choice in product("AB", repeat=len(pures)):
+        components, sources = reference_splice_components(d, dict(zip(pures, choice)))
         if len(components) != d.n:
             continue
         owners = []
@@ -513,6 +525,54 @@ def reference_splice_components(d: Diagram, branches: dict[str, str]):
                 sources.append(touched)
 
     return components, sources
+
+
+# -- reference bracket comparison -------------------------------------------------
+
+
+def reference_bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
+    """The comparison that searches before it reads class keys, kept as a
+    reference for ``bracket.bracket_equal``: the symmetric difference is
+    sorted into classes by pairwise searches first, and only one summand of
+    each odd class has its class key counted."""
+    if p.n != q.n:
+        raise BracketError(f"mismatched component counts: {p.n} vs {q.n}")
+    if p.kind != q.kind:
+        raise BracketError(f"mismatched kinds: {p.kind} vs {q.kind}")
+    a_members = {canonical_key(s): s for s in p.summands}
+    b_members = {canonical_key(s): s for s in q.summands}
+    if set(a_members) == set(b_members):
+        return Verdict("equal")
+    members = {**a_members, **b_members}
+    every = [members[k] for k in sorted(set(a_members) ^ set(b_members))]
+
+    root = list(range(len(every)))
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for u, v in combinations(range(len(every)), 2):
+        ru, rv = find(u), find(v)
+        if ru != rv and bounded_equivalence_search(
+            every[u], every[v], depth, forbid_pure=True
+        ).equivalent:
+            root[rv] = ru
+    sizes = Counter(find(u) for u in range(len(every)))
+    rest = [every[r] for r, size in sizes.items() if size % 2]
+    if not rest:
+        return Verdict("equal")
+
+    counts = Counter(_class_key(s) for s in rest)
+    odd = sorted(
+        (key for key, c in counts.items() if c % 2 != 0),
+        key=lambda key: (key[1] is None, str(key)),
+    )
+    if odd:
+        return Verdict("distinct", certificate=_render_class_key(odd[0]))
+    return Verdict("unknown")
 
 
 # -- reference equivalence search -------------------------------------------------

@@ -33,6 +33,7 @@ from genutil import (
     brute_bracket_keys,
     random_any_diagram,
     random_pure_diagram,
+    reference_bracket_equal,
     reference_splice_components,
     sequential_bracket_keys,
 )
@@ -175,7 +176,7 @@ class TestOneCurveCriterion:
     def test_matches_tracing(self):
         # the GF(2) interlacement test picks exactly the traced one-curve
         # states, on closed and open components with unpaired passes among
-        # the chords, over the whole code range and over a random part of it
+        # the chords
         rng = random.Random(89)
         seen = set()
         for _ in range(400):
@@ -185,26 +186,21 @@ class TestOneCurveCriterion:
             pures = tuple(sorted(sub.pure))
             expected = one_curve_codes_by_tracing(sub, pures)
             rows = _interlacement_rows(comp.passes, pures)
-            assert _one_curve_codes(rows, 0, 1 << m) == expected, comp
-            start = rng.randint(0, 1 << m)
-            stop = rng.randint(start, 1 << m)
-            part = [code for code in expected if start <= code < stop]
-            assert _one_curve_codes(rows, start, stop) == part, (comp, start, stop)
+            assert _one_curve_codes(rows) == expected, comp
             seen.add((comp.closed, 0 < len(expected) < 1 << m))
         assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
     @pytest.mark.parametrize("closed", [True, False])
     def test_no_chords_is_one_curve(self, closed):
         assert _interlacement_rows(("m1", "m2"), ()) == []
-        assert _one_curve_codes([], 0, 1) == [0]
-        assert _one_curve_codes([], 0, 0) == []
+        assert _one_curve_codes([]) == [0]
         sub = Diagram("link" if closed else "tangle", (ComponentCode(closed, ("m1", "m2")),))
         assert one_curve_codes_by_tracing(sub, ()) == [0]
 
     def test_one_chord(self):
         # A splits x Q x R in two, B keeps one curve
         assert _interlacement_rows(("x", "q", "x", "r"), ("x",)) == [0]
-        assert _one_curve_codes([0], 0, 2) == [1]
+        assert _one_curve_codes([0]) == [1]
 
     def test_traces_only_one_curve_states(self, monkeypatch):
         # bracket traces each one-curve state once and no other state; the
@@ -287,19 +283,17 @@ class TestBracket:
             checked += 1
         assert checked >= 25
 
-    def test_matches_whole_diagram_expansion(self, monkeypatch):
+    def test_matches_whole_diagram_expansion(self):
         # per-component expansion against all 2^m assignments of the whole
         # diagram, on links and tangles with pure crossings on several
-        # components, serially and in a pool
-        monkeypatch.setattr(_bracket_module, "_POOL_MIN_STATES", 0)
+        # components
         rng = random.Random(83)
         several = 0
         for _ in range(24):
             d = random_pure_diagram(rng, rng.randint(2, 3), rng.choice(("tangle", "link")))
             reference = brute_bracket_keys(d)
-            for jobs in (1, 2):
-                keys = {canonical_key(s) for s in bracket(d, jobs=jobs).summands}
-                assert keys == reference, (d, jobs)
+            keys = {canonical_key(s) for s in bracket(d).summands}
+            assert keys == reference, d
             several += len(reference) > 1
         assert several >= 3
 
@@ -309,60 +303,6 @@ class TestBracket:
         with pytest.raises(BracketError, match="cap"):
             bracket(d, max_pure=5)
         bracket(d, max_pure=6)
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(_bracket_module, "_POOL_MIN_STATES", 0)
-        d = parse_diagram("link n=1\ncomponent 1 closed: a b a c b d c d e e")
-        assert bracket(d, jobs=2) == bracket(d, jobs=1)
-
-    def test_small_expansion_starts_no_pool(self, monkeypatch):
-        # below the cutoff a pool costs more than it saves
-        import multiprocessing
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("pool started")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        d = parse_diagram("link n=1\ncomponent 1 closed: a b a c b d c d e e")
-        assert bracket(d, jobs=2) == bracket(d, jobs=1)
-        monkeypatch.setattr(_bracket_module, "_POOL_MIN_STATES", 0)
-        with pytest.raises(AssertionError, match="pool started"):
-            bracket(d, jobs=2)
-
-    @pytest.mark.parametrize("cpus, size", [(3, 3), (None, None)])
-    def test_pool_size_capped_by_cpu_count(self, monkeypatch, cpus, size):
-        # a stand-in pool records its size and chunk count and runs the tasks
-        # inline, so no process starts whatever ``jobs`` asks for
-        import multiprocessing
-        import os
-
-        started = []
-
-        class InlinePool:
-            def __init__(self, processes):
-                self.processes = processes
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                started.append((self.processes, len(tasks)))
-                return list(map(fn, tasks))
-
-        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(_bracket_module, "_POOL_MIN_STATES", 0)
-        d = parse_diagram("link n=1\ncomponent 1 closed: a b a c b d c d e e")
-        assert bracket(d, jobs=10**6) == bracket(d, jobs=1)
-        if size is None:
-            assert started == []
-        else:
-            ((processes, chunks),) = started
-            assert processes == size
-            assert size < chunks <= 4 * size
 
     def test_serialization_header(self):
         text = serialize_bracket(bracket(XYXY))
@@ -427,6 +367,37 @@ class TestBracketEqual:
             assert verdict.status == "equal", (d, site, verdict)
             checked += 1
         assert checked >= 20
+
+    def test_matches_search_first_reference(self):
+        # reading the class keys before any search changes no verdict and no
+        # certificate, on random pairs of equal, distinct and unknown brackets
+        from freelinks.moves import random_walk
+
+        rng = random.Random(103)
+        statuses = set()
+        for _ in range(200):
+            d = random_any_diagram(rng, 8)
+            if rng.random() < 0.5:
+                steps, seed = rng.randint(1, 3), rng.randrange(1000)
+                e = random_walk(d, steps, seed, max_size=d.crossing_count + 2).final
+            else:
+                e = random_any_diagram(rng, 8, kind=d.kind)
+                while e.n != d.n:
+                    e = random_any_diagram(rng, 8, kind=d.kind)
+            p, q, depth = bracket(d), bracket(e), rng.randint(0, 2)
+            verdict = bracket_equal(p, q, depth)
+            assert verdict == reference_bracket_equal(p, q, depth), (d, e, depth)
+            statuses.add(verdict.status)
+        assert statuses == {"equal", "distinct", "unknown"}
+
+    def test_class_keys_decide_before_search(self, monkeypatch, sample_tangle, trivial_tangle):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(_bracket_module, "bounded_equivalence_search", no_search)
+        verdict = bracket_equal(bracket(sample_tangle), bracket(trivial_tangle), 2)
+        assert verdict.status == "distinct"
+        assert "(0)·(1)" in verdict.certificate
 
     def test_never_distinct_for_equivalent_pairs(self, sample_tangle):
         from freelinks.moves import random_walk

@@ -1,8 +1,10 @@
 """The examples in README.md and the scripts under demos/ still run as shown."""
 
+import argparse
 import contextlib
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from freelinks.cli import run
+from freelinks.cli import _build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +47,25 @@ def test_readme_example(monkeypatch, command, expected):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         run(shlex.split(command)[1:])
     assert out.getvalue() == expected
+
+
+def test_readme_usage_matches_parser():
+    # each usage line of the "Command line" block names exactly the options
+    # that the parser gives its subcommand
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    usage = {}
+    for line in block.splitlines():
+        if line.startswith("freelinks "):
+            usage[line.split()[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(usage) == set(commands.choices)
+    for name, sub in commands.choices.items():
+        options = {
+            flag for action in sub._actions for flag in action.option_strings
+        } - {"-h", "--help"}
+        assert usage[name] == options, name
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
