@@ -377,7 +377,7 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
     if len(pures) > max_pure:
         raise BracketError(
             f"{len(pures)} pure crossings exceed the expansion cap of {max_pure}; "
-            "raise max_pure explicitly to proceed"
+            "only the library call bracket(d, max_pure=N) raises the cap"
         )
     survivors = [
         _component_states(

@@ -16,9 +16,10 @@ basepoint.  Insertions may likewise be "wrapped" (one letter prepended, one
 appended), which makes every deletion exactly invertible.
 
 Deletions and third-move sites are finitely enumerable; insertions form
-infinite families, of which :func:`move_candidates` lists a finite slate for
-the bounded search.  The random walk draws uniformly from the same slate
-without building it.
+infinite families, of which a finite slate is used.  ``_slate`` alone holds
+the rules for the slate's insertions and lays it out without building them.
+:func:`move_candidates` builds the whole slate for the bounded search, and
+:func:`random_walk` draws one index into it and builds only that site.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .diagram import (
     ComponentCode,
@@ -448,26 +450,58 @@ def _inverse_r2_insert(d: Diagram, m: MoveSite) -> MoveSite:
 # -- candidate generation, walks, search --------------------------------------
 
 
-def _fresh_names(d: Diagram, count: int) -> list[str]:
-    existing = d.crossing_names
-    names = []
-    k = 1
-    while len(names) < count:
-        name = f"w{k}"
-        if name not in existing:
-            names.append(name)
-        k += 1
-    return names
+class _Slate(NamedTuple):
+    """The layout of a :func:`move_candidates` slate; see :func:`_slate`."""
+
+    sites: list[MoveSite]
+    names: tuple[str, str]
+    first: list[tuple[int, int, bool]]
+    slots: list[tuple[int, int, bool]]
+    starts: list[int]
+
+    @property
+    def size(self) -> int:
+        return len(self.sites) + len(self.first) + 2 * sum(len(self.slots) - a for a in self.starts)
 
 
-def _insert_slots(d: Diagram) -> list[tuple[int, int]]:
-    slots = []
-    for ci, comp in enumerate(d.components, start=1):
-        L = len(comp.passes)
-        stop = L + 1 if not comp.closed else max(L, 1)
-        for pos in range(stop):
-            slots.append((ci, pos))
-    return slots
+def _fresh_names(d: Diagram) -> tuple[str, str]:
+    """The first two of ``w1``, ``w2``, ... that ``d`` does not use."""
+    used = d.crossing_names
+    fresh = (f"w{k}" for k in range(1, len(used) + 3) if f"w{k}" not in used)
+    return next(fresh), next(fresh)
+
+
+def _slate(d: Diagram, *, forbid_pure: bool, max_size: int) -> _Slate:
+    """The layout of the :func:`move_candidates` slate of ``d``, with no
+    insertion site built; the only code that applies the insertion rules.
+
+    The slate is the :func:`enumerate_moves` sites, then a first-move
+    insertion of ``names[0]`` at each of ``first``, then, per slot
+    ``slots[a]``, a run of second-move insertions of ``names`` with each
+    later slot of ``slots[starts[a]:]``, in both letter orders.  The slots
+    are the unwrapped positions of every component, in component order.
+    No insertion's result exceeds ``max_size`` crossings.  Under
+    ``forbid_pure`` no site's result has a pure crossing: there is no
+    first-move insertion, each run starts past its slot's component, and a
+    diagram with pure crossings gets no insertion at all, since an
+    insertion keeps them (see :func:`enumerate_moves`).
+    """
+    sites = enumerate_moves(d, forbid_pure=forbid_pure)
+    count = d.crossing_count
+    slots = [] if forbid_pure and d.pure else [
+        (ci, pos, False)
+        for ci, comp in enumerate(d.components, start=1)
+        for pos in range(max(len(comp.passes), 1) if comp.closed else len(comp.passes) + 1)
+    ]
+    first = slots if not forbid_pure and count + 1 <= max_size else []
+    if count + 2 > max_size:
+        starts = []
+    elif forbid_pure:
+        ends = {ci: b + 1 for b, (ci, _, _) in enumerate(slots)}
+        starts = [ends[ci] for ci, _, _ in slots]
+    else:
+        starts = list(range(len(slots)))
+    return _Slate(sites, _fresh_names(d), first, slots, starts)
 
 
 def move_candidates(
@@ -478,80 +512,39 @@ def move_candidates(
 ) -> list[MoveSite]:
     """Deletions and third-move sites plus a finite slate of insertions.
 
-    Insertions are rejected when the result would exceed ``max_size``
-    crossings.  Under ``forbid_pure`` no site's result has a pure crossing:
-    first-move insertions and same-component second-move insertions are
-    rejected, and a diagram with pure crossings gets no insertion at all,
-    since an insertion keeps them (see :func:`enumerate_moves`).
+    Builds every site of the :func:`_slate` layout, which alone holds the
+    rules for insertions: none past ``max_size`` crossings, and under
+    ``forbid_pure`` none whose result has a pure crossing.
     """
-    sites = enumerate_moves(d, forbid_pure=forbid_pure)
-    if forbid_pure and d.pure:
-        return sites
-    count = d.crossing_count
-    slots = _insert_slots(d)
-    if not forbid_pure and count + 1 <= max_size:
-        (x,) = _fresh_names(d, 1)
-        for ci, pos in slots:
-            sites.append(MoveSite("R1_insert", names=(x,), slots=((ci, pos, False),)))
-    if count + 2 <= max_size:
-        x, y = _fresh_names(d, 2)
-        for a in range(len(slots)):
-            for b in range(a, len(slots)):
-                (ca, pa), (cb, pb) = slots[a], slots[b]
-                if forbid_pure and ca == cb:
-                    continue
-                for same_order in (True, False):
-                    sites.append(
-                        MoveSite(
-                            "R2_insert",
-                            names=(x, y),
-                            slots=((ca, pa, False), (cb, pb, False)),
-                            same_order=same_order,
-                        )
-                    )
+    sites, names, first, slots, starts = _slate(d, forbid_pure=forbid_pure, max_size=max_size)
+    sites += [MoveSite("R1_insert", names=names[:1], slots=(slot,)) for slot in first]
+    sites += [
+        MoveSite("R2_insert", names=names, slots=(slot, other), same_order=same_order)
+        for slot, start in zip(slots, starts)
+        for other in slots[start:]
+        for same_order in (True, False)
+    ]
     return sites
 
 
-def _slate(d: Diagram, *, forbid_pure: bool, max_size: int):
-    """The size of the :func:`move_candidates` slate of ``d`` and a function
-    that builds its site at an index alone, without building the slate.
-
-    Its insertions are laid out in the slate's order: one first-move site per
-    slot, then, per first slot ``a``, a contiguous run of second slots from
-    ``a`` (under ``forbid_pure``, from the first slot past ``a``'s component,
-    since the slots are in component order) with both letter orders each.
-    """
-    sites = enumerate_moves(d, forbid_pure=forbid_pure)
-    count = d.crossing_count
-    slots = [] if forbid_pure and d.pure else _insert_slots(d)
-    first = slots if not forbid_pure and count + 1 <= max_size else []
-    ends = {ci: b + 1 for b, (ci, _) in enumerate(slots)}
-    starts = [] if count + 2 > max_size else [
-        ends[ci] if forbid_pure else a for a, (ci, _) in enumerate(slots)
-    ]
-    spans = [2 * (len(slots) - start) for start in starts]
-
-    def site_at(k: int) -> MoveSite:
-        if k < len(sites):
-            return sites[k]
-        k -= len(sites)
-        if k < len(first):
-            ci, pos = first[k]
-            return MoveSite("R1_insert", names=tuple(_fresh_names(d, 1)), slots=((ci, pos, False),))
-        k -= len(first)
-        for a, span in enumerate(spans):
-            if k < span:
-                (ca, pa), (cb, pb) = slots[a], slots[starts[a] + k // 2]
-                return MoveSite(
-                    "R2_insert",
-                    names=tuple(_fresh_names(d, 2)),
-                    slots=((ca, pa, False), (cb, pb, False)),
-                    same_order=k % 2 == 0,
-                )
-            k -= span
-        raise IndexError("slate index out of range")
-
-    return len(sites) + len(first) + sum(spans), site_at
+def _site_at(slate: _Slate, k: int) -> MoveSite:
+    """The site at index ``k`` of the slate, built alone; raises
+    :class:`IndexError` past the end."""
+    sites, names, first, slots, starts = slate
+    if k < len(sites):
+        return sites[k]
+    k -= len(sites)
+    if k < len(first):
+        return MoveSite("R1_insert", names=names[:1], slots=(first[k],))
+    k -= len(first)
+    for slot, start in zip(slots, starts):
+        span = 2 * (len(slots) - start)
+        if k < span:
+            return MoveSite(
+                "R2_insert", names=names, slots=(slot, slots[start + k // 2]), same_order=k % 2 == 0
+            )
+        k -= span
+    raise IndexError("slate index out of range")
 
 
 def random_walk(
@@ -565,10 +558,10 @@ def random_walk(
     """Apply ``steps`` moves, each drawn uniformly from the
     :func:`move_candidates` slate; deterministic per seed.
 
-    Each step draws one index into the slate and builds only the site at
-    that index, so the walk is the one that drawing from the built slate
-    gives.  Stops early (recording fewer steps) if no move is applicable
-    under the options.
+    Each step reads the :func:`_slate` layout, draws one index into it and
+    builds only the site at that index, so the walk is the one that drawing
+    from the built slate gives.  Stops early (recording fewer steps) if no
+    move is applicable under the options.
     """
     if max_size is None:
         max_size = d.crossing_count + 4
@@ -576,10 +569,11 @@ def random_walk(
     current = d
     applied: list[MoveSite] = []
     for _ in range(steps):
-        total, site_at = _slate(current, forbid_pure=forbid_pure, max_size=max_size)
+        slate = _slate(current, forbid_pure=forbid_pure, max_size=max_size)
+        total = slate.size
         if not total:
             break
-        site = site_at(rng.randrange(total))
+        site = _site_at(slate, rng.randrange(total))
         current = apply_move(current, site)
         applied.append(site)
     return WalkTrace(initial=d, moves=tuple(applied), final=current)
@@ -841,8 +835,9 @@ def parse_trace(text: str) -> list[MoveSite]:
     """Parse the line-oriented trace log emitted by :func:`serialize_trace`.
 
     Raises :class:`ParseError`, with the line number, on an unknown move
-    kind, a wrong number of fields, a bad location or an ``R2_insert``
-    order other than ``same`` or ``swap``.
+    kind, a wrong number of fields, a bad location (the wrapped marker
+    ``w`` locates insertion slots only) or an ``R2_insert`` order other
+    than ``same`` or ``swap``.
     """
     moves = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -868,6 +863,8 @@ def parse_trace(text: str) -> list[MoveSite]:
         if kind.endswith("_insert"):
             same_order = not order or fields[-1] == "same"
             moves.append(MoveSite(kind, names=names, slots=locs, same_order=same_order))
+        elif any(wrapped for _, _, wrapped in locs):
+            raise ParseError(f"trace: {kind} locates pairs, which take no 'w' marker", lineno)
         else:
             moves.append(MoveSite(kind, names=names, pairs=tuple((c, p) for c, p, _ in locs)))
     return moves

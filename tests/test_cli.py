@@ -168,6 +168,21 @@ class TestBracket:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("subcommand", ["bracket", "compare"])
+    def test_pure_crossing_cap_exits_3(self, tmp_path, subcommand):
+        # a knot with 21 interlaced pure crossings, one more than the cap
+        names = " ".join(f"p{k}" for k in range(21))
+        knot = tmp_path / "pure21.link"
+        knot.write_text(f"link n=1\ncomponent 1 closed: {names} {names}\n")
+        files = (str(knot), KINK)[: 2 if subcommand == "compare" else 1]
+        code, out, err = invoke_process(subcommand, *files)
+        assert code == 3
+        assert out == ""
+        assert "cap of 20" in err
+        assert "bracket(d, max_pure=N)" in err
+        assert "Traceback" not in err
+
+
 class TestCompare:
     def test_distinct_with_certificate(self, capsys):
         code, out, _ = invoke(capsys, "compare", SAMPLE, TRIVIAL)
@@ -406,6 +421,8 @@ class TestReplay:
             "R1_insert x 1:zz",
             "R4 x 1:0",
             "R2_delete x y 1:0 2:0 3:0",
+            "R1_delete x 1:w",
+            "R3 x y z 1:w 2:0 3:0",
         ],
     )
     def test_malformed_trace_lines_exit_2(self, capsys, tmp_path, line):

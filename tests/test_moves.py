@@ -283,11 +283,22 @@ class TestSlate:
             for forbid in (True, False):
                 for max_size in range(d.crossing_count, d.crossing_count + 3):
                     slate = move_candidates(d, forbid_pure=forbid, max_size=max_size)
-                    total, site_at = moves._slate(d, forbid_pure=forbid, max_size=max_size)
+                    layout = moves._slate(d, forbid_pure=forbid, max_size=max_size)
+                    total = layout.size
                     assert total == len(slate), (d, forbid, max_size)
-                    assert [site_at(k) for k in range(total)] == slate, (d, forbid, max_size)
+                    built = [moves._site_at(layout, k) for k in range(total)]
+                    assert built == slate, (d, forbid, max_size)
                     with pytest.raises(IndexError):
-                        site_at(total)
+                        moves._site_at(layout, total)
+
+    def test_walk_never_builds_the_slate(self, monkeypatch):
+        def no_slate(*args, **kwargs):
+            raise AssertionError("the walk built the whole slate")
+
+        monkeypatch.setattr(moves, "move_candidates", no_slate)
+        for trial, d in enumerate(slate_diagrams(30, seed=53)):
+            walk = random_walk(d, 8, trial, forbid_pure=trial % 2 == 0)
+            assert replay(d, walk.moves) == walk.final
 
     def test_walk_matches_reference_walk(self):
         rng = random.Random(43)
@@ -451,6 +462,19 @@ class TestSearchBound:
         assert move_lower_bound(FAR_A, FAR_B) == 5
         verdict = bounded_equivalence_search(FAR_A, FAR_B, 4, forbid_pure=True)
         assert (verdict.equivalent, verdict.reason) == (False, "bound")
+
+    def test_search_builds_the_slate(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return move_candidates(*args, **kwargs)
+
+        monkeypatch.setattr(moves, "move_candidates", counting)
+        a = parse_diagram("tangle n=1\ncomponent 1 open: x x y y")
+        b = parse_diagram("tangle n=1\ncomponent 1 open:")
+        assert bounded_equivalence_search(a, b, 2).equivalent
+        assert calls
 
     def test_reason_depth_then_found(self):
         a = parse_diagram("tangle n=1\ncomponent 1 open: x x y y")
