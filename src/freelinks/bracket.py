@@ -455,8 +455,8 @@ def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
         raise BracketError(f"mismatched component counts: {p.n} vs {q.n}")
     if p.kind != q.kind:
         raise BracketError(f"mismatched kinds: {p.kind} vs {q.kind}")
-    a_members = {canonical_key(s): s for s in p.summands}
-    b_members = {canonical_key(s): s for s in q.summands}
+    a_members = {s.key: s for s in p.summands}
+    b_members = {s.key: s for s in q.summands}
     if set(a_members) == set(b_members):
         return Verdict("equal")
     members = {**a_members, **b_members}

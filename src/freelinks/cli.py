@@ -22,7 +22,6 @@ from .diagram import (
     Diagram,
     DiagramError,
     ParseError,
-    canonical_key,
     parse_diagram,
     require_valid,
     serialize_diagram,
@@ -241,7 +240,7 @@ def _cmd_compare(args) -> int:
                     break
             return 1
 
-    if canonical_key(a) == canonical_key(b):
+    if a.key == b.key:
         print("equal")
         return 0
 

@@ -13,11 +13,12 @@ numbering is part of the data (it is preserved by all move and splice
 operations elsewhere in the package).
 
 Data derived from a diagram (the passes of each crossing, the pure
-crossings, the mixed pair counts and parities, the violations) is computed
-once per diagram and cached on the frozen :class:`Diagram`, to be read and
-never changed; the module functions return copies.  Operations that
-need a valid diagram call the one guard :func:`require_valid`; the command
-line validates each input once, when it loads the file.
+crossings, the mixed pair counts and parities, the violations, the
+canonical key) is computed once per diagram and cached on the frozen
+:class:`Diagram`, to be read and never changed; the module functions return
+copies.  Operations that need a valid diagram call the one guard
+:func:`require_valid`; the command line validates each input once, when it
+loads the file.
 """
 
 from __future__ import annotations
@@ -159,6 +160,11 @@ class Diagram:
                 i, j = places[0][0], places[1][0]
                 counts[min(i, j), max(i, j)] += 1
         return counts
+
+    @cached_property
+    def key(self) -> tuple:
+        """The :func:`canonical_key` of this diagram, computed once."""
+        return canonical_key(self)
 
     @cached_property
     def parity(self) -> dict[tuple[int, int], int]:
@@ -380,6 +386,8 @@ def canonical_key(d: Diagram) -> tuple:
       as a factor instead of multiplying the states: a four-component link
       with a dozen crossings per component otherwise carries several
       hundred equal states.
+
+    Computed afresh on each call; :attr:`Diagram.key` keeps it once computed.
     """
     require_valid(d)
 
@@ -467,17 +475,21 @@ def canonical_form(d: Diagram) -> Diagram:
     renaming, closed-component basepoint rotation, or closed-component
     traversal reversal.
     """
-    return _diagram_from_key(canonical_key(d))
+    return _diagram_from_key(d.key)
 
 
 def _diagram_from_key(key) -> Diagram:
-    """The canonical form whose :func:`canonical_key` is ``key``."""
+    """The canonical form whose :func:`canonical_key` is ``key``, with
+    ``key`` already cached as its :attr:`Diagram.key`."""
     kind, parts = key
     comps = tuple(
         ComponentCode(closed=closed, passes=tuple(str(code) for code in rel))
         for closed, rel in parts
     )
-    return Diagram(kind=kind, components=comps)
+    d = Diagram(kind=kind, components=comps)
+    # where cached_property keeps it: a canonical form is its own canonical form
+    d.__dict__["key"] = key
+    return d
 
 
 # -- cutting a link into a tangle ---------------------------------------------

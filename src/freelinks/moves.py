@@ -18,14 +18,19 @@ appended), which makes every deletion exactly invertible.
 Deletions and third-move sites are finitely enumerable; insertions form
 infinite families, of which a finite slate is used.  ``_slate`` alone holds
 the rules for the slate's insertions and lays it out without building them.
-:func:`move_candidates` builds the whole slate for the bounded search, and
-:func:`random_walk` draws one index into it and builds only that site.
+``_expand`` is the one expansion of that layout: a generator that builds
+each site only when it is reached, and drops, unbuilt, the sites a move
+lower bound rules out.  The bounded search and the joining of its trace
+read it lazily, :func:`move_candidates` lists all of it, and
+:func:`random_walk` draws one index into the layout and builds only that
+site.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import NamedTuple
@@ -34,7 +39,6 @@ from .diagram import (
     ComponentCode,
     Diagram,
     ParseError,
-    canonical_key,
     require_valid,
 )
 
@@ -512,19 +516,59 @@ def move_candidates(
 ) -> list[MoveSite]:
     """Deletions and third-move sites plus a finite slate of insertions.
 
-    Builds every site of the :func:`_slate` layout, which alone holds the
-    rules for insertions: none past ``max_size`` crossings, and under
-    ``forbid_pure`` none whose result has a pure crossing.
+    Lists the one expansion of the :func:`_slate` layout, which the bounded
+    search and the joining of its trace read lazily instead.  ``_slate``
+    alone holds the rules for insertions: none past ``max_size`` crossings,
+    and under ``forbid_pure`` none whose result has a pure crossing.
+    """
+    return list(_expand(d, forbid_pure=forbid_pure, max_size=max_size))
+
+
+def _expand(
+    d: Diagram,
+    *,
+    forbid_pure: bool,
+    max_size: int,
+    goal: PairCounts | None = None,
+    budget: int = 0,
+) -> Iterator[MoveSite | None]:
+    """The sites of the :func:`_slate` layout of ``d`` in slate order, each
+    built only when it is reached.
+
+    Given ``goal``, every site whose result has a move lower bound above
+    ``budget`` to the diagram with pair counts ``goal`` is dropped unbuilt,
+    and None is yielded in its place.  The sites of a stretch of a run of
+    second-move insertions whose second slots lie on one component all
+    change the same component pair, so such a stretch is tested, and
+    dropped, as one.
     """
     sites, names, first, slots, starts = _slate(d, forbid_pure=forbid_pure, max_size=max_size)
-    sites += [MoveSite("R1_insert", names=names[:1], slots=(slot,)) for slot in first]
-    sites += [
-        MoveSite("R2_insert", names=names, slots=(slot, other), same_order=same_order)
-        for slot, start in zip(slots, starts)
-        for other in slots[start:]
-        for same_order in (True, False)
-    ]
-    return sites
+    here = _pair_vector(d) if goal is not None else {}
+    # one move raises the bound by at most one, so a slack of 1 drops nothing
+    slack = 1 if goal is None else budget - _distance(here, goal)
+
+    def over(pair: tuple[int, int], change: int) -> bool:
+        return slack < 1 and _pair_step(here, goal, pair, change) > slack
+
+    for site in sites:
+        yield None if slack < 1 and _bound_step(here, goal, site) > slack else site
+    for slot in first:
+        if over((slot[0], slot[0]), 1):
+            yield None
+        else:
+            yield MoveSite("R1_insert", names=names[:1], slots=(slot,))
+    ends = {ci: b + 1 for b, (ci, _, _) in enumerate(slots)}
+    for slot, start in zip(slots, starts):
+        while start < len(slots):
+            other = slots[start][0]
+            stop = ends[other]
+            if over((slot[0], other), 2):
+                yield None
+            else:
+                for second in slots[start:stop]:
+                    yield MoveSite("R2_insert", names=names, slots=(slot, second), same_order=True)
+                    yield MoveSite("R2_insert", names=names, slots=(slot, second), same_order=False)
+            start = stop
 
 
 def _site_at(slate: _Slate, k: int) -> MoveSite:
@@ -620,20 +664,14 @@ def _bound_step(here: PairCounts, goal: PairCounts, site: MoveSite) -> int:
     if change is None:
         return 0
     ends = sorted(loc[0] for loc in site.pairs or site.slots)
-    gap = here[ends[0], ends[-1]] - goal[ends[0], ends[-1]]
+    return _pair_step(here, goal, (ends[0], ends[-1]), change)
+
+
+def _pair_step(here: PairCounts, goal: PairCounts, pair: tuple[int, int], change: int) -> int:
+    """The change to the move lower bound when the crossing count of
+    ``pair`` changes by ``change``."""
+    gap = here[pair] - goal[pair]
     return _half(gap + change) - _half(gap)
-
-
-def _over_bound(d: Diagram, goal: PairCounts, budget: int):
-    """A test, from the site alone, for the sites of ``d`` whose result has a
-    move lower bound above ``budget`` to the diagram with pair counts
-    ``goal``; None when no site's result has."""
-    here = _pair_vector(d)
-    slack = budget - _distance(here, goal)
-    if slack >= 1:
-        # one move raises the bound by at most one
-        return None
-    return lambda site: _bound_step(here, goal, site) > slack
 
 
 def bounded_equivalence_search(
@@ -680,7 +718,7 @@ def bounded_equivalence_search(
         # only between pure-crossing-free diagrams is every restricted move
         # undone by a restricted move, which the search from b relies on
         raise MoveError("a search without pure crossings needs inputs without pure crossings")
-    source, target = canonical_key(a), canonical_key(b)
+    source, target = a.key, b.key
     if source == target:
         return SearchVerdict(True, WalkTrace(a, (), a), reason="found")
     # per side: the pair counts of the other side's end
@@ -733,13 +771,14 @@ def _search_run(a, b, keys, goals, limit: int, forbid_pure: bool, max_size: int)
         grown = []
         for key in frontiers[grow]:
             diag = seen[key][0]
-            over = _over_bound(diag, goals[grow], budget)
-            for site in move_candidates(diag, forbid_pure=forbid_pure, max_size=max_size):
-                if over is not None and over(site):
+            for site in _expand(
+                diag, forbid_pure=forbid_pure, max_size=max_size, goal=goals[grow], budget=budget
+            ):
+                if site is None:
                     pruned[grow] = True
                     continue
                 neighbor = apply_move(diag, site)
-                found = canonical_key(neighbor)
+                found = neighbor.key
                 if found in seen:
                     continue
                 seen[found] = (neighbor, key, site)
@@ -776,9 +815,9 @@ def _joined_trace(a: Diagram, sides, meet, forbid_pure: bool, max_size: int) -> 
     current = ahead[meet][0]
     step = behind[meet][1]
     while step is not None:
-        for site in move_candidates(current, forbid_pure=forbid_pure, max_size=max_size):
+        for site in _expand(current, forbid_pure=forbid_pure, max_size=max_size):
             neighbor = apply_move(current, site)
-            if canonical_key(neighbor) == step:
+            if neighbor.key == step:
                 break
         else:
             raise MoveError("no candidate move reaches the next diagram toward the target")

@@ -260,6 +260,19 @@ class TestCompare:
         assert depths == [4]
         assert (code, out.splitlines()[0]) == (1, "distinct")
 
+    def test_each_input_is_keyed_once(self, capsys, monkeypatch):
+        import freelinks.cli
+        import freelinks.diagram
+
+        loaded, keyed = [], []
+        load, key = freelinks.cli._load, freelinks.diagram.canonical_key
+        monkeypatch.setattr(freelinks.cli, "_load", lambda path: loaded.append(load(path)) or loaded[-1])
+        monkeypatch.setattr(freelinks.diagram, "canonical_key", lambda d: keyed.append(d) or key(d))
+        # one third move apart: the command keys both inputs, then searches
+        code, out, _ = invoke(capsys, "compare", TRIANGLE, TRIANGLE_MOVED)
+        assert (code, out.splitlines()[:2]) == (0, ["equal", "trace:"])
+        assert [sum(d is x for d in keyed) for x in loaded] == [1, 1]
+
     def test_reversed_component_is_equal(self, capsys, tmp_path):
         comps = [
             "c4 c6 c10 c1 c8 c5 c7 c2 c9 c11 c3 c12",

@@ -21,6 +21,7 @@ from freelinks.diagram import (
     serialize_diagram,
     validate,
 )
+from freelinks.diagram import _diagram_from_key
 
 from genutil import (
     naive_canonical_key,
@@ -290,6 +291,17 @@ class TestCanonicalForm:
     def test_invalid_diagram_rejected(self):
         with pytest.raises(DiagramError):
             canonical_form(Diagram("tangle", (ComponentCode(False, ("x",)),)))
+
+    def test_cached_key_matches_a_fresh_key(self):
+        # the form built from a key carries that key without computing it
+        rng = random.Random(31)
+        for trial in range(80):
+            d = random_sparse_link(rng) if trial % 4 == 0 else random_any_diagram(rng, 7)
+            key = canonical_key(d)
+            assert d.key == key and d.key is d.key
+            form = _diagram_from_key(key)
+            assert form.key is key
+            assert canonical_key(form) == key, d
 
     def test_scramble_invariance(self):
         rng = random.Random(23)

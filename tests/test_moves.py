@@ -447,30 +447,53 @@ class TestSearchBound:
                 goal = random_walk(d, 3, seed=rng.randrange(100), forbid_pure=forbid).final
                 here, there = moves._pair_vector(d), moves._pair_vector(goal)
                 h = move_lower_bound(d, goal)
-                tests = {k: moves._over_bound(d, there, k) for k in (h - 1, h, h + 1)}
                 for site in move_candidates(d, forbid_pure=forbid, max_size=d.crossing_count + 2):
                     after = move_lower_bound(apply_move(d, site), goal)
                     assert moves._bound_step(here, there, site) == after - h
-                    for budget, over in tests.items():
-                        assert (over is not None and over(site)) == (after > budget)
+
+    def test_expansion_keeps_exactly_the_sites_within_the_bound(self):
+        # the bounded expansion against the whole slate filtered by the
+        # recomputed bound of each result: same sites, same order, and a
+        # drop reported exactly when the filter drops a site
+        outcomes = set()
+        for trial, d in enumerate(slate_diagrams(60, seed=61)):
+            goal = random_walk(d, 4, seed=trial, max_size=d.crossing_count + 4).final
+            there = moves._pair_vector(goal)
+            h = move_lower_bound(d, goal)
+            for forbid in (True, False):
+                for max_size in range(d.crossing_count, d.crossing_count + 3):
+                    options = dict(forbid_pure=forbid, max_size=max_size)
+                    bounds = [
+                        (site, move_lower_bound(apply_move(d, site), goal))
+                        for site in move_candidates(d, **options)
+                    ]
+                    for budget in (h - 1, h, h + 1):
+                        out = list(moves._expand(d, goal=there, budget=budget, **options))
+                        kept = [site for site, bound in bounds if bound <= budget]
+                        case = (d, goal, options, budget)
+                        assert [site for site in out if site is not None] == kept, case
+                        assert (None in out) == (len(kept) < len(bounds)), case
+                        outcomes.add((bool(kept), len(kept) < len(bounds)))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_reason_bound_answers_before_any_move(self, monkeypatch):
         def no_moves(*args, **kwargs):
             raise AssertionError("the search expanded a diagram")
 
-        monkeypatch.setattr(moves, "move_candidates", no_moves)
+        monkeypatch.setattr(moves, "_slate", no_moves)
         assert move_lower_bound(FAR_A, FAR_B) == 5
         verdict = bounded_equivalence_search(FAR_A, FAR_B, 4, forbid_pure=True)
         assert (verdict.equivalent, verdict.reason) == (False, "bound")
 
     def test_search_builds_the_slate(self, monkeypatch):
         calls = []
+        slate = moves._slate
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return move_candidates(*args, **kwargs)
+            return slate(*args, **kwargs)
 
-        monkeypatch.setattr(moves, "move_candidates", counting)
+        monkeypatch.setattr(moves, "_slate", counting)
         a = parse_diagram("tangle n=1\ncomponent 1 open: x x y y")
         b = parse_diagram("tangle n=1\ncomponent 1 open:")
         assert bounded_equivalence_search(a, b, 2).equivalent
