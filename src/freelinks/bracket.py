@@ -54,8 +54,10 @@ from .diagram import (
     _diagram_from_key,
     canonical_key,
     require_valid,
+    serialize_diagram,
 )
 from .moves import bounded_equivalence_search
+from .words import render_word
 
 __all__ = [
     "SpliceChoice",
@@ -262,15 +264,14 @@ def splice(d: Diagram, s: SpliceChoice) -> Diagram:
     return apply_splices(d, {s.crossing: s.branch})
 
 
-def splice_expansion(d: Diagram, crossings: tuple[str, ...] | None = None):
+def splice_expansion(d: Diagram):
     """Yield ``(assignment, components, sources)`` over all branch assignments.
 
-    By default the assignment ranges over the pure crossings of ``d`` in
-    sorted order; all 2^m combinations are produced, including those whose
-    component count disqualifies them from the bracket.
+    The assignment ranges over the pure crossings of ``d`` in sorted order;
+    all 2^m combinations are produced, including those whose component count
+    disqualifies them from the bracket.
     """
-    if crossings is None:
-        crossings = tuple(sorted(d.pure))
+    crossings = tuple(sorted(d.pure))
     table = _port_table(d)
     for code in range(1 << len(crossings)):
         assignment = {name: "AB"[(code >> r) & 1] for r, name in enumerate(crossings)}
@@ -399,8 +400,6 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
 
 def serialize_bracket(b: Bracket) -> str:
     """Header plus each summand in the diagram file format, sorted."""
-    from .diagram import serialize_diagram
-
     bodies = sorted(serialize_diagram(s) for s in b.summands)
     head = f"bracket n={b.n} summands={len(bodies)}\n"
     return head + "\n".join(bodies)
@@ -421,19 +420,22 @@ def _class_key(s: Diagram):
     if any(s.parity.values()):
         return (parity, None)
     fp = _invariant.fingerprint(s)
-    from .words import render_word
-
     rendered = tuple(
         (pair, along, render_word(word)) for (pair, along), word in sorted(fp.items())
     )
     return (parity, rendered)
 
 
+def _odd_pairs(parity) -> str:
+    """The pairs ``(i,j), ...`` of odd crossing parity among the items
+    ``((i, j), bit)`` of a parity table, or ``none``."""
+    return ", ".join(f"({i},{j})" for (i, j), bit in sorted(parity) if bit) or "none"
+
+
 def _render_class_key(key) -> str:
     parity, rendered = key
     if rendered is None:
-        odd = [f"({i},{j})" for (i, j), bit in parity if bit]
-        return "odd crossing parities at pairs " + (", ".join(odd) or "none")
+        return "odd crossing parities at pairs " + _odd_pairs(parity)
     return "; ".join(f"pair ({i},{j}) along {a}: {w}" for (i, j), a, w in rendered)
 
 

@@ -16,7 +16,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .bracket import BracketError, bracket, bracket_equal, serialize_bracket
+from .bracket import BracketError, _odd_pairs, bracket, bracket_equal, serialize_bracket
 from .diagram import (
     Basepoint,
     Diagram,
@@ -26,14 +26,7 @@ from .diagram import (
     require_valid,
     serialize_diagram,
 )
-from .invariant import (
-    InvariantError,
-    _checked_pair,
-    fingerprint,
-    link_invariant,
-    link_word,
-    word_invariant,
-)
+from .invariant import InvariantError, fingerprint, link_invariant, link_word, word_invariant
 from .moves import (
     MoveError,
     WalkTrace,
@@ -122,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="decide equal / distinct / unknown for two diagrams")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--pair", type=_pair, default=None, metavar="I,J")
     p.add_argument("--depth", type=_count, default=4)
     p.set_defaults(func=_cmd_compare)
 
@@ -195,10 +187,6 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
-def _odd_pairs(table: dict[tuple[int, int], int]) -> str:
-    return ", ".join(f"({i},{j})" for (i, j), bit in sorted(table.items()) if bit) or "none"
-
-
 def _cmd_compare(args) -> int:
     a = _load(args.file_a)
     b = _load(args.file_b)
@@ -206,8 +194,6 @@ def _cmd_compare(args) -> int:
         raise DiagramError(
             f"cannot compare: {a.kind} n={a.n} versus {b.kind} n={b.n}"
         )
-    if args.pair is not None:
-        _checked_pair(a, *args.pair)
 
     # the mixed-crossing parity table survives every move, so it is checked
     # before anything that searches
@@ -215,7 +201,7 @@ def _cmd_compare(args) -> int:
         print("distinct")
         print(
             "certificate: odd crossing parities at pairs "
-            f"{_odd_pairs(a.parity)} != {_odd_pairs(b.parity)}"
+            f"{_odd_pairs(a.parity.items())} != {_odd_pairs(b.parity.items())}"
         )
         return 1
 
@@ -224,10 +210,6 @@ def _cmd_compare(args) -> int:
 
     if pure_free and good:
         fa, fb = fingerprint(a), fingerprint(b)
-        if args.pair is not None:
-            i, j = sorted(args.pair)
-            fa = {k: v for k, v in fa.items() if k[0] == (i, j)}
-            fb = {k: v for k, v in fb.items() if k[0] == (i, j)}
         if fa != fb:
             print("distinct")
             for key in sorted(fa):
@@ -244,20 +226,20 @@ def _cmd_compare(args) -> int:
         print("equal")
         return 0
 
-    depth = args.depth
     if pure_free:
-        # searched here, not between the brackets' summands, because only a
-        # trace from the input diagrams themselves replays from file A
-        found = bounded_equivalence_search(a, b, depth, forbid_pure=True)
+        # the brackets are {A} and {B}, whose class keys the parity and
+        # fingerprint stages have already matched, so only the search can
+        # decide; it runs from file A, so that the trace replays from it
+        found = bounded_equivalence_search(a, b, args.depth, forbid_pure=True)
         if found.equivalent:
             print("equal")
             print("trace:")
             sys.stdout.write(serialize_trace(found.trace))
             return 0
-        # the brackets are {A} and {B}, just searched: only class keys remain
-        depth = 0
+        print("unknown")
+        return 0
 
-    verdict = bracket_equal(bracket(a), bracket(b), depth)
+    verdict = bracket_equal(bracket(a), bracket(b), args.depth)
     print(verdict.status)
     if verdict.status == "distinct":
         print(f"certificate: {verdict.certificate}")

@@ -25,6 +25,7 @@ from .words import (
     _word,
     canonical_class_word,
     reduce,
+    render_word,
 )
 
 __all__ = [
@@ -205,8 +206,6 @@ def fingerprint(d: Diagram) -> Fingerprint:
 
 
 def render_fingerprint(fp: Fingerprint) -> str:
-    from .words import render_word
-
     return "; ".join(
         f"pair ({i},{j}) along {along}: {render_word(word)}"
         for ((i, j), along), word in sorted(fp.items())

@@ -19,6 +19,8 @@ from freelinks.bracket import (
     Verdict,
     _class_key,
     _render_class_key,
+    bracket,
+    bracket_equal,
     splice,
 )
 from freelinks.diagram import (
@@ -29,6 +31,7 @@ from freelinks.diagram import (
     Violation,
     canonical_key,
 )
+from freelinks.invariant import fingerprint
 from freelinks.moves import (
     ALL_KINDS,
     DELETION_KINDS,
@@ -43,8 +46,9 @@ from freelinks.moves import (
     apply_move,
     bounded_equivalence_search,
     move_candidates,
+    serialize_trace,
 )
-from freelinks.words import GroupContext, Word, make_word
+from freelinks.words import GroupContext, Word, make_word, render_word
 
 
 # -- reference per-diagram data --------------------------------------------------
@@ -158,6 +162,16 @@ def random_pure_diagram(rng: random.Random, n: int, kind: str) -> Diagram:
         i, j = rng.sample(range(1, n + 1), 2)
         per_comp[i].append(f"m{serial}")
         per_comp[j].append(f"m{serial}")
+    return _assemble(n, kind, per_comp, rng)
+
+
+def random_mixed_diagram(rng: random.Random, n: int, crossings: int, kind: str) -> Diagram:
+    """A pure-crossing-free diagram with ``crossings`` mixed crossings, each
+    between two components drawn at random, so of any parity."""
+    per_comp: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
+    for serial in range(1, crossings + 1):
+        for i in rng.sample(range(1, n + 1), 2):
+            per_comp[i].append(f"c{serial}")
     return _assemble(n, kind, per_comp, rng)
 
 
@@ -573,6 +587,47 @@ def reference_bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
     if odd:
         return Verdict("distinct", certificate=_render_class_key(odd[0]))
     return Verdict("unknown")
+
+
+# -- reference compare ------------------------------------------------------------
+
+
+def reference_compare(a: Diagram, b: Diagram, depth: int) -> tuple[int, str]:
+    """The ``compare`` ladder that also compared the brackets of pure-free
+    inputs the search could not join, kept as a reference for
+    ``cli._cmd_compare``: parity tables, fingerprints, canonical keys, one
+    search between pure-free inputs, then ``bracket_equal`` (at depth 0
+    after that search).  Returns the exit code and the text on stdout."""
+
+    def odd_pairs(table):
+        return ", ".join(f"({i},{j})" for (i, j), bit in sorted(table.items()) if bit) or "none"
+
+    if a.parity != b.parity:
+        return 1, (
+            "distinct\ncertificate: odd crossing parities at pairs "
+            f"{odd_pairs(a.parity)} != {odd_pairs(b.parity)}\n"
+        )
+    pure_free = not a.pure and not b.pure
+    if pure_free and not any(a.parity.values()):
+        fa, fb = fingerprint(a), fingerprint(b)
+        differ = [key for key in sorted(fa) if fa[key] != fb[key]]
+        if differ:
+            (i, j), along = differ[0]
+            return 1, (
+                f"distinct\ncertificate: pair ({i},{j}) along {along}: "
+                f"{render_word(fa[differ[0]])} != {render_word(fb[differ[0]])}\n"
+            )
+    if canonical_key(a) == canonical_key(b):
+        return 0, "equal\n"
+    if pure_free:
+        found = bounded_equivalence_search(a, b, depth, forbid_pure=True)
+        if found.equivalent:
+            return 0, "equal\ntrace:\n" + serialize_trace(found.trace)
+        depth = 0
+    verdict = bracket_equal(bracket(a), bracket(b), depth)
+    if verdict.status == "distinct":
+        return 1, f"distinct\ncertificate: {verdict.certificate}\n"
+    return 0, f"{verdict.status}\n"
 
 
 # -- reference equivalence search -------------------------------------------------

@@ -17,7 +17,13 @@ from freelinks.diagram import ComponentCode, Diagram, parse_diagram, serialize_d
 from freelinks.moves import random_walk, serialize_trace
 
 from conftest import DATA
-from genutil import random_good_diagram
+from genutil import (
+    random_good_diagram,
+    random_mixed_diagram,
+    random_pure_diagram,
+    reference_compare,
+    scramble,
+)
 
 SAMPLE = str(DATA / "three_strand.tangle")
 TRIVIAL = str(DATA / "trivial_3_3.tangle")
@@ -158,10 +164,12 @@ class TestBracket:
             pytest.param(("bracket", KINK, "--jobs", "two"), id="two"),
             pytest.param(("bracket", KINK, "--jobs", "2"), id="bracket-2"),
             pytest.param(("compare", SAMPLE, TRIVIAL, "--jobs", "2"), id="compare-2"),
+            pytest.param(("compare", SAMPLE, TRIVIAL, "--pair", "1,3"), id="compare-pair"),
         ],
     )
     def test_bad_jobs_exit_2(self, capsys, argv):
-        # the expansion runs in one process, and no subcommand takes --jobs
+        # the expansion runs in one process, and no subcommand takes --jobs;
+        # compare checks the words of all pairs, and takes no --pair
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -181,6 +189,41 @@ class TestBracket:
         assert "cap of 20" in err
         assert "bracket(d, max_pure=N)" in err
         assert "Traceback" not in err
+
+
+def compare_inputs(rng: random.Random, shape: int) -> tuple[Diagram, Diagram]:
+    """Two diagrams of one kind and size: for ``shape`` 0 a good diagram and
+    another, 1 a good diagram and a scrambled copy, 2 a diagram without pure
+    crossings, of any parity, and another or a restricted walk from it, 3 a
+    diagram with pure crossings and a walk from it or another of its parity
+    table, and 4 a good diagram and a restricted walk from it."""
+    kind = rng.choice(("tangle", "link"))
+    if shape == 3:
+        x = random_pure_diagram(rng, rng.randint(2, 3), kind)
+    elif shape == 2:
+        x = random_mixed_diagram(rng, rng.randint(2, 4), rng.randint(2, 7), kind)
+    else:
+        x = random_good_diagram(rng, rng.randint(2, 4), 10, kind)
+    if shape == 0:
+        return x, random_good_diagram(rng, x.n, 10, kind)
+    if shape == 1:
+        return x, scramble(rng, x)
+    other = rng.random() < 0.5
+    if shape == 2 and other:
+        return x, random_mixed_diagram(rng, x.n, rng.randint(2, 7), kind)
+    if shape == 3 and other:
+        y = random_pure_diagram(rng, x.n, kind)
+        while y.parity != x.parity:
+            y = random_pure_diagram(rng, x.n, kind)
+        return x, y
+    walk = random_walk(
+        x,
+        rng.randint(1, 4),
+        rng.randrange(10**6),
+        forbid_pure=shape != 3,
+        max_size=x.crossing_count + 2,
+    )
+    return x, walk.final
 
 
 class TestCompare:
@@ -203,19 +246,6 @@ class TestCompare:
         code, out, _ = invoke(capsys, "compare", SAMPLE, SAMPLE)
         assert code == 0
         assert out.splitlines()[0] == "equal"
-
-    def test_pair_restriction(self, capsys):
-        code, out, _ = invoke(capsys, "compare", SAMPLE, TRIVIAL, "--pair", "1,3")
-        # the (1,3) words agree, so the fingerprint stage passes and the
-        # bracket stage decides
-        assert code in (0, 1)
-        assert out.splitlines()[0] in ("equal", "distinct", "unknown")
-
-    @pytest.mark.parametrize("pair", ["9,9", "2,2", "0,5", "1,4"])
-    def test_impossible_pair_exits_3(self, capsys, pair):
-        code, out, err = invoke(capsys, "compare", SAMPLE, TRIVIAL, "--pair", pair)
-        assert (code, out) == (3, "")
-        assert "pair" in err
 
     def test_negative_depth_exits_2(self, capsys):
         code, out, _ = invoke(capsys, "compare", TRIANGLE, TRIANGLE_MOVED, "--depth", "-1")
@@ -240,25 +270,50 @@ class TestCompare:
             "certificate: odd crossing parities at pairs (1,2), (2,3) != none",
         ]
 
-    def test_pure_free_inputs_are_searched_once(self, capsys, monkeypatch):
+    def test_pure_free_inputs_are_searched_once(self, capsys, tmp_path, monkeypatch):
+        import freelinks.cli
         import freelinks.moves
 
+        # two unlinks: two bigons on pair (2,3) and one on (1,3), against two
+        # on (1,2); their fingerprints agree, and they are 5 moves apart
+        a = write_link(tmp_path / "a.link", ["e f", "a b c d", "a b c d e f"])
+        b = write_link(tmp_path / "b.link", ["a b c d", "a b c d", ""])
         depths = []
 
         def counted(a, b, depth, **kwargs):
-            if depth > 0:
-                depths.append(depth)
+            depths.append(depth)
             return freelinks.moves.bounded_equivalence_search(a, b, depth, **kwargs)
 
-        for module in ("freelinks.cli", "freelinks.bracket"):
-            monkeypatch.setattr(
-                importlib.import_module(module), "bounded_equivalence_search", counted
-            )
-        # the (1,3) words agree, so the search runs; it cannot join the two,
-        # and the class keys of the brackets {A} and {B} decide
-        code, out, _ = invoke(capsys, "compare", SAMPLE, TRIVIAL, "--pair", "1,3")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the brackets of pure-free inputs decide nothing")
+
+        monkeypatch.setattr(freelinks.cli, "bounded_equivalence_search", counted)
+        monkeypatch.setattr(freelinks.cli, "bracket", forbidden)
+        monkeypatch.setattr(freelinks.cli, "bracket_equal", forbidden)
+        code, out, _ = invoke(capsys, "compare", a, b)
         assert depths == [4]
-        assert (code, out.splitlines()[0]) == (1, "distinct")
+        assert (code, out) == (0, "unknown\n")
+
+    def test_matches_reference_ladder(self, capsys, tmp_path):
+        # the ladder that also compared the brackets of pure-free inputs the
+        # search could not join prints the same, on inputs that reach every
+        # stage: parity, fingerprint, key, search, and brackets
+        rng = random.Random(29)
+        unjoined = 0
+        for trial in range(240):
+            x, y = compare_inputs(rng, trial % 5)
+            depth = rng.randint(0, 1 if x.pure or y.pure else 2)
+            a = tmp_path / f"a{trial}.{x.kind}"
+            b = tmp_path / f"b{trial}.{x.kind}"
+            a.write_text(serialize_diagram(x))
+            b.write_text(serialize_diagram(y))
+            expected = reference_compare(
+                parse_diagram(a.read_text()), parse_diagram(b.read_text()), depth
+            )
+            code, out, _ = invoke(capsys, "compare", str(a), str(b), "--depth", str(depth))
+            assert (code, out) == expected, (x, y, depth)
+            unjoined += not x.pure and not y.pure and out == "unknown\n"
+        assert unjoined >= 10
 
     def test_each_input_is_keyed_once(self, capsys, monkeypatch):
         import freelinks.cli
@@ -387,6 +442,14 @@ def test_fuzz_golden_output(capsys, name, forbid):
             capsys, "fuzz", str(DATA / name), "--steps", "20", "--seed", str(seed), *flags
         )
         assert (code, out) == (0, f"PASS steps={steps} seed={seed} crossings={crossings}\n")
+
+@pytest.mark.parametrize("command", ["invariant", "orbit"])
+@pytest.mark.parametrize("pair", ["9,9", "2,2", "0,5", "1,4"])
+def test_impossible_pair_exits_3(capsys, command, pair):
+    code, out, err = invoke(capsys, command, SAMPLE, "--pair", pair)
+    assert (code, out) == (3, "")
+    assert "pair" in err
+
 
 class TestOrbit:
     def test_four_component_orbit(self, capsys):
