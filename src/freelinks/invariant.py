@@ -22,9 +22,10 @@ from .words import (
     GroupContext,
     Letter,
     Word,
-    _word,
+    _index_letter,
+    _indices_word,
+    _least_class,
     canonical_class_word,
-    reduce,
     render_word,
 )
 
@@ -54,38 +55,47 @@ def _require_tangle(d: Diagram):
     require_valid(d)
     if any(comp.closed for comp in d.components):
         raise InvariantError("closed component present; cut the link first")
+    _require_pure_free(d)
+
+
+def _require_pure_free(d: Diagram):
     if d.pure:
         raise InvariantError(
             "pure crossings present: " + " ".join(sorted(d.pure)) + "; expand with the bracket instead"
         )
 
 
-def _letters(d: Diagram) -> dict[str, Letter]:
-    """Crossing name -> its letter, for a tangle without pure crossings.
+def _letters(d: Diagram) -> dict[str, int]:
+    """Crossing name -> the :func:`~freelinks.words.letter_index` of its
+    letter, for a diagram without pure crossings.
 
-    The bit for a third component k is the parity of the type-(i, k) passes
-    before the crossing on component i plus the type-(j, k) passes before it
-    on component j, over the k outside {i, j} in ascending order.
+    The passes are read as stored, so on a link these are the letters of its
+    offset-0 cut.  The bit for a third component k is the parity of the
+    type-(i, k) passes before the crossing on component i plus the
+    type-(j, k) passes before it on component j, over the k outside {i, j}
+    in ascending order.  Each component keeps a running parity mask, bit
+    k - 1 for component k; the crossing's two masks XOR to its parities
+    toward every component, and squeezing out bits i - 1 and j - 1 leaves
+    the letter index.
     """
     occ = d.occurrences
-    # per component, per position: the passes before it meeting each component
-    before = [[]]
+    masks: dict[str, int] = {}
     for ci, comp in enumerate(d.components, start=1):
-        running = [0] * (d.n + 1)
-        rows = [tuple(running)]
+        mask = 0
         for name in comp.passes:
             (a, _), (b, _) = occ[name]
-            running[b if a == ci else a] += 1
-            rows.append(tuple(running))
-        before.append(rows)
-    return {
-        name: tuple(
-            (before[ci][pi][k] + before[cj][pj][k]) % 2
-            for k in range(1, d.n + 1)
-            if k not in (ci, cj)
+            masks[name] = masks.get(name, 0) ^ mask
+            mask ^= 1 << ((b if a == ci else a) - 1)
+    letters = {}
+    for name, mask in masks.items():
+        (a, _), (b, _) = occ[name]
+        lo, hi = (a - 1, b - 1) if a < b else (b - 1, a - 1)
+        letters[name] = (
+            mask & ((1 << lo) - 1)
+            | ((mask >> (lo + 1)) & ((1 << (hi - lo - 1)) - 1)) << lo
+            | (mask >> (hi + 1)) << (hi - 1)
         )
-        for name, ((ci, pi), (cj, pj)) in occ.items()
-    }
+    return letters
 
 
 def lk(d: Diagram, c: str, k: int) -> int:
@@ -111,7 +121,7 @@ def lk_vector(d: Diagram, c: str) -> Letter:
     letters = _letters(d)
     if c not in letters:
         raise InvariantError(f"unknown crossing {c!r}")
-    return letters[c]
+    return _index_letter(letters[c], d.n - 2)
 
 
 def _checked_pair(d: Diagram, i: int, j: int):
@@ -127,6 +137,30 @@ def _require_good(d: Diagram):
         raise InvariantError(f"good condition fails: odd crossing count for pairs {odd}")
 
 
+def _pair_words(d: Diagram) -> dict[tuple[int, int], list[int]]:
+    """The reduced words of all ordered pairs, ``(along, other) -> word``,
+    as letter indices.
+
+    The letters of the type-(along, other) crossings are read along
+    component ``along`` and reduced on a stack as they are read.
+    """
+    letters = _letters(d)
+    occ = d.occurrences
+    words: dict[tuple[int, int], list[int]] = {
+        (i, j): [] for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j
+    }
+    for along, comp in enumerate(d.components, start=1):
+        for name in comp.passes:
+            (a, _), (b, _) = occ[name]
+            stack = words[along, b if a == along else a]
+            x = letters[name]
+            if stack and stack[-1] == x:
+                stack.pop()
+            else:
+                stack.append(x)
+    return words
+
+
 def word_table(d: Diagram) -> dict[tuple[int, int], Word]:
     """The reduced words of all ordered pairs: ``(along, other) -> word``.
 
@@ -135,16 +169,9 @@ def word_table(d: Diagram) -> dict[tuple[int, int], Word]:
     """
     _require_tangle(d)
     _require_good(d)
-    letters = _letters(d)
-    occ = d.occurrences
-    seqs = {(i, j): [] for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j}
-    for along, comp in enumerate(d.components, start=1):
-        for name in comp.passes:
-            (a, _), (b, _) = occ[name]
-            seqs[(along, b if a == along else a)].append(letters[name])
     return {
-        (along, other): reduce(_word(GroupContext(d.n, along, other), tuple(seq)))
-        for (along, other), seq in seqs.items()
+        (along, other): _indices_word(GroupContext(d.n, along, other), word)
+        for (along, other), word in _pair_words(d).items()
     }
 
 
@@ -187,21 +214,25 @@ def fingerprint(d: Diagram) -> Fingerprint:
     """Canonical class words for all pairs and both traversal choices.
 
     Keys are ``((i, j), along)`` with i < j and along in {i, j}.  Defined for
-    diagrams in good condition without pure crossings; tangles use their
-    words directly, links cut at offset-0 basepoints.  On a link, each word
-    is the least of the class words of both directions along its component,
-    so reversing a closed component leaves the fingerprint unchanged: that
-    reverses the words read along it and keeps every letter, since it meets
-    each other component evenly often.
+    valid diagrams in good condition without pure crossings.  The words are
+    read from the passes as stored: a tangle's words, and on a link those of
+    its offset-0 cut, which reads the same passes, so no cut is built.  On a
+    link, each word is the least of the class words of both directions along
+    its component, so reversing a closed component leaves the fingerprint
+    unchanged: that reverses the words read along it and keeps every
+    letter, since it meets each other component evenly often.
     """
+    require_valid(d)
+    _require_pure_free(d)
+    _require_good(d)
     closed = d.kind == "link"
-    base = cut_link(d, _default_basepoints(d)) if closed else d
-    table = word_table(base)
+    words = _pair_words(d)
     out: dict[tuple[tuple[int, int], int], Word] = {}
     for i in range(1, d.n + 1):
         for j in range(i + 1, d.n + 1):
-            out[((i, j), i)] = canonical_class_word(table[(i, j)], undirected=closed)
-            out[((i, j), j)] = canonical_class_word(table[(j, i)], undirected=closed)
+            context = GroupContext(d.n, i, j)
+            out[((i, j), i)] = _indices_word(context, _least_class(words[i, j], closed))
+            out[((i, j), j)] = _indices_word(context, _least_class(words[j, i], closed))
     return out
 
 

@@ -129,17 +129,9 @@ def _adjacent_pairs(d: Diagram) -> list[tuple[int, int, tuple[str, str]]]:
     out = []
     for ci, comp in enumerate(d.components, start=1):
         L = len(comp.passes)
-        if L < 2:
-            continue
-        positions = range(L) if comp.closed else range(L - 1)
-        seen: set[frozenset[int]] = set()
+        positions = range(L) if comp.closed and L > 2 else range(L - 1)
         for p in positions:
-            q = (p + 1) % L
-            posset = frozenset((p, q))
-            if posset in seen:
-                continue
-            seen.add(posset)
-            out.append((ci, p, (comp.passes[p], comp.passes[q])))
+            out.append((ci, p, (comp.passes[p], comp.passes[(p + 1) % L])))
     return out
 
 
@@ -607,20 +599,30 @@ def random_walk(
     from the built slate gives.  Stops early (recording fewer steps) if no
     move is applicable under the options.
     """
+    current = d
+    applied: list[MoveSite] = []
+    for site, current in _walk(d, steps, seed, forbid_pure=forbid_pure, max_size=max_size):
+        applied.append(site)
+    return WalkTrace(initial=d, moves=tuple(applied), final=current)
+
+
+def _walk(
+    d: Diagram, steps: int, seed: int, *, forbid_pure: bool, max_size: int | None
+) -> Iterator[tuple[MoveSite, Diagram]]:
+    """The steps of :func:`random_walk` as they are drawn: each move and the
+    diagram it leaves, which the next step reads."""
     if max_size is None:
         max_size = d.crossing_count + 4
     rng = random.Random(seed)
     current = d
-    applied: list[MoveSite] = []
     for _ in range(steps):
         slate = _slate(current, forbid_pure=forbid_pure, max_size=max_size)
         total = slate.size
         if not total:
-            break
+            return
         site = _site_at(slate, rng.randrange(total))
         current = apply_move(current, site)
-        applied.append(site)
-    return WalkTrace(initial=d, moves=tuple(applied), final=current)
+        yield site, current
 
 
 def move_lower_bound(x: Diagram, y: Diagram) -> int:

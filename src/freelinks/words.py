@@ -242,15 +242,39 @@ def canonical_class_word(w: Word, *, undirected: bool = False) -> Word:
     word starts with letter 0, and its mask is the letter its rotation
     starts with: one mask per rotation, not all 2^(n-2).
     """
-    # on letter indices a mask is an XOR, and the order is the tuple order
-    width = w.context.width
-    core = [letter_index(x) for x in cyclic_reduce(w).letters]
+    core = [letter_index(x) for x in reduce(w).letters]
+    return _indices_word(w.context, _least_class(core, undirected))
+
+
+def _least_class(core: list[int], undirected: bool) -> tuple[int, ...]:
+    """The letter indices of the canonical class word of the reduced word
+    ``core``, itself given as letter indices (see :func:`canonical_class_word`).
+
+    On letter indices a mask is an XOR, and the order is the tuple order.
+    """
+    lo, hi = 0, len(core)
+    # the interior of a reduced word stays reduced when equal ends are stripped
+    while hi - lo >= 2 and core[lo] == core[hi - 1]:
+        lo += 1
+        hi -= 1
+    core = core[lo:hi]
+    if len(core) < 3:
+        # a cyclically reduced word of at most two letters has one anchored
+        # image, in either direction
+        return tuple(x ^ core[0] for x in core)
     cores = (core, core[::-1]) if undirected else (core,)
-    best = min(
-        (tuple(x ^ c[p] for x in c[p:] + c[:p]) for c in cores for p in range(len(c))),
-        default=(),
-    )
-    return _word(w.context, tuple(tuple((x >> r) & 1 for r in range(width)) for x in best))
+    return min(tuple(x ^ c[p] for x in c[p:] + c[:p]) for c in cores for p in range(len(c)))
+
+
+def _index_letter(x: int, width: int) -> Letter:
+    """The letter of the given width whose :func:`letter_index` is x."""
+    return tuple((x >> r) & 1 for r in range(width))
+
+
+def _indices_word(context: GroupContext, indices) -> Word:
+    """The word in ``context`` whose letters have the letter indices ``indices``."""
+    width = context.width
+    return _word(context, tuple(_index_letter(x, width) for x in indices))
 
 
 def orbit_representatives(w: Word) -> dict[Letter, Word]:

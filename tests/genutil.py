@@ -25,13 +25,15 @@ from freelinks.bracket import (
 )
 from freelinks.diagram import (
     TOKEN_RE,
+    Basepoint,
     ComponentCode,
     Diagram,
     DiagramError,
     Violation,
     canonical_key,
+    cut_link,
 )
-from freelinks.invariant import fingerprint
+from freelinks.invariant import _require_good, _require_tangle, fingerprint
 from freelinks.moves import (
     ALL_KINDS,
     DELETION_KINDS,
@@ -39,7 +41,6 @@ from freelinks.moves import (
     MoveSite,
     SearchVerdict,
     WalkTrace,
-    _adjacent_pairs,
     _disjoint,
     _joined_trace,
     _pair_positions,
@@ -48,7 +49,17 @@ from freelinks.moves import (
     move_candidates,
     serialize_trace,
 )
-from freelinks.words import GroupContext, Word, make_word, render_word
+from freelinks.words import (
+    GroupContext,
+    Letter,
+    Word,
+    _word,
+    cyclic_reduce,
+    letter_index,
+    make_word,
+    reduce,
+    render_word,
+)
 
 
 # -- reference per-diagram data --------------------------------------------------
@@ -342,6 +353,76 @@ def naive_class_word(w: Word) -> Word:
             if best is None or key < best[0]:
                 best = (key, rot)
     return Word(w.context, best[1])
+
+
+# -- reference word kernel --------------------------------------------------------
+#
+# The bit-tuple bodies of ``invariant._letters``, ``word_table`` and
+# ``fingerprint`` and of ``words.canonical_class_word``, kept as references
+# for the kernel on letter indices.  The fingerprint cuts a link at its
+# offset-0 basepoints.
+
+
+def reference_letters(d: Diagram) -> dict[str, Letter]:
+    """Crossing name -> its letter as a bit tuple, for a tangle without pure
+    crossings, from per-position counts of the passes before each crossing."""
+    occ = d.occurrences
+    before = [[]]
+    for ci, comp in enumerate(d.components, start=1):
+        running = [0] * (d.n + 1)
+        rows = [tuple(running)]
+        for name in comp.passes:
+            (a, _), (b, _) = occ[name]
+            running[b if a == ci else a] += 1
+            rows.append(tuple(running))
+        before.append(rows)
+    return {
+        name: tuple(
+            (before[ci][pi][k] + before[cj][pj][k]) % 2
+            for k in range(1, d.n + 1)
+            if k not in (ci, cj)
+        )
+        for name, ((ci, pi), (cj, pj)) in occ.items()
+    }
+
+
+def reference_word_table(d: Diagram) -> dict[tuple[int, int], Word]:
+    _require_tangle(d)
+    _require_good(d)
+    letters = reference_letters(d)
+    occ = d.occurrences
+    seqs = {(i, j): [] for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j}
+    for along, comp in enumerate(d.components, start=1):
+        for name in comp.passes:
+            (a, _), (b, _) = occ[name]
+            seqs[(along, b if a == along else a)].append(letters[name])
+    return {
+        (along, other): reduce(_word(GroupContext(d.n, along, other), tuple(seq)))
+        for (along, other), seq in seqs.items()
+    }
+
+
+def reference_class_word(w: Word, *, undirected: bool = False) -> Word:
+    width = w.context.width
+    core = [letter_index(x) for x in cyclic_reduce(w).letters]
+    cores = (core, core[::-1]) if undirected else (core,)
+    best = min(
+        (tuple(x ^ c[p] for x in c[p:] + c[:p]) for c in cores for p in range(len(c))),
+        default=(),
+    )
+    return _word(w.context, tuple(tuple((x >> r) & 1 for r in range(width)) for x in best))
+
+
+def reference_fingerprint(d: Diagram) -> dict:
+    closed = d.kind == "link"
+    base = cut_link(d, [Basepoint(i, 0) for i in range(1, d.n + 1)]) if closed else d
+    table = reference_word_table(base)
+    out = {}
+    for i in range(1, d.n + 1):
+        for j in range(i + 1, d.n + 1):
+            out[((i, j), i)] = reference_class_word(table[(i, j)], undirected=closed)
+            out[((i, j), j)] = reference_class_word(table[(j, i)], undirected=closed)
+    return out
 
 
 def random_word(rng: random.Random, context: GroupContext, max_len: int) -> Word:
@@ -769,6 +850,26 @@ def reference_random_walk(
 # -- reference move enumeration ---------------------------------------------------
 
 
+def reference_adjacent_pairs(d: Diagram) -> list[tuple[int, int, tuple[str, str]]]:
+    """All adjacent pairs as (component, position, letters), deduplicated by
+    their position sets, kept as a reference for ``moves._adjacent_pairs``."""
+    out = []
+    for ci, comp in enumerate(d.components, start=1):
+        L = len(comp.passes)
+        if L < 2:
+            continue
+        positions = range(L) if comp.closed else range(L - 1)
+        seen: set[frozenset[int]] = set()
+        for p in positions:
+            q = (p + 1) % L
+            posset = frozenset((p, q))
+            if posset in seen:
+                continue
+            seen.add(posset)
+            out.append((ci, p, (comp.passes[p], comp.passes[q])))
+    return out
+
+
 def reference_enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False):
     """The letter-set-triple enumeration, kept as a reference for
     ``moves.enumerate_moves``: every triple of pair letter sets is tested for
@@ -785,7 +886,7 @@ def reference_enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = Fal
         if unknown:
             raise MoveError(f"unknown move kinds {sorted(unknown)}")
 
-    pairs = _adjacent_pairs(d)
+    pairs = reference_adjacent_pairs(d)
     sites: list[MoveSite] = []
 
     if "R1_delete" in kinds and not forbid_pure:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib
 import io
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from freelinks.cli import run
 from freelinks.diagram import ComponentCode, Diagram, parse_diagram, serialize_diagram
-from freelinks.moves import random_walk, serialize_trace
+from freelinks.moves import apply_move, random_walk, serialize_trace
 
 from conftest import DATA
 from genutil import (
@@ -412,6 +413,42 @@ class TestFuzz:
         lines = out.splitlines()
         assert lines[0] == "FAIL step=1 check=fingerprint"
         assert len(lines) == 2  # the one offending move, serialized
+
+    def test_replay_mismatch_fails(self, capsys, monkeypatch):
+        # a replay that leaves step 2 undone differs from the walk there
+        import freelinks.cli as cli
+
+        calls = {"n": 0}
+
+        def skipping(d, site):
+            calls["n"] += 1
+            return d if calls["n"] == 2 else apply_move(d, site)
+
+        monkeypatch.setattr(cli, "apply_move", skipping)
+        code, out, _ = invoke(
+            capsys, "fuzz", SAMPLE, "--steps", "5", "--seed", "7", "--forbid-pure"
+        )
+        assert (code, out) == (1, "FAIL replay mismatch\n")
+        assert calls["n"] == 2
+
+    def test_each_step_indexes_one_diagram(self, capsys, monkeypatch):
+        # the checks read the walk's own diagrams: one occurrences index per
+        # step, plus the input's
+        built = []
+        index = Diagram.__dict__["occurrences"]
+
+        def counted(d):
+            built.append(d)
+            return index.func(d)
+
+        wrapped = functools.cached_property(counted)
+        wrapped.__set_name__(Diagram, "occurrences")
+        monkeypatch.setattr(Diagram, "occurrences", wrapped)
+        code, out, _ = invoke(
+            capsys, "fuzz", FOUR, "--steps", "6", "--seed", "2", "--forbid-pure"
+        )
+        assert code == 0 and out.startswith("PASS steps=6 ")
+        assert len(built) == 7
 
 
 # ``fuzz FILE --steps 20 --seed S`` for S = 1, 2, 3: (file, --forbid-pure) ->

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from freelinks.diagram import Basepoint, parse_diagram
+import freelinks.invariant as invariant
+from freelinks.diagram import Basepoint, ComponentCode, Diagram, DiagramError, cut_link, parse_diagram
 from freelinks.invariant import (
     InvariantError,
     fingerprint,
@@ -24,7 +25,13 @@ from freelinks.words import (
     slide_conjugacy_equal,
 )
 
-from genutil import random_good_diagram
+from genutil import (
+    random_good_diagram,
+    reference_class_word,
+    reference_fingerprint,
+    reference_letters,
+    reference_word_table,
+)
 
 
 class TestLk:
@@ -185,6 +192,60 @@ class TestFingerprint:
     def test_link_fingerprint_uses_classes(self, four_component_link):
         fp = fingerprint(four_component_link)
         assert fp[((1, 2), 1)] == link_invariant(four_component_link, 1, 2)
+
+    def test_link_is_read_without_a_cut(self, monkeypatch, four_component_link):
+        def refuse(*args):
+            raise AssertionError("fingerprint cut the link")
+
+        monkeypatch.setattr(invariant, "cut_link", refuse)
+        assert fingerprint(four_component_link) == reference_fingerprint(four_component_link)
+
+    def test_link_with_open_component_is_invalid(self):
+        # the link itself is validated, so no cut hides its open component
+        d = Diagram(
+            "link", (ComponentCode(False, ("a", "b")), ComponentCode(True, ("a", "b")))
+        )
+        with pytest.raises(DiagramError, match="open component in a link"):
+            fingerprint(d)
+
+
+def _kernel_cases():
+    """300 random good tangles and links with 2 to 6 components, each with
+    the diagrams of a short restricted walk from it."""
+    rng = random.Random(29)
+    for serial in range(300):
+        n = 2 + serial % 5
+        d = random_good_diagram(rng, n, 14, kind=("tangle", "link")[serial // 5 % 2])
+        yield d
+        walk = random_walk(d, 3, seed=serial, forbid_pure=True)
+        for site in walk.moves:
+            d = apply_move(d, site)
+            yield d
+
+
+class TestWordKernel:
+    """The kernel on letter indices against the bit-tuple references."""
+
+    def test_matches_references(self):
+        tangles = links = 0
+        for d in _kernel_cases():
+            assert fingerprint(d) == reference_fingerprint(d)
+            if d.kind == "link":
+                links += 1
+                d = cut_link(d, [Basepoint(i, 0) for i in range(1, d.n + 1)])
+            else:
+                tangles += 1
+            table = word_table(d)
+            assert table == reference_word_table(d)
+            letters = reference_letters(d)
+            for name in d.occurrences:
+                assert lk_vector(d, name) == letters[name]
+            for word in table.values():
+                for undirected in (False, True):
+                    assert canonical_class_word(word, undirected=undirected) == (
+                        reference_class_word(word, undirected=undirected)
+                    )
+        assert tangles >= 300 and links >= 300
 
 
 class TestMoveInvariance:

@@ -32,6 +32,7 @@ from genutil import (
     random_any_diagram,
     random_good_diagram,
     random_pure_diagram,
+    reference_adjacent_pairs,
     reference_bidirectional_search,
     reference_enumerate_moves,
     reference_move_lower_bound,
@@ -131,6 +132,20 @@ class TestEnumerate:
                         assert sites == expected, (e, kinds, forbid_pure)
                         third_moves += sum(site.kind == "R3" for site in sites)
         assert third_moves >= 200
+
+    def test_adjacent_pairs_match_reference(self):
+        # closed components of 0, 1 and 2 passes, then random diagrams
+        short = parse_diagram(
+            "link n=5\ncomponent 1 closed:\ncomponent 2 closed: a\n"
+            "component 3 closed: a b\ncomponent 4 closed: b c\ncomponent 5 closed: x x c"
+        )
+        kink = parse_diagram("link n=1\ncomponent 1 closed: x x")
+        assert moves._adjacent_pairs(short) == reference_adjacent_pairs(short)
+        assert moves._adjacent_pairs(kink) == [(1, 0, ("x", "x"))]
+        rng = random.Random(43)
+        for _ in range(200):
+            d = random_any_diagram(rng, 8)
+            assert moves._adjacent_pairs(d) == reference_adjacent_pairs(d), d
 
 
 class TestApply:
