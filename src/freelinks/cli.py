@@ -26,7 +26,7 @@ from .diagram import (
     require_valid,
     serialize_diagram,
 )
-from .invariant import InvariantError, fingerprint, link_invariant, link_word, word_invariant
+from .invariant import InvariantError, _class_words, link_invariant, link_word, word_invariant
 from .moves import (
     MoveError,
     MoveSite,
@@ -38,7 +38,7 @@ from .moves import (
     replay,
     serialize_trace,
 )
-from .words import WordError, orbit_representatives, render_word
+from .words import GroupContext, WordError, _indices_word, orbit_representatives, render_word
 
 __all__ = ["run", "main"]
 
@@ -210,17 +210,18 @@ def _cmd_compare(args) -> int:
     good = not any(a.parity.values())
 
     if pure_free and good:
-        fa, fb = fingerprint(a), fingerprint(b)
-        if fa != fb:
+        wa, wb = _class_words(a), _class_words(b)
+        if wa != wb:
+            # only the first differing fingerprint word is rendered
+            key = min(k for k in wa if wa[k] != wb[k])
+            (i, j), along = key
+            context = GroupContext(a.n, i, j)
             print("distinct")
-            for key in sorted(fa):
-                if fa[key] != fb[key]:
-                    (i, j), along = key
-                    print(
-                        f"certificate: pair ({i},{j}) along {along}: "
-                        f"{render_word(fa[key])} != {render_word(fb[key])}"
-                    )
-                    break
+            print(
+                f"certificate: pair ({i},{j}) along {along}: "
+                f"{render_word(_indices_word(context, wa[key]))} != "
+                f"{render_word(_indices_word(context, wb[key]))}"
+            )
             return 1
 
     if a.key == b.key:
@@ -251,7 +252,8 @@ def _cmd_compare(args) -> int:
 def _cmd_fuzz(args) -> int:
     d = _load(args.file)
     track_words = args.forbid_pure and not d.pure and not any(d.parity.values())
-    reference = fingerprint(d) if track_words else None
+    # the fingerprint compared as letter indices, with no word built
+    reference = _class_words(d) if track_words else None
 
     moves: list[MoveSite] = []
     current = replayed = d
@@ -274,7 +276,7 @@ def _cmd_fuzz(args) -> int:
             failure = "parity-table"
         elif args.forbid_pure and current.pure:
             failure = "pure-crossing"
-        elif track_words and fingerprint(current) != reference:
+        elif track_words and _class_words(current) != reference:
             failure = "fingerprint"
         if failure:
             print(f"FAIL step={len(moves)} check={failure}")

@@ -210,6 +210,25 @@ def link_invariant(d: Diagram, i: int, j: int) -> Word:
     return canonical_class_word(link_word(d, _default_basepoints(d), i, j), undirected=True)
 
 
+def _class_words(d: Diagram) -> dict[tuple[tuple[int, int], int], tuple[int, ...]]:
+    """The :func:`fingerprint` of ``d`` with each word as its letter indices.
+
+    Two diagrams with the same number of components have equal fingerprints
+    exactly when these are equal, so a comparison need not build the words.
+    """
+    require_valid(d)
+    _require_pure_free(d)
+    _require_good(d)
+    closed = d.kind == "link"
+    words = _pair_words(d)
+    out: dict[tuple[tuple[int, int], int], tuple[int, ...]] = {}
+    for i in range(1, d.n + 1):
+        for j in range(i + 1, d.n + 1):
+            out[((i, j), i)] = _least_class(words[i, j], closed)
+            out[((i, j), j)] = _least_class(words[j, i], closed)
+    return out
+
+
 def fingerprint(d: Diagram) -> Fingerprint:
     """Canonical class words for all pairs and both traversal choices.
 
@@ -222,18 +241,9 @@ def fingerprint(d: Diagram) -> Fingerprint:
     unchanged: that reverses the words read along it and keeps every
     letter, since it meets each other component evenly often.
     """
-    require_valid(d)
-    _require_pure_free(d)
-    _require_good(d)
-    closed = d.kind == "link"
-    words = _pair_words(d)
-    out: dict[tuple[tuple[int, int], int], Word] = {}
-    for i in range(1, d.n + 1):
-        for j in range(i + 1, d.n + 1):
-            context = GroupContext(d.n, i, j)
-            out[((i, j), i)] = _indices_word(context, _least_class(words[i, j], closed))
-            out[((i, j), j)] = _indices_word(context, _least_class(words[j, i], closed))
-    return out
+    words = _class_words(d)
+    contexts = {pair: GroupContext(d.n, *pair) for pair, _ in words}
+    return {key: _indices_word(contexts[key[0]], word) for key, word in words.items()}
 
 
 def render_fingerprint(fp: Fingerprint) -> str:

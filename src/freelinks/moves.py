@@ -120,21 +120,6 @@ class SearchVerdict:
 # -- pattern scanning ---------------------------------------------------------
 
 
-def _adjacent_pairs(d: Diagram) -> list[tuple[int, int, tuple[str, str]]]:
-    """All adjacent pairs as (component, position, letters), deduplicated.
-
-    On a closed 2-pass component the two cyclic adjacencies cover the same
-    position set, so only position 0 is reported.
-    """
-    out = []
-    for ci, comp in enumerate(d.components, start=1):
-        L = len(comp.passes)
-        positions = range(L) if comp.closed and L > 2 else range(L - 1)
-        for p in positions:
-            out.append((ci, p, (comp.passes[p], comp.passes[(p + 1) % L])))
-    return out
-
-
 def _pair_positions(comp: ComponentCode, pos: int) -> tuple[int, int]:
     L = len(comp.passes)
     if L < 2:
@@ -169,17 +154,22 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
     pure = d.pure if forbid_pure else frozenset()
 
     sites: list[MoveSite] = []
-    # pair locations in scan order, keyed by their two distinct letters
-    by_letters: dict[frozenset[str], list[tuple[int, int]]] = {}
-    for ci, p, (a, b) in _adjacent_pairs(d):
-        if a != b:
-            by_letters.setdefault(frozenset((a, b)), []).append((ci, p))
-        elif "R1_delete" in kinds and not forbid_pure:
-            sites.append(MoveSite("R1_delete", names=(a,), pairs=((ci, p),)))
+    # pair locations in scan order, keyed by their two distinct letters, the
+    # lesser first; a closed 2-pass component has one pair, since its two
+    # cyclic adjacencies cover the same two positions
+    by_letters: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for ci, comp in enumerate(d.components, start=1):
+        passes = comp.passes
+        after = passes[1:] + passes[:1] if comp.closed and len(passes) > 2 else passes[1:]
+        for p, (a, b) in enumerate(zip(passes, after)):
+            if a != b:
+                by_letters.setdefault((a, b) if a < b else (b, a), []).append((ci, p))
+            elif "R1_delete" in kinds and not forbid_pure:
+                sites.append(MoveSite("R1_delete", names=(a,), pairs=((ci, p),)))
 
     if "R2_delete" in kinds:
         for letters, places in by_letters.items():
-            if not pure <= letters:
+            if len(places) < 2 or not pure.issubset(letters):
                 continue
             for loc1, loc2 in combinations(places, 2):
                 if _disjoint(d, loc1, loc2):
@@ -192,14 +182,12 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
         for a, b in by_letters:
             near.setdefault(a, set()).add(b)
             near.setdefault(b, set()).add(a)
-        # each triangle {x,y} {x,z} {y,z} is found once, from its least letters
-        for xy, places in by_letters.items():
-            x, y = sorted(xy)
+        # each triangle {x,y} {x,z} {y,z}, x < y < z, is found once, from {x,y}
+        for (x, y), places in by_letters.items():
             for z in near[x] & near[y]:
                 if z < y:
                     continue
-                xz, yz = by_letters[frozenset((x, z))], by_letters[frozenset((y, z))]
-                for locs in product(places, xz, yz):
+                for locs in product(places, by_letters[x, z], by_letters[y, z]):
                     if all(_disjoint(d, u, v) for u, v in combinations(locs, 2)):
                         sites.append(MoveSite("R3", names=(x, y, z), pairs=tuple(sorted(locs))))
 

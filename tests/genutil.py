@@ -852,7 +852,7 @@ def reference_random_walk(
 
 def reference_adjacent_pairs(d: Diagram) -> list[tuple[int, int, tuple[str, str]]]:
     """All adjacent pairs as (component, position, letters), deduplicated by
-    their position sets, kept as a reference for ``moves._adjacent_pairs``."""
+    their position sets: the pairs that ``moves.enumerate_moves`` scans."""
     out = []
     for ci, comp in enumerate(d.components, start=1):
         L = len(comp.passes)

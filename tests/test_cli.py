@@ -329,6 +329,42 @@ class TestCompare:
         assert (code, out.splitlines()[:2]) == (0, ["equal", "trace:"])
         assert [sum(d is x for d in keyed) for x in loaded] == [1, 1]
 
+    def test_fingerprint_certificates(self, capsys, tmp_path):
+        # pure-free pairs in good condition with equal parity tables, told
+        # apart by the first differing word of their fingerprints
+        def write_tangle(path, components) -> str:
+            d = Diagram("tangle", tuple(ComponentCode(False, tuple(c.split())) for c in components))
+            path.write_text(serialize_diagram(d))
+            return str(path)
+
+        cases = [
+            (
+                write_tangle(
+                    tmp_path / "a.tangle",
+                    ["c3 c6 c2 c5 c4 c1", "", "c7 c2 c4 c1 c3 c8 c9 c10", "c8 c5 c9 c10 c6 c7"],
+                ),
+                write_tangle(
+                    tmp_path / "b.tangle",
+                    ["c1 c2", "c7 c9 c10 c8 c4 c3", "c8 c7 c9 c6 c1 c5 c10 c2", "c4 c5 c3 c6"],
+                ),
+                "pair (1,3) along 1: (0,0)·(0,1) != (0,0)·(1,1)",
+            ),
+            (
+                write_link(
+                    tmp_path / "a.link",
+                    ["c2 c1 c3 c4", "c3 c5 c6 c4 c8 c2 c1 c9 c7 c10", "c5 c8 c6 c7", "c10 c9"],
+                ),
+                write_link(
+                    tmp_path / "b.link",
+                    ["", "c8 c7 c6 c5", "c7 c3 c8 c1 c2 c6 c4 c5", "c4 c2 c1 c3"],
+                ),
+                "pair (2,3) along 2: (0,0)·(0,1) != (0,0)·(0,1)·(0,0)·(0,1)",
+            ),
+        ]
+        for a, b, certificate in cases:
+            code, out, _ = invoke(capsys, "compare", a, b)
+            assert (code, out) == (1, f"distinct\ncertificate: {certificate}\n")
+
     def test_reversed_component_is_equal(self, capsys, tmp_path):
         comps = [
             "c4 c6 c10 c1 c8 c5 c7 c2 c9 c11 c3 c12",
@@ -405,7 +441,7 @@ class TestFuzz:
             calls["n"] += 1
             return calls["n"]
 
-        monkeypatch.setattr(cli, "fingerprint", unstable)
+        monkeypatch.setattr(cli, "_class_words", unstable)
         code, out, _ = invoke(
             capsys, "fuzz", SAMPLE, "--steps", "5", "--seed", "7", "--forbid-pure"
         )

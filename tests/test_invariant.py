@@ -16,6 +16,8 @@ from freelinks.invariant import (
 )
 from freelinks.moves import apply_move, enumerate_moves, random_walk
 from freelinks.words import (
+    GroupContext,
+    _indices_word,
     canonical_class_word,
     conjugate_equal,
     make_word,
@@ -229,7 +231,13 @@ class TestWordKernel:
     def test_matches_references(self):
         tangles = links = 0
         for d in _kernel_cases():
-            assert fingerprint(d) == reference_fingerprint(d)
+            # the fingerprint's words as letter indices, wrapped into words
+            words = invariant._class_words(d)
+            assert all(type(word) is tuple for word in words.values())
+            wrapped = {
+                key: _indices_word(GroupContext(d.n, *key[0]), word) for key, word in words.items()
+            }
+            assert wrapped == fingerprint(d) == reference_fingerprint(d)
             if d.kind == "link":
                 links += 1
                 d = cut_link(d, [Basepoint(i, 0) for i in range(1, d.n + 1)])

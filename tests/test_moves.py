@@ -32,7 +32,6 @@ from genutil import (
     random_any_diagram,
     random_good_diagram,
     random_pure_diagram,
-    reference_adjacent_pairs,
     reference_bidirectional_search,
     reference_enumerate_moves,
     reference_move_lower_bound,
@@ -133,19 +132,48 @@ class TestEnumerate:
                         third_moves += sum(site.kind == "R3" for site in sites)
         assert third_moves >= 200
 
-    def test_adjacent_pairs_match_reference(self):
-        # closed components of 0, 1 and 2 passes, then random diagrams
+    def test_short_components_match_reference(self):
+        # closed components of 0, 1 and 2 passes, then random diagrams: a
+        # 1-pass component has no pair and a 2-pass one has one, so two
+        # 2-pass components make one bigon, and the kink one first move
         short = parse_diagram(
             "link n=5\ncomponent 1 closed:\ncomponent 2 closed: a\n"
             "component 3 closed: a b\ncomponent 4 closed: b c\ncomponent 5 closed: x x c"
         )
+        bigon = parse_diagram("link n=2\ncomponent 1 closed: a b\ncomponent 2 closed: b a")
         kink = parse_diagram("link n=1\ncomponent 1 closed: x x")
-        assert moves._adjacent_pairs(short) == reference_adjacent_pairs(short)
-        assert moves._adjacent_pairs(kink) == [(1, 0, ("x", "x"))]
+        assert enumerate_moves(short) == [MoveSite("R1_delete", names=("x",), pairs=((5, 0),))]
+        assert enumerate_moves(bigon) == [
+            MoveSite("R2_delete", names=("a", "b"), pairs=((1, 0), (2, 0)))
+        ]
+        assert enumerate_moves(kink) == [MoveSite("R1_delete", names=("x",), pairs=((1, 0),))]
         rng = random.Random(43)
-        for _ in range(200):
-            d = random_any_diagram(rng, 8)
-            assert moves._adjacent_pairs(d) == reference_adjacent_pairs(d), d
+        cases = [short, bigon, kink] + [random_any_diagram(rng, 8) for _ in range(200)]
+        for d in cases:
+            for forbid_pure in (False, True):
+                expected = reference_enumerate_moves(d, forbid_pure=forbid_pure)
+                assert enumerate_moves(d, forbid_pure=forbid_pure) == expected, d
+
+    def test_matches_reference_on_walked_multi_component_diagrams(self):
+        # 4- and 5-component pure-free tangles and links of 12-14 crossings,
+        # and every diagram of a 10-step restricted walk from each
+        rng = random.Random(47)
+        diagrams = third_moves = 0
+        for trial in range(24):
+            kind, n = ("tangle", "link")[trial % 2], 4 + trial // 2 % 2
+            d = random_good_diagram(rng, n, 14, kind)
+            while not 12 <= d.crossing_count <= 14:
+                d = random_good_diagram(rng, n, 14, kind)
+            walk = random_walk(d, 10, seed=trial, forbid_pure=True)
+            for site in (None, *walk.moves):
+                if site is not None:
+                    d = apply_move(d, site)
+                for forbid_pure in (False, True):
+                    sites = enumerate_moves(d, forbid_pure=forbid_pure)
+                    assert sites == reference_enumerate_moves(d, forbid_pure=forbid_pure), d
+                    third_moves += sum(site.kind == "R3" for site in sites)
+                diagrams += 1
+        assert diagrams == 24 * 11 and third_moves >= 200
 
 
 class TestApply:
