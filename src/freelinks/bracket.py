@@ -50,7 +50,6 @@ from . import invariant as _invariant
 from .diagram import (
     ComponentCode,
     Diagram,
-    _closed_variants,
     _diagram_from_key,
     canonical_key,
     require_valid,
@@ -356,8 +355,9 @@ def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode
                 f"{len(components)} curves where the interlacement test predicts one"
             )
         curve = components[0]
-        if curve.closed:
-            curve = ComponentCode(True, _closed_variants(curve.passes)[0])
+        if curve.closed and curve.passes:
+            seqs = (curve.passes, curve.passes[::-1])
+            curve = ComponentCode(True, min(seq[r:] + seq[:r] for seq in seqs for r in range(len(seq))))
         odd ^= {curve}
     return odd
 

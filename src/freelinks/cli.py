@@ -228,24 +228,27 @@ def _cmd_compare(args) -> int:
         print("equal")
         return 0
 
+    # every search runs from file A, so that the trace replays from it
     if pure_free:
         # the brackets are {A} and {B}, whose class keys the parity and
         # fingerprint stages have already matched, so only the search can
-        # decide; it runs from file A, so that the trace replays from it
+        # decide
         found = bounded_equivalence_search(a, b, args.depth, forbid_pure=True)
-        if found.equivalent:
-            print("equal")
-            print("trace:")
-            sys.stdout.write(serialize_trace(found.trace))
-            return 0
-        print("unknown")
+    else:
+        # the bracket is an invariant: its "distinct" is a verdict on the
+        # diagrams, but equal brackets only say that a search may succeed
+        verdict = bracket_equal(bracket(a), bracket(b), args.depth)
+        if verdict.status == "distinct":
+            print("distinct")
+            print(f"certificate: {verdict.certificate}")
+            return 1
+        found = bounded_equivalence_search(a, b, args.depth) if verdict.status == "equal" else None
+    if found is not None and found.equivalent:
+        print("equal")
+        print("trace:")
+        sys.stdout.write(serialize_trace(found.trace))
         return 0
-
-    verdict = bracket_equal(bracket(a), bracket(b), args.depth)
-    print(verdict.status)
-    if verdict.status == "distinct":
-        print(f"certificate: {verdict.certificate}")
-        return 1
+    print("unknown")
     return 0
 
 

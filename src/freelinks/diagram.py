@@ -354,17 +354,6 @@ def is_good_condition(d: Diagram) -> tuple[bool, dict[tuple[int, int], int]]:
 # -- canonical form -----------------------------------------------------------
 
 
-def _closed_variants(passes: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """All rotations of a closed pass sequence and of its reversal."""
-    if not passes:
-        return [()]
-    variants = set()
-    for seq in (passes, passes[::-1]):
-        for r in range(len(seq)):
-            variants.add(seq[r:] + seq[:r])
-    return sorted(variants)
-
-
 def canonical_key(d: Diagram) -> tuple:
     """A hashable value equal for exactly the diagrams related by crossing
     renaming, closed-component rotation and closed-component reversal.
@@ -375,8 +364,6 @@ def canonical_key(d: Diagram) -> tuple:
     sequence is chosen among all combinations.  The result is identical to
     the minimum over the full product, which is not enumerated:
 
-    - a variant is dropped at the first position where its relabeled prefix
-      exceeds the best one found so far, since it can never win;
     - the labelings of the tying prefixes are kept as a product of factors,
       each a list of alternative labels for its own crossings, and only for
       the crossings still to come.  Each pass reads one factor, so the least
@@ -386,6 +373,25 @@ def canonical_key(d: Diagram) -> tuple:
       as a factor instead of multiplying the states: a four-component link
       with a dozen crossings per component otherwise carries several
       hundred equal states.
+    - only the (state, rotation/reversal) pairs whose first code is the
+      least are scanned.  The first code of a pair is the least alternative
+      label of its first crossing when an earlier component shares that
+      crossing, and the next fresh label ``nxt`` otherwise.  Those least
+      labels are the column minima of each state's factors, taken once per
+      state; they are also the code of the first pass that reads a factor.
+      The filter is exact: every other pair is already above the least at
+      position 0 and can never win.
+    - the scanned pairs are dropped at the first position where their
+      relabeled prefix exceeds the best one found so far.
+    - a closed component of length ``L`` that shares no crossing with an
+      earlier one and passes each of its crossings once is relabeled
+      ``nxt, nxt+1, ...`` in every rotation and reversal, whatever the
+      state, so all of them tie.  Its sequence is set directly, and its
+      crossings' factor is built in closed form: the pass at position ``p``
+      is labeled ``nxt + (p - r) mod L`` in the rotation from ``r`` and
+      ``nxt + (r - p) mod L`` in the reversal from ``r``.  This is component
+      1 of every link without pure crossings, and every component unlinked
+      from all earlier ones.
 
     Computed afresh on each call; :attr:`Diagram.key` keeps it once computed.
     """
@@ -401,64 +407,104 @@ def canonical_key(d: Diagram) -> tuple:
 
     # A state is a set of labelings: the product of its factors.  A factor is
     # (crossings, alternatives), each alternative a tuple of their labels.
+    # Each earlier crossing still to come lies in one factor of every state.
     states: list[tuple] = [()]
     nxt = 1
     earlier: set[str] = set()
     key_parts: list[tuple[bool, tuple[int, ...]]] = []
     for comp, to_come in zip(d.components, ahead):
-        variants = _closed_variants(comp.passes) if comp.closed else [comp.passes]
-        best: list[int] | None = None
-        ties: list[tuple] = []
-        for factors in states:
-            owner = {tok: (f, i) for f, (toks, _) in enumerate(factors) for i, tok in enumerate(toks)}
-            for variant in variants:
-                narrowed: dict[int, list[tuple[int, ...]]] = {}
-                new: dict[str, int] = {}
-                fresh = nxt
-                rel = []
-                # 0 while rel ties best's prefix, -1 once it is below it
-                order = -1 if best is None else 0
-                for tok in variant:
-                    place = owner.get(tok)
-                    if place is None:
-                        code = new.get(tok)
-                        if code is None:
-                            code = new[tok] = fresh
-                            fresh += 1
-                    else:
-                        f, i = place
-                        alts = narrowed.get(f) or factors[f][1]
-                        code = min(alt[i] for alt in alts)
-                        narrowed[f] = [alt for alt in alts if alt[i] == code]
-                    if not order:
-                        bound = best[len(rel)]
-                        if code > bound:
-                            break
-                        if code < bound:
-                            order = -1
-                    rel.append(code)
+        passes = comp.passes
+        length = len(passes)
+        fresh_toks = tuple(sorted(tok for tok in set(passes) - earlier if tok in to_come))
+        # ties: (factors, narrowed, the alternatives for fresh_toks)
+        if comp.closed and earlier.isdisjoint(passes) and len(set(passes)) == length:
+            labels = tuple(range(nxt, nxt + length))
+            best = list(labels)
+            where = [passes.index(tok) for tok in fresh_toks]
+            # the labels of the pass at p in the rotations and the reversals
+            # from r = 0, 1, ...: nxt + (p - r) mod L and nxt + (r - p) mod L
+            alts = {
+                *zip(*(labels[p::-1] + labels[:p:-1] for p in where)),
+                *zip(*(labels[-p:] + labels[:-p] for p in where)),
+            }
+            ties = [(factors, {}, alts) for factors in states]
+        else:
+            # per state, each earlier crossing's factor and index, and its
+            # least label over that factor's alternatives
+            owners, firsts = [], []
+            for factors in states:
+                owner, first = {}, {}
+                for f, (toks, alts) in enumerate(factors):
+                    for i, (tok, label) in enumerate(zip(toks, map(min, zip(*alts)))):
+                        owner[tok] = f, i
+                        first[tok] = label
+                owners.append(owner)
+                firsts.append(first)
+            # the least first code over every state and rotation/reversal
+            shared = earlier.intersection(passes)
+            least = min((first[tok] for first in firsts for tok in shared), default=nxt)
+            reverse = passes[::-1]
+            best = None
+            for factors, owner, first in zip(states, owners, firsts):
+                if comp.closed:
+                    variants = set()
+                    for p, tok in enumerate(passes):
+                        if first.get(tok, nxt) == least:
+                            q = length - 1 - p
+                            variants.add(passes[p:] + passes[:p])
+                            variants.add(reverse[q:] + reverse[:q])
                 else:
-                    if order:
-                        best = rel
-                        ties = []
-                    ties.append((factors, narrowed, new))
+                    variants = (passes,)
+                for variant in variants:
+                    narrowed: dict[int, list[tuple[int, ...]]] = {}
+                    new: dict[str, int] = {}
+                    fresh = nxt
+                    rel = []
+                    # 0 while rel ties best's prefix, -1 once it is below it
+                    order = -1 if best is None else 0
+                    for tok in variant:
+                        place = owner.get(tok)
+                        if place is None:
+                            code = new.get(tok)
+                            if code is None:
+                                code = new[tok] = fresh
+                                fresh += 1
+                        else:
+                            f, i = place
+                            alts = narrowed.get(f)
+                            if alts is None:
+                                alts, code = factors[f][1], first[tok]
+                            else:
+                                code = min(alt[i] for alt in alts)
+                            narrowed[f] = [alt for alt in alts if alt[i] == code]
+                        if not order:
+                            bound = best[len(rel)]
+                            if code > bound:
+                                break
+                            if code < bound:
+                                order = -1
+                        rel.append(code)
+                    else:
+                        if order:
+                            best = rel
+                            ties = []
+                        ties.append((factors, narrowed, (tuple(new[tok] for tok in fresh_toks),)))
         assert best is not None
         key_parts.append((comp.closed, tuple(best)))
         nxt = max([nxt - 1, *best]) + 1
 
         # Ties that carry the same factors differ only in the labels of this
         # component's new crossings, which then form one more factor.
-        fresh_toks = tuple(sorted(tok for tok in set(comp.passes) - earlier if tok in to_come))
-        earlier.update(comp.passes)
+        earlier.update(passes)
         merged: dict[tuple, set[tuple[int, ...]]] = {}
-        for factors, narrowed, new in ties:
+        for factors, narrowed, fresh_alts in ties:
             carried = []
             for f, (toks, alts) in enumerate(factors):
                 keep = [i for i, tok in enumerate(toks) if tok in to_come]
                 if keep:
                     alts = {tuple(alt[i] for i in keep) for alt in narrowed.get(f, alts)}
                     carried.append((tuple(toks[i] for i in keep), tuple(sorted(alts))))
-            merged.setdefault(tuple(sorted(carried)), set()).add(tuple(new[tok] for tok in fresh_toks))
+            merged.setdefault(tuple(sorted(carried)), set()).update(fresh_alts)
         states = [
             carried + (((fresh_toks, tuple(sorted(alts))),) if fresh_toks else ())
             for carried, alts in merged.items()

@@ -678,7 +678,9 @@ def reference_compare(a: Diagram, b: Diagram, depth: int) -> tuple[int, str]:
     inputs the search could not join, kept as a reference for
     ``cli._cmd_compare``: parity tables, fingerprints, canonical keys, one
     search between pure-free inputs, then ``bracket_equal`` (at depth 0
-    after that search).  Returns the exit code and the text on stdout."""
+    after that search).  Equal brackets give ``equal`` only with the trace
+    of an unrestricted search that joins the inputs, and ``unknown``
+    otherwise.  Returns the exit code and the text on stdout."""
 
     def odd_pairs(table):
         return ", ".join(f"({i},{j})" for (i, j), bit in sorted(table.items()) if bit) or "none"
@@ -708,7 +710,11 @@ def reference_compare(a: Diagram, b: Diagram, depth: int) -> tuple[int, str]:
     verdict = bracket_equal(bracket(a), bracket(b), depth)
     if verdict.status == "distinct":
         return 1, f"distinct\ncertificate: {verdict.certificate}\n"
-    return 0, f"{verdict.status}\n"
+    if verdict.status == "equal":
+        found = bounded_equivalence_search(a, b, depth)
+        if found.equivalent:
+            return 0, "equal\ntrace:\n" + serialize_trace(found.trace)
+    return 0, "unknown\n"
 
 
 # -- reference equivalence search -------------------------------------------------

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelinks.bracket import bracket, bracket_equal
 from freelinks.cli import run
 from freelinks.diagram import ComponentCode, Diagram, parse_diagram, serialize_diagram
-from freelinks.moves import apply_move, random_walk, serialize_trace
+from freelinks.moves import apply_move, parse_trace, random_walk, replay, serialize_trace
 
 from conftest import DATA
 from genutil import (
@@ -393,6 +394,50 @@ class TestCompare:
             code, out, _ = invoke(capsys, "compare", a, b)
             assert out.splitlines()[0] != "distinct", (comps, flipped, out)
             assert code == 0
+
+    def test_equal_brackets_alone_are_unknown(self, capsys, tmp_path):
+        # every chord of K is odd and K has no move site, so by Manturov's
+        # parity theorem it is minimal and not the unknot; yet its bracket
+        # equals the unknot's
+        unknot = write_link(tmp_path / "u.link", [""])
+        knot = write_link(tmp_path / "k.link", ["5 6 5 4 1 4 3 6 1 2 3 2"])
+        u, k = (parse_diagram(Path(path).read_text()) for path in (unknot, knot))
+        assert bracket_equal(bracket(u), bracket(k), 4).status == "equal"
+        code, out, _ = invoke(capsys, "compare", unknot, knot)
+        assert (code, out) == (0, "unknown\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), shape=st.integers(0, 5), depth=st.integers(0, 1))
+    def test_equal_is_always_certified(self, rng, shape, depth):
+        # "equal" needs the keys to match or a trace that replays from A to
+        # B's canonical key; shape 5 is two knots, whose brackets are at
+        # most the unknot
+        if shape == 5:
+
+            def knot() -> Diagram:
+                chords = [f"c{k // 2}" for k in range(2 * rng.randint(0, 4))]
+                rng.shuffle(chords)
+                return Diagram("link", (ComponentCode(True, tuple(chords)),))
+
+            x, y = knot(), knot()
+        else:
+            x, y = compare_inputs(rng, shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a", Path(tmp) / "b"
+            a.write_text(serialize_diagram(x))
+            b.write_text(serialize_diagram(y))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(["compare", str(a), str(b), "--depth", str(depth)])
+        lines = out.getvalue().splitlines(keepends=True)
+        if lines[0] != "equal\n":
+            return
+        assert code == 0
+        if len(lines) == 1:
+            assert x.key == y.key
+        else:
+            assert lines[1] == "trace:\n"
+            assert replay(x, parse_trace("".join(lines[2:]))).key == y.key
 
     def test_mismatched_inputs_exit_3(self, capsys, tmp_path):
         single = tmp_path / "one.tangle"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freelinks.diagram import (
     Basepoint,
@@ -27,6 +29,7 @@ from genutil import (
     naive_canonical_key,
     random_any_diagram,
     random_good_diagram,
+    random_mixed_diagram,
     random_pure_diagram,
     random_sparse_link,
     reference_crossing_occurrences,
@@ -336,6 +339,69 @@ class TestCanonicalForm:
         rng = random.Random(43)
         for _ in range(5):
             assert canonical_key(scramble(rng, d)) == canonical_key(d)
+
+
+@st.composite
+def small_diagrams(draw, pure: bool):
+    """A link or tangle of 1-3 components and at most six crossings, small
+    enough for :func:`naive_canonical_key`; with ``pure`` false, every
+    crossing joins two components."""
+    kind = draw(st.sampled_from(("link", "tangle")))
+    n = draw(st.integers(1 if pure else 2, 3))
+    per_comp: list[list[str]] = [[] for _ in range(n)]
+    for serial in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, n - 1))
+        if pure:
+            j = draw(st.integers(0, n - 1))
+        else:
+            j = draw(st.integers(0, n - 2))
+            j += j >= i
+        for k in (i, j):
+            per_comp[k].insert(draw(st.integers(0, len(per_comp[k]))), f"x{serial}")
+    return Diagram(kind, tuple(ComponentCode(kind == "link", tuple(p)) for p in per_comp))
+
+
+class TestCanonicalKeyOracle:
+    """The pruned key against the full product of rotations and reversals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.one_of(small_diagrams(pure=True), small_diagrams(pure=False)))
+    def test_matches_naive_oracle(self, d):
+        assert canonical_key(d) == naive_canonical_key(d)
+
+    def test_scramble_invariance_on_large_pure_free_links(self):
+        # 16-20 mixed crossings on four closed components: the naive
+        # product has tens of millions of combinations
+        rng = random.Random(47)
+        for _ in range(40):
+            d = random_mixed_diagram(rng, 4, rng.randint(16, 20), "link")
+            key = canonical_key(d)
+            assert canonical_key(_diagram_from_key(key)) == key
+            for _ in range(3):
+                assert canonical_key(scramble(rng, d)) == key, d
+
+    def test_unshared_component_after_a_shared_one(self):
+        # Component 2 shares no crossing with component 1 and passes each of
+        # its crossings once, so its labels and its crossings' factor are
+        # set in closed form; component 3 then reads that factor, and
+        # component 1's pure crossings leave it several tying states.
+        rng = random.Random(53)
+        for trial in range(60):
+            first = ["p", "p"] if trial % 2 else []
+            second, third = [], []
+            for k in range(rng.randint(1, 3)):
+                first.append(f"a{k}")
+                third.append(f"a{k}")
+            for k in range(rng.randint(1, 3)):
+                second.append(f"b{k}")
+                third.append(f"b{k}")
+            for passes in (first, second, third):
+                rng.shuffle(passes)
+            d = Diagram(
+                "link", tuple(ComponentCode(True, tuple(p)) for p in (first, second, third))
+            )
+            assert canonical_key(d) == naive_canonical_key(d), d
+            assert canonical_key(scramble(rng, d)) == canonical_key(d), d
 
 
 class TestCutLink:
