@@ -18,13 +18,10 @@ from freelinks import (
     crossing_type,
     cut_link,
     enumerate_moves,
-    is_good_condition,
     parse_diagram,
-    pure_crossings,
     random_walk,
     serialize_diagram,
     serialize_trace,
-    validate,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -32,10 +29,12 @@ DATA = Path(__file__).parent / "data"
 print("== parsing and validation ==")
 tangle = parse_diagram((DATA / "three_strand.tangle").read_text())
 print(serialize_diagram(tangle))
-print("violations:", validate(tangle))
+# derived data is read from the diagram's cached fields
+print("violations:", tangle.violations)
 print("crossing a joins components:", crossing_type(tangle, "a"))
-print("pure crossings:", pure_crossings(tangle))
-print("good condition:", is_good_condition(tangle))
+print("pure crossings:", sorted(tangle.pure))
+print("parity table:", tangle.parity)
+print("good condition:", not any(tangle.parity.values()))
 
 print()
 print("== canonical form ==")
@@ -69,8 +68,8 @@ print()
 print("== random walks ==")
 walk = random_walk(tangle, steps=40, seed=7, forbid_pure=True, max_size=12)
 print(f"walked {len(walk.moves)} moves; final size {walk.final.crossing_count} crossings")
-print("final still pure-free:", not pure_crossings(walk.final))
-print("parity table unchanged:", is_good_condition(walk.final) == is_good_condition(tangle))
+print("final still pure-free:", not walk.final.pure)
+print("parity table unchanged:", walk.final.parity == tangle.parity)
 
 print()
 print("== bounded equivalence search ==")

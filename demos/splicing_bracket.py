@@ -10,17 +10,16 @@ three-valued bracket comparison.
 Run from the repository root:  python3 demos/splicing_bracket.py
 """
 
+from itertools import product
 from pathlib import Path
 
 from freelinks import (
-    SpliceChoice,
+    apply_splices,
     bracket,
     bracket_equal,
     parse_diagram,
     serialize_bracket,
     serialize_diagram,
-    splice,
-    splice_expansion,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -28,16 +27,18 @@ DATA = Path(__file__).parent / "data"
 print("== the two splices of a crossing ==")
 kink = parse_diagram("link n=1\ncomponent 1 closed: x x")
 for branch in "AB":
-    out = splice(kink, SpliceChoice("x", branch))
+    out = apply_splices(kink, {"x": branch})
     print(f"branch {branch}: {out.n} component(s)")
     print(serialize_diagram(out))
 
 print("== expansion of the two-crossing knot ==")
 knot = parse_diagram("link n=1\ncomponent 1 closed: x y x y")
-for assignment, components, _ in splice_expansion(knot):
+# every assignment of branches to the pure crossings x and y, spliced at once
+for bx, by in product("AB", repeat=2):
+    components = apply_splices(knot, {"x": bx, "y": by}).components
     shape = [len(c) for c in components]
     note = "kept" if len(components) == knot.n else "discarded (extra component)"
-    print(f"  {assignment} -> component sizes {shape}: {note}")
+    print(f"  x={bx} y={by} -> component sizes {shape}: {note}")
 print("the two surviving equal circles cancel mod 2, leaving one:")
 print(serialize_bracket(bracket(knot)))
 

@@ -20,17 +20,16 @@ name, so ``import freelinks.bracket as m`` binds the function.  Reach the
 module as ``importlib.import_module("freelinks.bracket")``.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bracket import (
     Bracket,
     BracketError,
-    SpliceChoice,
     Verdict,
     apply_splices,
     bracket,
     bracket_equal,
     serialize_bracket,
-    splice,
-    splice_expansion,
 )
 from .diagram import (
     Basepoint,
@@ -42,14 +41,11 @@ from .diagram import (
     Violation,
     canonical_form,
     canonical_key,
-    crossing_occurrences,
     crossing_type,
     cut_link,
-    is_good_condition,
     parse_diagram,
-    pure_crossings,
+    require_valid,
     serialize_diagram,
-    validate,
 )
 from .invariant import (
     Fingerprint,
@@ -98,4 +94,9 @@ from .words import (
 )
 from .words import reduce as reduce_word
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

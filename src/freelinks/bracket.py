@@ -59,13 +59,10 @@ from .moves import bounded_equivalence_search
 from .words import render_word
 
 __all__ = [
-    "SpliceChoice",
     "Bracket",
     "Verdict",
     "BracketError",
-    "splice",
     "apply_splices",
-    "splice_expansion",
     "bracket",
     "bracket_equal",
     "serialize_bracket",
@@ -74,18 +71,6 @@ __all__ = [
 
 class BracketError(ValueError):
     """A splice or bracket operation was applied outside its preconditions."""
-
-
-@dataclass(frozen=True)
-class SpliceChoice:
-    """One crossing together with a reconnection branch (``A`` or ``B``)."""
-
-    crossing: str
-    branch: str
-
-    def __post_init__(self):
-        if self.branch not in ("A", "B"):
-            raise BracketError(f"branch must be 'A' or 'B', got {self.branch!r}")
 
 
 @dataclass(frozen=True)
@@ -243,39 +228,15 @@ def _splice_components(d: Diagram, branches: dict[str, str], table=None):
 
 
 def apply_splices(d: Diagram, branches: dict[str, str]) -> Diagram:
-    """Splice several crossings simultaneously, branches per crossing.
+    """Splice several crossings simultaneously, ``branches`` mapping each to
+    ``A`` or ``B``; one crossing ``x`` alone is ``{x: branch}``.
 
     Branch labels refer to the scan order of each crossing's passes in ``d``
-    itself, so the result is independent of any splice ordering.
+    itself, so the result is independent of any splice ordering.  Raises
+    :class:`BracketError` on an unknown crossing or branch.
     """
     components, _ = _splice_components(d, dict(branches))
     return Diagram(kind=d.kind, components=tuple(components))
-
-
-def splice(d: Diagram, s: SpliceChoice) -> Diagram:
-    """Splice one crossing.
-
-    For a pure crossing, branch ``A`` splits its component and branch ``B``
-    reverses the enclosed segment in place; a crossing joining two different
-    components (as arises between intermediate results of repeated splicing)
-    merges them under either branch.
-    """
-    return apply_splices(d, {s.crossing: s.branch})
-
-
-def splice_expansion(d: Diagram):
-    """Yield ``(assignment, components, sources)`` over all branch assignments.
-
-    The assignment ranges over the pure crossings of ``d`` in sorted order;
-    all 2^m combinations are produced, including those whose component count
-    disqualifies them from the bracket.
-    """
-    crossings = tuple(sorted(d.pure))
-    table = _port_table(d)
-    for code in range(1 << len(crossings)):
-        assignment = {name: "AB"[(code >> r) & 1] for r, name in enumerate(crossings)}
-        components, sources = _splice_components(d, assignment, table)
-        yield assignment, components, sources
 
 
 def _interlacement_rows(passes: tuple[str, ...], pures: tuple[str, ...]) -> list[int]:

@@ -12,11 +12,11 @@ Components are enumerated: ``components[k]`` is component ``k + 1`` and the
 numbering is part of the data (it is preserved by all move and splice
 operations elsewhere in the package).
 
-Data derived from a diagram (the passes of each crossing, the pure
-crossings, the mixed pair counts and parities, the violations, the
-canonical key) is computed once per diagram and cached on the frozen
-:class:`Diagram`, to be read and never changed; the module functions return
-copies.  Operations that need a valid diagram call the one guard
+Data derived from a diagram is computed once per diagram, cached on the
+frozen :class:`Diagram` and read as its fields, never changed:
+``violations`` (empty when the diagram is valid), ``occurrences``, ``pure``,
+``pair_counts``, ``parity`` (the good-condition table) and ``key``.
+Operations that need a valid diagram call the one guard
 :func:`require_valid`; the command line validates each input once, when it
 loads the file.
 """
@@ -38,12 +38,8 @@ __all__ = [
     "ParseError",
     "parse_diagram",
     "serialize_diagram",
-    "validate",
     "require_valid",
-    "crossing_occurrences",
     "crossing_type",
-    "pure_crossings",
-    "is_good_condition",
     "canonical_form",
     "canonical_key",
     "cut_link",
@@ -168,14 +164,9 @@ class Diagram:
 
     @cached_property
     def parity(self) -> dict[tuple[int, int], int]:
-        """The good-condition parity table: each mixed pair's count mod 2."""
+        """The good-condition parity table: each mixed pair's count mod 2.
+        The diagram is in good condition when every entry is 0."""
         return {pair: count % 2 for pair, count in self.pair_counts.items()}
-
-    def component(self, i: int) -> ComponentCode:
-        """Component by its 1-based index."""
-        if not 1 <= i <= self.n:
-            raise DiagramError(f"component index {i} out of range 1..{self.n}")
-        return self.components[i - 1]
 
 
 @dataclass(frozen=True)
@@ -301,29 +292,12 @@ def serialize_diagram(d: Diagram) -> str:
 # -- structural checks -------------------------------------------------------
 
 
-def validate(d: Diagram) -> list[Violation]:
-    """Check all diagram invariants; an empty list means the diagram is valid.
-
-    Violations are data, not errors: invalid diagrams are representable so
-    that their defects can be reported.
-    """
-    return list(d.violations)
-
-
 def require_valid(d: Diagram, source: str = "") -> Diagram:
     """``d`` if it is valid, else :class:`DiagramError` naming ``source``."""
     if d.violations:
         where = f" in {source}" if source else ""
         raise DiagramError(f"invalid diagram{where}: " + "; ".join(str(v) for v in d.violations))
     return d
-
-
-def crossing_occurrences(d: Diagram) -> dict[str, list[tuple[int, int]]]:
-    """Map each crossing name to its passes as ``(component, position)`` pairs.
-
-    Components are 1-based and occurrences are listed in scan order.
-    """
-    return {name: list(places) for name, places in d.occurrences.items()}
 
 
 def crossing_type(d: Diagram, c: str) -> CrossingType:
@@ -335,20 +309,6 @@ def crossing_type(d: Diagram, c: str) -> CrossingType:
         raise DiagramError(f"crossing {c!r} occurs {len(occ)} times, expected 2")
     i, j = occ[0][0], occ[1][0]
     return CrossingType(min(i, j), max(i, j))
-
-
-def pure_crossings(d: Diagram) -> set[str]:
-    """Crossings whose two passes lie on a single component."""
-    return set(d.pure)
-
-
-def is_good_condition(d: Diagram) -> tuple[bool, dict[tuple[int, int], int]]:
-    """Whether every mixed pair (i, j), i < j, carries an even number of crossings.
-
-    Returns the verdict and the full parity table (count mod 2 per pair).
-    Pure-crossing counts are unconstrained.
-    """
-    return not any(d.parity.values()), dict(d.parity)
 
 
 # -- canonical form -----------------------------------------------------------

@@ -36,6 +36,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .diagram import (
+    TOKEN_RE,
     ComponentCode,
     Diagram,
     ParseError,
@@ -264,6 +265,8 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
         union = frozenset().union(*lettersets)
         if len(union) != 3 or any(len(s) != 2 for s in lettersets) or len(set(lettersets)) != 3:
             raise MoveError(f"pairs at {locs} do not form a triangle")
+        if sorted(m.names) != sorted(union):
+            raise MoveError(f"pairs at {locs} read {sorted(union)}, not the names {m.names}")
         for u, v in combinations(locs, 2):
             if not _disjoint(d, u, v):
                 raise MoveError("third-move pairs overlap")
@@ -864,9 +867,9 @@ def parse_trace(text: str) -> list[MoveSite]:
     """Parse the line-oriented trace log emitted by :func:`serialize_trace`.
 
     Raises :class:`ParseError`, with the line number, on an unknown move
-    kind, a wrong number of fields, a bad location (the wrapped marker
-    ``w`` locates insertion slots only) or an ``R2_insert`` order other
-    than ``same`` or ``swap``.
+    kind, a wrong number of fields, a crossing name that a diagram file
+    cannot hold, a bad location (the wrapped marker ``w`` locates insertion
+    slots only) or an ``R2_insert`` order other than ``same`` or ``swap``.
     """
     moves = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -886,6 +889,9 @@ def parse_trace(text: str) -> list[MoveSite]:
                 lineno,
             )
         names = tuple(fields[:n_names])
+        for name in names:
+            if TOKEN_RE.match(name) is None:
+                raise ParseError(f"trace: invalid crossing name {name!r}", lineno)
         locs = tuple(_parse_slot(tok, lineno) for tok in fields[n_names : n_names + n_locs])
         if order and fields[-1] not in ("same", "swap"):
             raise ParseError(f"trace: expected 'same' or 'swap', got {fields[-1]!r}", lineno)

@@ -200,13 +200,10 @@ def _all_masks(context: GroupContext):
 
 
 def slide_conjugacy_equal(u: Word, v: Word) -> bool:
-    """Whether some composite of slides takes u to a conjugate of v.
-
-    The slides commute and are involutions, so the 2^(n-2) bit masks
-    enumerate the whole slide subgroup.
-    """
+    """Whether some composite of slides takes u to a conjugate of v: whether
+    their :func:`canonical_class_word` values are equal."""
     _same_context(u, v)
-    return any(conjugate_equal(apply_mask(u, mask), v) for mask in _all_masks(u.context))
+    return canonical_class_word(u) == canonical_class_word(v)
 
 
 def letter_index(x: Letter) -> int:

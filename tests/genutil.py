@@ -15,13 +15,12 @@ from itertools import combinations, product
 from freelinks.bracket import (
     Bracket,
     BracketError,
-    SpliceChoice,
     Verdict,
     _class_key,
     _render_class_key,
+    apply_splices,
     bracket,
     bracket_equal,
-    splice,
 )
 from freelinks.diagram import (
     TOKEN_RE,
@@ -54,6 +53,8 @@ from freelinks.words import (
     Letter,
     Word,
     _word,
+    apply_mask,
+    conjugate_equal,
     cyclic_reduce,
     letter_index,
     make_word,
@@ -65,7 +66,7 @@ from freelinks.words import (
 # -- reference per-diagram data --------------------------------------------------
 #
 # The bodies that recomputed everything on every call, kept as references for
-# the fields cached on ``Diagram`` and the functions that read them.
+# the fields cached on ``Diagram``.
 
 
 def reference_validate(d: Diagram) -> list[Violation]:
@@ -338,6 +339,14 @@ def brute_conjugate_equal(u: Word, v: Word, max_len: int = 4) -> bool:
     return False
 
 
+def reference_slide_conjugacy_equal(u: Word, v: Word) -> bool:
+    """Whether some composite of slides takes u to a conjugate of v, tried
+    mask by mask: the slides commute and are involutions, so the 2^(n-2) bit
+    masks enumerate the whole slide subgroup."""
+    masks = product((0, 1), repeat=u.context.width)
+    return any(conjugate_equal(apply_mask(u, mask), v) for mask in masks)
+
+
 def naive_class_word(w: Word) -> Word:
     """The least rotation of every masked cyclic reduction of w, comparing
     rotations letter by letter through each letter's factor number."""
@@ -454,7 +463,7 @@ def sequential_bracket_keys(d: Diagram, rng: random.Random) -> set:
         name = remaining[pick]
         rest = remaining[:pick] + remaining[pick + 1 :]
         for branch in "AB":
-            expand(splice(current, SpliceChoice(name, branch)), rest)
+            expand(apply_splices(current, {name: branch}), rest)
 
     expand(d, tuple(sorted(reference_pure_crossings(d))))
     return {key for key, count in odd.items() if count % 2}

@@ -1,18 +1,16 @@
 import importlib
 import random
+from itertools import product
 
 import pytest
 
 from freelinks.bracket import (
     BracketError,
-    SpliceChoice,
     Verdict,
     apply_splices,
     bracket,
     bracket_equal,
     serialize_bracket,
-    splice,
-    splice_expansion,
 )
 from freelinks.diagram import (
     ComponentCode,
@@ -20,7 +18,6 @@ from freelinks.diagram import (
     canonical_form,
     canonical_key,
     parse_diagram,
-    pure_crossings,
 )
 from freelinks.moves import apply_move, move_candidates
 
@@ -45,31 +42,31 @@ XYXY = parse_diagram("link n=1\ncomponent 1 closed: x y x y")
 
 class TestSplice:
     def test_kink_branch_b_gives_circle(self):
-        out = splice(KINK, SpliceChoice("x", "B"))
+        out = apply_splices(KINK, {"x": "B"})
         assert out.n == 1
         assert out.components[0] == ComponentCode(True, ())
 
     def test_kink_branch_a_splits(self):
-        out = splice(KINK, SpliceChoice("x", "A"))
+        out = apply_splices(KINK, {"x": "A"})
         assert out.n == 2
         assert all(c == ComponentCode(True, ()) for c in out.components)
 
     def test_open_branch_b_reverses_segment(self):
         d = Diagram("tangle", (ComponentCode(False, ("a1", "x", "b1", "b2", "x", "c1")),))
-        out = splice(d, SpliceChoice("x", "B"))
+        out = apply_splices(d, {"x": "B"})
         assert out.components[0].passes == ("a1", "b2", "b1", "c1")
 
     def test_open_branch_a_splits_off_circle(self):
         d = Diagram("tangle", (ComponentCode(False, ("a1", "x", "b1", "b2", "x", "c1")),))
-        out = splice(d, SpliceChoice("x", "A"))
+        out = apply_splices(d, {"x": "A"})
         assert out.components[0] == ComponentCode(False, ("a1", "c1"))
         assert out.components[1] == ComponentCode(True, ("b1", "b2"))
 
     def test_closed_branch_rules(self):
         d = Diagram("link", (ComponentCode(True, ("x", "q1", "q2", "x", "r1", "r2")),))
-        out_a = splice(d, SpliceChoice("x", "A"))
+        out_a = apply_splices(d, {"x": "A"})
         assert [c.passes for c in out_a.components] == [("q1", "q2"), ("r1", "r2")]
-        out_b = splice(d, SpliceChoice("x", "B"))
+        out_b = apply_splices(d, {"x": "B"})
         assert [c.passes for c in out_b.components] == [("q1", "q2", "r2", "r1")]
 
     def test_merge_between_components(self):
@@ -77,15 +74,15 @@ class TestSplice:
             "link",
             (ComponentCode(True, ("x", "q1", "q2")), ComponentCode(True, ("x", "s1", "s2"))),
         )
-        out_a = splice(d, SpliceChoice("x", "A"))
+        out_a = apply_splices(d, {"x": "A"})
         assert [c.passes for c in out_a.components] == [("q1", "q2", "s1", "s2")]
-        out_b = splice(d, SpliceChoice("x", "B"))
+        out_b = apply_splices(d, {"x": "B"})
         assert [c.passes for c in out_b.components] == [("q1", "q2", "s2", "s1")]
 
     def test_open_strand_swap(self):
         # a direction-preserving splice between two open strands swaps tails
         d = parse_diagram("tangle n=2\ncomponent 1 open: x a a\ncomponent 2 open: b x b")
-        out = splice(d, SpliceChoice("x", "A"))
+        out = apply_splices(d, {"x": "A"})
         assert out.components[0].passes == ("b",)
         assert out.components[1].passes == ("b", "a", "a")
 
@@ -93,7 +90,7 @@ class TestSplice:
         # the other branch would join the two lower endpoints
         d = parse_diagram("tangle n=2\ncomponent 1 open: x a a\ncomponent 2 open: b x b")
         with pytest.raises(BracketError, match="open"):
-            splice(d, SpliceChoice("x", "B"))
+            apply_splices(d, {"x": "B"})
 
     def test_kernel_matches_reference(self):
         # any subset of crossings, pure or mixed, spliced at once: the same
@@ -117,38 +114,26 @@ class TestSplice:
 
     def test_unknown_crossing(self):
         with pytest.raises(BracketError, match="unknown"):
-            splice(KINK, SpliceChoice("zz", "A"))
+            apply_splices(KINK, {"zz": "A"})
 
     def test_bad_branch(self):
-        with pytest.raises(BracketError):
-            SpliceChoice("x", "C")
+        with pytest.raises(BracketError, match="branch"):
+            apply_splices(KINK, {"x": "C"})
 
 
 class TestExpansion:
     def test_xyxy_assignment_census(self):
-        results = {}
-        for assignment, comps, _ in splice_expansion(XYXY):
-            results[(assignment["x"], assignment["y"])] = comps
-        assert len(results) == 4
-        # both splittings of the first crossing leave one circle; they cancel
-        for branch in "AB":
-            pass
+        results = {
+            (bx, by): apply_splices(XYXY, {"x": bx, "y": by}).components
+            for bx, by in product("AB", repeat=2)
+        }
         one_component = {key for key, comps in results.items() if len(comps) == 1}
+        # both splittings of the first crossing leave one circle; they cancel
         assert {("A", "A"), ("A", "B")} <= one_component
         # of the remaining pair, exactly one is discarded for its extra circle
         rest = {("B", "A"), ("B", "B")}
         assert len(rest & one_component) == 1
         assert all(c.passes == () for key in one_component for c in results[key])
-
-    def test_splice_matches_singleton_expansion(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            d = random_any_diagram(rng, 7)
-            for name in sorted(pure_crossings(d)):
-                for branch in "AB":
-                    assert splice(d, SpliceChoice(name, branch)) == apply_splices(
-                        d, {name: branch}
-                    )
 
 
 def random_component(rng, pure_count, mixed_count):
@@ -257,11 +242,11 @@ class TestBracket:
         for _ in range(40):
             d = random_any_diagram(rng, 7)
             value = bracket(d)
-            assert len(value.summands) <= 2 ** len(pure_crossings(d))
+            assert len(value.summands) <= 2 ** len(d.pure)
             for summand in value.summands:
                 assert summand.n == d.n
                 assert summand.kind == d.kind
-                assert not pure_crossings(summand)
+                assert not summand.pure
                 if d.kind == "tangle":
                     assert all(not c.closed for c in summand.components)
 
@@ -349,7 +334,7 @@ class TestBracketEqual:
         checked = 0
         for _ in range(40):
             d = random_any_diagram(rng, 6)
-            pure = pure_crossings(d)
+            pure = d.pure
             sites = [
                 s
                 for s in move_candidates(d, max_size=d.crossing_count + 2)

@@ -598,6 +598,24 @@ class TestReplay:
         code, _, err = invoke(capsys, "replay", TRIANGLE, str(trace))
         assert code == 3
 
+    def test_wrong_third_move_names_exit_3(self, capsys, tmp_path):
+        trace = tmp_path / "moves.trace"
+        trace.write_text("R3 foo bar baz 1:0 2:0 3:0\n")
+        code, out, err = invoke(capsys, "replay", TRIANGLE, str(trace))
+        assert code == 3
+        assert out == ""
+        assert "foo" in err
+
+    def test_unwritable_crossing_name_exits_2(self, capsys, tmp_path):
+        # the replayed diagram would hold a name that no diagram file can
+        trace = tmp_path / "moves.trace"
+        trace.write_text("R1_insert a-b 1:0\n")
+        code, out, err = invoke(capsys, "replay", TRIANGLE, str(trace))
+        assert code == 2
+        assert out == ""
+        assert "invalid crossing name 'a-b'" in err
+        assert "line 1" in err
+
     def test_truncated_trace_line_exits_2(self, tmp_path):
         trace = tmp_path / "moves.trace"
         trace.write_text("R1_delete x\n")

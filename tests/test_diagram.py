@@ -13,15 +13,11 @@ from freelinks.diagram import (
     ParseError,
     canonical_form,
     canonical_key,
-    crossing_occurrences,
     crossing_type,
     cut_link,
-    is_good_condition,
     parse_diagram,
-    pure_crossings,
     require_valid,
     serialize_diagram,
-    validate,
 )
 from freelinks.diagram import _diagram_from_key
 
@@ -55,7 +51,7 @@ class TestParse:
     def test_minimal_kink(self):
         d = parse_diagram("link n=1\ncomponent 1 closed: x x")
         assert d.components[0].closed
-        assert pure_crossings(d) == {"x"}
+        assert d.pure == {"x"}
 
     def test_comments_and_blanks(self):
         d = parse_diagram("# heading\n\ntangle n=1  # trailing\ncomponent 1 open: a a\n")
@@ -97,16 +93,16 @@ class TestParse:
 
 class TestValidate:
     def test_sample_valid(self, sample_tangle):
-        assert validate(sample_tangle) == []
+        assert sample_tangle.violations == ()
 
     def test_odd_occurrence(self):
         d = Diagram("tangle", (ComponentCode(False, ("x",)),))
-        rules = [v.rule for v in validate(d)]
+        rules = [v.rule for v in d.violations]
         assert rules == ["arity"]
 
     def test_closed_component_in_tangle(self):
         d = Diagram("tangle", (ComponentCode(True, ("x", "x")),))
-        assert any(v.rule == "kind" for v in validate(d))
+        assert any(v.rule == "kind" for v in d.violations)
 
     def test_pass_count_is_twice_crossings(self):
         rng = random.Random(11)
@@ -131,32 +127,28 @@ class TestCrossingQueries:
             crossing_type(sample_tangle, "zz")
 
     def test_pure_crossings(self, sample_tangle):
-        assert pure_crossings(sample_tangle) == set()
+        assert sample_tangle.pure == set()
         knot = parse_diagram("link n=1\ncomponent 1 closed: x y x y")
-        assert pure_crossings(knot) == {"x", "y"}
+        assert knot.pure == {"x", "y"}
         bigon = parse_diagram("tangle n=2\ncomponent 1 open: p q\ncomponent 2 open: p q")
-        assert pure_crossings(bigon) == set()
+        assert bigon.pure == set()
 
 
 class TestGoodCondition:
     def test_sample(self, sample_tangle):
-        good, table = is_good_condition(sample_tangle)
-        assert good
-        assert table == {(1, 2): 0, (1, 3): 0, (2, 3): 0}
+        assert sample_tangle.parity == {(1, 2): 0, (1, 3): 0, (2, 3): 0}
 
     def test_single_crossing_pair(self):
         d = parse_diagram("tangle n=2\ncomponent 1 open: a\ncomponent 2 open: a")
-        good, table = is_good_condition(d)
-        assert not good
-        assert table == {(1, 2): 1}
+        assert d.parity == {(1, 2): 1}
 
     def test_empty_diagram(self):
         d = parse_diagram("tangle n=2\ncomponent 1 open:\ncomponent 2 open:")
-        assert is_good_condition(d) == (True, {(1, 2): 0})
+        assert d.parity == {(1, 2): 0}
 
     def test_pure_crossings_not_constrained(self):
         d = parse_diagram("link n=1\ncomponent 1 closed: x x")
-        assert is_good_condition(d) == (True, {})
+        assert d.parity == {}
 
 
 # invalid diagrams built by hand: odd arity, a crossing on three passes, a
@@ -213,10 +205,10 @@ class TestIndex:
         invalid = 0
         for d in _index_cases():
             occ = reference_crossing_occurrences(d)
-            assert crossing_occurrences(d) == occ, d
-            assert pure_crossings(d) == reference_pure_crossings(d), d
-            assert is_good_condition(d) == reference_is_good_condition(d), d
-            assert validate(d) == reference_validate(d), d
+            assert d.occurrences == {name: tuple(places) for name, places in occ.items()}, d
+            assert d.pure == reference_pure_crossings(d), d
+            assert (not any(d.parity.values()), d.parity) == reference_is_good_condition(d), d
+            assert list(d.violations) == reference_validate(d), d
             for name, places in occ.items():
                 if len(places) == 2:
                     i, j = sorted(ci for ci, _ in places)
@@ -235,18 +227,6 @@ class TestIndex:
             else:
                 assert require_valid(d) is d
         assert invalid >= 80
-
-    def test_results_are_copies(self):
-        # callers may change what they get without changing the diagram
-        for d in (INVALID[1], parse_diagram("link n=2\ncomponent 1 closed: x x a\ncomponent 2 closed: a")):
-            before = (crossing_occurrences(d), pure_crossings(d), is_good_condition(d), validate(d))
-            crossing_occurrences(d)["x"].append((9, 9))
-            crossing_occurrences(d)["zz"] = []
-            pure_crossings(d).add("zz")
-            is_good_condition(d)[1].clear()
-            validate(d).clear()
-            after = (crossing_occurrences(d), pure_crossings(d), is_good_condition(d), validate(d))
-            assert after == before
 
     def test_fields_outside_equality(self):
         d = parse_diagram("tangle n=2\ncomponent 1 open: a k k\ncomponent 2 open: a")
@@ -439,4 +419,4 @@ class TestCutLink:
             t = cut_link(d, points)
             for name in d.crossing_names:
                 assert crossing_type(t, name) == crossing_type(d, name)
-            assert is_good_condition(t) == is_good_condition(d)
+            assert t.parity == d.parity

@@ -4,13 +4,7 @@ import time
 import pytest
 
 from freelinks import moves
-from freelinks.diagram import (
-    canonical_key,
-    is_good_condition,
-    parse_diagram,
-    pure_crossings,
-    validate,
-)
+from freelinks.diagram import ParseError, canonical_key, parse_diagram
 from freelinks.moves import (
     MoveError,
     MoveSite,
@@ -121,7 +115,7 @@ class TestEnumerate:
                 d = random_pure_diagram(rng, rng.randint(2, 3), kind)
             if trial % 2:
                 d = plant_triangle(rng, d)
-            forbid = not pure_crossings(d)
+            forbid = not d.pure
             walk = random_walk(d, rng.randint(1, 6), seed=trial, forbid_pure=forbid)
             for e in (d, walk.final):
                 for forbid_pure in (False, True):
@@ -198,6 +192,16 @@ class TestApply:
         (site,) = enumerate_moves(triangle)
         assert apply_move(apply_move(triangle, site), site) == triangle
 
+    @pytest.mark.parametrize("names", [("foo", "bar", "baz"), ("x", "y", "y"), ("x", "y", "z", "z")])
+    def test_r3_names_must_be_the_pair_letters(self, triangle, names):
+        site = MoveSite("R3", names=names, pairs=((1, 0), (2, 0), (3, 0)))
+        with pytest.raises(MoveError, match="names"):
+            apply_move(triangle, site)
+        # the letters themselves, in any order, name the site
+        assert apply_move(triangle, MoveSite("R3", names=("z", "x", "y"), pairs=site.pairs)) == (
+            apply_move(triangle, enumerate_moves(triangle)[0])
+        )
+
     def test_pattern_absent(self):
         d = parse_diagram("tangle n=1\ncomponent 1 open: x a x a")
         site = MoveSite("R1_delete", names=("x",), pairs=((1, 0),))
@@ -214,14 +218,14 @@ class TestApply:
         rng = random.Random(19)
         for _ in range(60):
             d = random_any_diagram(rng, 8)
-            parity = is_good_condition(d)[1]
+            parity = d.parity
             for site in move_candidates(d, max_size=d.crossing_count + 2):
                 out = apply_move(d, site)
-                assert validate(out) == []
+                assert out.violations == ()
                 assert out.n == d.n
                 assert out.kind == d.kind
                 assert [c.closed for c in out.components] == [c.closed for c in d.components]
-                assert is_good_condition(out)[1] == parity
+                assert out.parity == parity
 
 
 class TestInverses:
@@ -262,12 +266,12 @@ class TestRandomWalk:
 
     def test_forbid_pure_invariants(self, sample_tangle):
         trace = random_walk(sample_tangle, 100, seed=7, forbid_pure=True, max_size=14)
-        assert not pure_crossings(trace.final)
-        assert is_good_condition(trace.final) == is_good_condition(sample_tangle)
+        assert not trace.final.pure
+        assert trace.final.parity == sample_tangle.parity
         current = sample_tangle
         for site in trace.moves:
             current = apply_move(current, site)
-            assert not pure_crossings(current)
+            assert not current.pure
         assert current == trace.final
 
     def test_respects_max_size(self):
@@ -298,7 +302,7 @@ class TestRandomWalk:
         )
         sites = move_candidates(d, forbid_pure=True, max_size=10)
         assert [(s.kind, s.names) for s in sites] == [("R2_delete", ("p", "q"))]
-        assert not pure_crossings(apply_move(d, sites[0]))
+        assert not apply_move(d, sites[0]).pure
 
 
 def slate_diagrams(count: int, seed: int):
@@ -659,6 +663,12 @@ class TestTraceFormat:
         text = serialize_trace(trace)
         assert parse_trace(text) == list(trace.moves)
         assert replay(trace.initial, parse_trace(text)) == trace.final
+
+    @pytest.mark.parametrize("name", ["a-b", "a,b", "é"])
+    def test_rejects_names_a_diagram_cannot_hold(self, name):
+        with pytest.raises(ParseError, match="invalid crossing name") as caught:
+            parse_trace(f"R3 x y z 1:0 2:0 3:0\nR1_insert {name} 1:0\n")
+        assert caught.value.line == 2
 
     def test_replay_rejects_stale_trace(self, sample_tangle, triangle):
         trace = random_walk(sample_tangle, 10, seed=3)

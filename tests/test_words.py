@@ -22,7 +22,12 @@ from freelinks.words import (
     slide_conjugacy_equal,
 )
 
-from genutil import brute_conjugate_equal, naive_class_word, random_word
+from genutil import (
+    brute_conjugate_equal,
+    naive_class_word,
+    random_word,
+    reference_slide_conjugacy_equal,
+)
 
 CTX3 = GroupContext(3, 1, 2)
 CTX4 = GroupContext(4, 1, 2)
@@ -216,13 +221,23 @@ class TestCanonicalClassWord:
         assert canonical_class_word(canonical_class_word(w)) == canonical_class_word(w)
 
     def test_characterizes_slide_conjugacy(self):
+        # against the mask-by-mask scan, on random pairs and on pairs where
+        # v is a rotated masked image of u
         rng = random.Random(53)
-        for _ in range(150):
+        masks = list(product((0, 1), repeat=CTX4.width))
+        related = 0
+        for trial in range(150):
             u = random_word(rng, CTX4, 5)
             v = random_word(rng, CTX4, 5)
-            assert slide_conjugacy_equal(u, v) == (
-                canonical_class_word(u) == canonical_class_word(v)
-            )
+            if trial % 2:
+                letters = apply_mask(u, rng.choice(masks)).letters
+                r = rng.randrange(len(letters) + 1)
+                v = make_word(CTX4, letters[r:] + letters[:r])
+            expected = reference_slide_conjugacy_equal(u, v)
+            related += expected
+            assert (canonical_class_word(u) == canonical_class_word(v)) == expected, (u, v)
+            assert slide_conjugacy_equal(u, v) == expected, (u, v)
+        assert related >= 75
 
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
