@@ -31,8 +31,9 @@ Which states leave one curve is decided before anything is traced: a state
 does exactly when the GF(2) interlacement matrix of the component's pure
 chords, with the chords set to branch ``B`` on the diagonal, is nonsingular
 (Cohn and Lempel 1972; Zulli 1995).  A depth-first search over the rows
-finds those states, and only they are traced.  The whole expansion runs
-in the calling process.
+finds those states, and only they are traced, each by a walk over one
+table of the component's runs that all its states share.  The whole
+expansion runs in the calling process.
 
 Bracket values are compared as sets of canonical forms: equality and
 distinctness verdicts are sound, but since equivalence of individual
@@ -90,140 +91,139 @@ class Verdict:
     certificate: str | None = None
 
 
-# -- simultaneous splicing via port rewiring ----------------------------------
+# -- simultaneous splicing over runs ------------------------------------------
+#
+# Splicing a fixed set of crossings cuts each component at the passes of
+# those crossings.  The unspliced passes between two consecutive cuts (or
+# between a cut and an open end) form a run, read whole in one direction
+# or the other; a closed component whose first pass is unspliced is also
+# cut just before that pass, where a run always continues into the next.
+# Arriving at a spliced pass, the curve leaves through the crossing's other
+# pass: branch A keeps the direction of travel and B reverses it.  So the
+# run that follows each directed run under each branch is fixed by the set
+# of crossings alone, and only the state code picks between the two.
 
 
-def _port_table(d: Diagram):
-    """The wiring of ``d`` before any splice: ``(where, comp_of, names, arc)``.
+def _splice_table(d: Diagram, names: tuple[str, ...]):
+    """The runs of ``d`` cut at the passes of ``names``, distinct crossings
+    of ``d``, as ``(rows, starts, leftover)``.
 
-    Passes are numbered in scan order.  Pass g has the in-port 2g and the
-    out-port 2g + 1; with P ports on passes, component ci has the endpoint
-    ports P + 2(ci - 1) (start) and P + 2(ci - 1) + 1 (end).  ``where`` maps
-    each crossing to its passes, ``comp_of[g]`` and ``names[g]`` are the
-    component and the crossing of pass g, and ``arc`` maps each port to the
-    port at the other end of its arc.  None of it depends on the branches.
+    Run u is read forward as directed run 2u and backward as 2u + 1.
+    ``rows[k]`` is ``(passes, component, r, after_a, after_b)``: the passes
+    in reading order, the component they lie on, and, when the run ends at
+    a spliced pass of ``names[r]``, the directed runs that follow under
+    branches A and B.  At an open end r is -1, and an odd ``k`` means a
+    start; at the cut before a closed component's first pass both branches
+    go on into the next run.  ``starts[ci - 1]`` is ``(k, closed)``, with ``k`` the first run
+    of component ci read forward, or -1 for a closed component without
+    passes.  ``leftover`` lists the forward runs with passes in scan order,
+    then those without by their first end in scan order (the ends of pass g
+    numbered 2g before it and 2g + 1 after it).
     """
-    comp_of = [ci for ci, comp in enumerate(d.components, start=1) for _ in comp.passes]
-    names = [name for comp in d.components for name in comp.passes]
-    where: dict[str, list[int]] = {}
-    for g, name in enumerate(names):
-        where.setdefault(name, []).append(g)
-    P = 2 * len(names)
-    arc = [0] * (P + 2 * d.n)
-
-    def join(p, q):
-        arc[p] = q
-        arc[q] = p
-
-    g = 0
+    cut_at = {}
+    for r, name in enumerate(names):
+        (c1, p1), (c2, p2) = d.occurrences[name]
+        cut_at[c1, p1], cut_at[c2, p2] = 2 * r, 2 * r + 1
+    joint = 2 * len(names)  # cut ids from here on continue a run unspliced
+    runs, before, after, starts, keys = [], {}, {}, [], []
+    g = 0  # the scan index of the component's first pass
     for ci, comp in enumerate(d.components, start=1):
-        L, s = len(comp.passes), P + 2 * (ci - 1)
-        for k in range(g, g + L - 1):
-            join(2 * k + 1, 2 * k + 2)
-        if L and comp.closed:
-            join(2 * (g + L) - 1, 2 * g)
-        elif L:
-            join(s, 2 * g)
-            join(2 * (g + L) - 1, s + 1)
-        elif not comp.closed:
-            join(s, s + 1)
+        L, passes = len(comp.passes), comp.passes
+        cuts = [(p, cut_at[ci, p]) for p in range(L) if (ci, p) in cut_at]
+        if comp.closed:
+            if L and (not cuts or cuts[0][0]):
+                cuts.insert(0, (-1, joint + ci))
+            bounds = zip(cuts, cuts[1:] + cuts[:1])
+        else:
+            cuts = [(-1, None), *cuts, (L, None)]
+            bounds = zip(cuts, cuts[1:])
+        starts.append((2 * len(runs), comp.closed) if cuts else (-1, True))
+        for (p, x), (q, y) in bounds:
+            seq = passes[p + 1 : q] if p < q else passes[p + 1 :] + passes[: max(q, 0)]
+            if x is not None:
+                after[x] = len(runs)
+            if y is not None:
+                before[y] = len(runs)
+            keys.append(2 * (g + p) + 1 if p < q else 2 * g)
+            runs.append((ci, seq, x, y))
         g += L
-    return where, comp_of, names, arc
+
+    def leave(cut, forward):
+        return 2 * after[cut] if forward else 2 * before[cut] + 1
+
+    rows = []
+    for ci, seq, x, y in runs:
+        for cut, forward, read in ((y, True, seq), (x, False, seq[::-1])):
+            if cut is None:
+                rows.append((read, ci, -1, 0, 0))
+            elif cut >= joint:
+                rows.append((read, ci, 0, leave(cut, forward), leave(cut, forward)))
+            else:
+                partner = cut ^ 1
+                rows.append((read, ci, cut >> 1, leave(partner, forward), leave(partner, not forward)))
+    full = [2 * u for u, run in enumerate(runs) if run[1]]
+    empty = sorted((2 * u for u, run in enumerate(runs) if not run[1]), key=lambda k: keys[k >> 1])
+    return rows, starts, full + empty
 
 
-def _splice_components(d: Diagram, branches: dict[str, str], table=None):
-    """Apply all splices of ``branches`` at once.
+def _splice_components(d: Diagram, code: int, table):
+    """Apply all splices of one state at once, walking whole runs.
 
-    Returns ``(components, sources)`` where ``sources[k]`` is the set of
-    source component indices whose arcs or passes the k-th result component
-    traverses.  Result components are ordered: for each source component in
-    index order, the curve through its start (open) or through the arc
-    leaving its first pass (closed, when that pass is spliced) or through its
-    first pass itself; then all remaining curves in scan order.  ``table``
-    is ``_port_table(d)``, built here when not given.
+    ``table`` is ``_splice_table(d, names)``, and bit r of ``code`` picks
+    branch B for ``names[r]`` (A when clear), so one table serves all the
+    states of ``names``.  Each curve is read run by run from its first run
+    until it returns there or reaches an open end.  Returns ``(components,
+    sources)`` where ``sources[k]`` is the set of source component indices
+    whose arcs or passes the k-th result component traverses.  Result
+    components are ordered: for each source component in index order, the
+    curve through its start (open) or through the arc leaving its first
+    pass (closed, when that pass is spliced) or through its first pass
+    itself; then the remaining curves in the order of ``leftover``.
     """
-    where, comp_of, names, arc = _port_table(d) if table is None else table
-    P = 2 * len(names)
-    via: dict[int, int] = {}
-    for name, branch in branches.items():
-        if name not in where:
-            raise BracketError(f"unknown crossing {name!r}")
-        if branch not in ("A", "B"):
-            raise BracketError(f"branch must be 'A' or 'B', got {branch!r}")
-        g1, g2 = where[name]
-        # A joins in1-out2 and out1-in2, B joins in1-in2 and out1-out2
-        u, v = 2 * g1, 2 * g2 + (branch == "A")
-        via[u], via[v], via[u ^ 1], via[v ^ 1] = v, u, v ^ 1, u ^ 1
+    rows, starts, leftover = table
+    seen = bytearray(len(rows) >> 1)
 
-    visited = bytearray(len(arc))
-
-    def trace(start, cycle: bool):
-        """Walk from a port entered via its arc; emit surviving passes."""
+    def walk(start):
         seq: list[str] = []
         touched: set[int] = set()
-        port = start
+        k = start
         while True:
-            if port >= P:
-                visited[port] = 1
-                return seq, touched, port
-            visited[port] = 1
-            touched.add(comp_of[port >> 1])
-            out = via.get(port)
-            if out is None:
-                seq.append(names[port >> 1])
-                out = port ^ 1
-            visited[out] = 1
-            touched.add(comp_of[out >> 1])
-            port = arc[out]
-            if cycle and port == start:
+            seen[k >> 1] = 1
+            passes, ci, r, after_a, after_b = rows[k]
+            seq += passes
+            touched.add(ci)
+            if r < 0:
+                return seq, touched, k
+            k = after_b if code >> r & 1 else after_a
+            if k == start:
                 return seq, touched, None
 
     components: list[ComponentCode] = []
     sources: list[set[int]] = []
-
-    def loop(start):
-        seq, touched, _ = trace(start, cycle=True)
-        components.append(ComponentCode(True, tuple(seq)))
-        sources.append(touched)
-
-    # curves anchored at original components, in index order
-    first = 0
-    for ci, comp in enumerate(d.components, start=1):
-        head, first = first, first + 2 * len(comp.passes)
-        if not comp.closed:
-            start = P + 2 * (ci - 1)
-            if visited[start]:
-                continue
-            visited[start] = 1
-            seq, touched, end = trace(arc[start], cycle=False)
-            if (end - P) % 2 == 0:
-                # the reconnection would join two lower endpoints, so the
-                # result is not readable as lower-to-upper strands
-                raise BracketError(
-                    "splice reverses one open component onto another; "
-                    "such a reconnection has no open-strand representation"
-                )
-            touched.add(ci)
-            components.append(ComponentCode(False, tuple(seq)))
-            sources.append(touched)
-        elif len(comp.passes) == 0:
+    for ci, (start, closed) in enumerate(starts, start=1):
+        if start < 0:
             components.append(ComponentCode(True, ()))
             sources.append({ci})
-        else:
-            anchor = arc[head + 1] if head in via else head
-            if not visited[anchor]:
-                loop(anchor)
-
-    # leftover closed curves: start at the first surviving pass so segments
-    # read forward, then sweep pass-free cycles
-    for port in range(0, P, 2):
-        if port not in via and not visited[port]:
-            loop(port)
-    port = visited.find(0, 0, P)
-    while port >= 0:
-        loop(port)
-        port = visited.find(0, port + 1, P)
-
+            continue
+        if seen[start >> 1]:
+            continue
+        seq, touched, end = walk(start)
+        if not closed and end & 1:
+            # the reconnection would join two lower endpoints, so the
+            # result is not readable as lower-to-upper strands
+            raise BracketError(
+                "splice reverses one open component onto another; "
+                "such a reconnection has no open-strand representation"
+            )
+        components.append(ComponentCode(closed, tuple(seq)))
+        sources.append(touched)
+    # leftover closed curves, when some run is unread: runs with passes
+    # first, then pass-free cycles
+    for start in leftover if 0 in seen else ():
+        if not seen[start >> 1]:
+            seq, touched, _ = walk(start)
+            components.append(ComponentCode(True, tuple(seq)))
+            sources.append(touched)
     return components, sources
 
 
@@ -235,7 +235,13 @@ def apply_splices(d: Diagram, branches: dict[str, str]) -> Diagram:
     itself, so the result is independent of any splice ordering.  Raises
     :class:`BracketError` on an unknown crossing or branch.
     """
-    components, _ = _splice_components(d, dict(branches))
+    for name, branch in branches.items():
+        if name not in d.occurrences:
+            raise BracketError(f"unknown crossing {name!r}")
+        if branch not in ("A", "B"):
+            raise BracketError(f"branch must be 'A' or 'B', got {branch!r}")
+    code = sum(1 << r for r, branch in enumerate(branches.values()) if branch == "B")
+    components, _ = _splice_components(d, code, _splice_table(d, tuple(branches)))
     return Diagram(kind=d.kind, components=tuple(components))
 
 
@@ -304,12 +310,11 @@ def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode
     finds are traced.  Each curve is at its least rotation or reversal, so
     that curves equal as closed curves cancel.
     """
-    table = _port_table(sub)
+    table = _splice_table(sub, pures)
     rows = _interlacement_rows(sub.components[0].passes, pures)
     odd: set[ComponentCode] = set()
     for code in _one_curve_codes(rows):
-        branches = {name: "AB"[(code >> r) & 1] for r, name in enumerate(pures)}
-        components, _ = _splice_components(sub, branches, table)
+        components, _ = _splice_components(sub, code, table)
         if len(components) != 1:
             raise BracketError(
                 f"state {code} of the pure crossings {', '.join(pures)} left "

@@ -225,8 +225,7 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
     elif m.kind == "R1_insert":
         ((ci, p, wrapped),) = m.slots
         (x,) = m.names
-        if x in d.crossing_names:
-            raise MoveError(f"crossing name {x!r} already present")
+        _check_fresh(d, x)
         comp = _component(d, ci)
         comps[ci - 1] = _insert_pair(comp, p, (x, x), wrapped)
     elif m.kind == "R2_delete":
@@ -251,9 +250,8 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
         x, y = m.names
         if x == y:
             raise MoveError("second-move crossings must be distinct")
-        for name in (x, y):
-            if name in d.crossing_names:
-                raise MoveError(f"crossing name {name!r} already present")
+        _check_fresh(d, x)
+        _check_fresh(d, y)
         pair_a = (x, y)
         pair_b = (x, y) if m.same_order else (y, x)
         comps = _apply_two_inserts(d, comps, (slot_a, pair_a), (slot_b, pair_b))
@@ -279,6 +277,14 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
     else:
         raise MoveError(f"unknown move kind {m.kind!r}")
     return Diagram(kind=d.kind, components=tuple(comps))
+
+
+def _check_fresh(d: Diagram, name: str) -> None:
+    """Refuse an inserted crossing name that ``d`` uses or no file can hold."""
+    if TOKEN_RE.match(name) is None:
+        raise MoveError(f"invalid crossing name {name!r}")
+    if name in d.crossing_names:
+        raise MoveError(f"crossing name {name!r} already present")
 
 
 def _component(d: Diagram, ci: int) -> ComponentCode:

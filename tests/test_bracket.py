@@ -23,6 +23,7 @@ from freelinks.moves import apply_move, move_candidates
 
 _bracket_module = importlib.import_module("freelinks.bracket")
 _splice_components = _bracket_module._splice_components
+_splice_table = _bracket_module._splice_table
 _interlacement_rows = _bracket_module._interlacement_rows
 _one_curve_codes = _bracket_module._one_curve_codes
 
@@ -102,15 +103,49 @@ class TestSplice:
             names = sorted(d.crossing_names)
             chosen = rng.sample(names, rng.randint(0, len(names)))
             branches = {name: rng.choice("AB") for name in chosen}
+            code = sum(1 << r for r, name in enumerate(chosen) if branches[name] == "B")
+            table = _splice_table(d, tuple(chosen))
             try:
                 expected = reference_splice_components(d, branches)
             except BracketError:
                 with pytest.raises(BracketError):
-                    _splice_components(d, branches)
+                    _splice_components(d, code, table)
                 refused += 1
                 continue
-            assert _splice_components(d, branches) == expected, (d, branches)
+            assert _splice_components(d, code, table) == expected, (d, branches)
         assert 0 < refused < 150
+
+    def test_table_reuse_matches_reference(self):
+        # one table per set of spliced crossings serves every state: lone
+        # closed and open components with unpaired passes, then several
+        # components with pure and mixed crossings spliced, refusals included
+        rng = random.Random(41)
+        cases = []
+        for _ in range(60):
+            sub = random_component(rng, rng.randint(0, 6), rng.randint(0, 3))
+            cases.append((sub, tuple(sorted(sub.pure))))
+        for _ in range(60):
+            d = random_any_diagram(rng, 8)
+            names = sorted(d.crossing_names)
+            cases.append((d, tuple(rng.sample(names, min(len(names), rng.randint(0, 6))))))
+        outcomes = set()
+        for d, names in cases:
+            table = _splice_table(d, names)
+            for code in range(1 << len(names)):
+                branches = {name: "AB"[code >> r & 1] for r, name in enumerate(names)}
+                try:
+                    expected = reference_splice_components(d, branches)
+                except BracketError as refusal:
+                    with pytest.raises(BracketError) as caught:
+                        _splice_components(d, code, table)
+                    assert str(caught.value) == str(refusal)
+                    outcomes.add((d.n > 1, "refused"))
+                    continue
+                assert _splice_components(d, code, table) == expected, (d, branches)
+                outcomes.add((d.n > 1, d.kind))
+        assert outcomes == {
+            (False, "link"), (False, "tangle"), (True, "link"), (True, "tangle"), (True, "refused")
+        }
 
     def test_unknown_crossing(self):
         with pytest.raises(BracketError, match="unknown"):
@@ -147,14 +182,18 @@ def random_component(rng, pure_count, mixed_count):
     return Diagram("link" if closed else "tangle", (comp,))
 
 
-def one_curve_codes_by_tracing(sub, pures, splice_components=_splice_components):
-    """The states of a lone component whose traced splicing leaves one curve."""
-    return [
-        code
-        for code in range(1 << len(pures))
-        if len(splice_components(sub, {p: "AB"[(code >> r) & 1] for r, p in enumerate(pures)})[0])
-        == 1
-    ]
+def one_curve_codes_by_tracing(sub, pures, reference=False):
+    """The states of a lone component whose traced splicing leaves one curve,
+    by the kernel or, with ``reference``, by the reference kernel."""
+    table = _splice_table(sub, pures)
+
+    def curves(code):
+        if reference:
+            branches = {p: "AB"[(code >> r) & 1] for r, p in enumerate(pures)}
+            return reference_splice_components(sub, branches)[0]
+        return _splice_components(sub, code, table)[0]
+
+    return [code for code in range(1 << len(pures)) if len(curves(code)) == 1]
 
 
 class TestOneCurveCriterion:
@@ -207,7 +246,7 @@ class TestOneCurveCriterion:
             for comp in d.components:
                 sub = Diagram(d.kind, (comp,))
                 pures = tuple(sorted(d.pure.intersection(comp.passes)))
-                states = one_curve_codes_by_tracing(sub, pures, reference_splice_components)
+                states = one_curve_codes_by_tracing(sub, pures, reference=True)
                 assert 0 < len(states) < 1 << len(pures)
                 expected += len(states)
             calls.clear()

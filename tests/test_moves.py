@@ -214,6 +214,17 @@ class TestApply:
         with pytest.raises(MoveError, match="already present"):
             apply_move(d, site)
 
+    @pytest.mark.parametrize("name", ["a b", "a-b", "é", ""])
+    def test_insert_requires_writable_name(self, triangle, name):
+        # a name no diagram file can hold is refused like a name in use
+        one = MoveSite("R1_insert", names=(name,), slots=((1, 0, False),))
+        two = MoveSite("R2_insert", names=("w", name), slots=((1, 0, False), (2, 0, False)))
+        for site in (one, two):
+            with pytest.raises(MoveError, match="invalid crossing name"):
+                apply_move(triangle, site)
+        fine = MoveSite("R2_insert", names=("w", "v_2"), slots=two.slots)
+        assert apply_move(triangle, fine).violations == ()
+
     def test_moves_preserve_structure(self):
         rng = random.Random(19)
         for _ in range(60):
