@@ -290,10 +290,13 @@ def _one_curve_codes(rows: list[int]) -> list[int]:
             return
         for bit in (0, 1):
             v = rows[r] | bit << r
-            while v and pivots[v.bit_length() - 1]:
-                v ^= pivots[v.bit_length() - 1]
-            if v:
+            while v:
                 top = v.bit_length() - 1
+                p = pivots[top]
+                if not p:
+                    break
+                v ^= p
+            if v:
                 pivots[top] = v
                 descend(r - 1, code | bit << r)
                 pivots[top] = 0

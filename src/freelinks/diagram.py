@@ -80,7 +80,16 @@ class ComponentCode:
 
 @dataclass(frozen=True)
 class Diagram:
-    """An enumerated free link or tangle diagram as unsigned Gauss codes."""
+    """An enumerated free link or tangle diagram as unsigned Gauss codes.
+
+    Each index field is built in one traversal of the passes and cached.
+    ``violations`` counts the names and checks each distinct name once;
+    ``occurrences`` lists each crossing's passes in scan order, by
+    component and then by position, so a mixed crossing's lesser component
+    comes first, which ``pair_counts`` relies on; ``pure`` and
+    ``pair_counts`` read ``occurrences``, and ``parity`` reads
+    ``pair_counts``.
+    """
 
     kind: str  # "tangle" or "link"
     components: tuple[ComponentCode, ...]
@@ -100,14 +109,18 @@ class Diagram:
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """The broken diagram invariants.  Names are counted without
-        :attr:`occurrences`, which most diagrams met in a search never need."""
+        :attr:`occurrences`, which most diagrams met in a search never need,
+        and each distinct name is checked once; only when one fails are the
+        passes listed again, to report each pass of it in place."""
         violations: list[Violation] = []
         if self.kind not in ("tangle", "link"):
             violations.append(Violation("kind", "header", f"unknown kind {self.kind!r}"))
 
         counts: Counter[str] = Counter()
-        for ci, comp in enumerate(self.components, start=1):
+        for comp in self.components:
             counts.update(comp.passes)
+        bad = {name for name in counts if TOKEN_RE.match(name) is None}
+        for ci, comp in enumerate(self.components, start=1):
             if self.kind == "tangle" and comp.closed:
                 violations.append(
                     Violation("kind", f"component {ci}", "closed component in a tangle")
@@ -116,27 +129,29 @@ class Diagram:
                 violations.append(
                     Violation("kind", f"component {ci}", "open component in a link")
                 )
-            for tok in comp.passes:
-                if TOKEN_RE.match(tok) is None:
-                    violations.append(
-                        Violation("token", f"component {ci}", f"unserializable name {tok!r}")
-                    )
+            if bad:
+                for tok in comp.passes:
+                    if tok in bad:
+                        violations.append(
+                            Violation("token", f"component {ci}", f"unserializable name {tok!r}")
+                        )
 
-        for name in sorted(counts):
-            if counts[name] != 2:
-                violations.append(
-                    Violation("arity", f"crossing {name}", f"occurs {counts[name]} times, expected 2")
-                )
+        for name in sorted(name for name, count in counts.items() if count != 2):
+            violations.append(
+                Violation("arity", f"crossing {name}", f"occurs {counts[name]} times, expected 2")
+            )
         return tuple(violations)
 
     @cached_property
     def occurrences(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        """Crossing name -> its passes as 1-based ``(component, position)``."""
-        occ: dict[str, list[tuple[int, int]]] = {}
+        """Crossing name -> its passes as 1-based ``(component, position)``,
+        in scan order: by component, then by position."""
+        occ: dict[str, tuple[tuple[int, int], ...]] = {}
+        get = occ.get
         for ci, comp in enumerate(self.components, start=1):
             for pos, name in enumerate(comp.passes):
-                occ.setdefault(name, []).append((ci, pos))
-        return {name: tuple(places) for name, places in occ.items()}
+                occ[name] = get(name, ()) + ((ci, pos),)
+        return occ
 
     @cached_property
     def pure(self) -> frozenset[str]:
@@ -150,11 +165,14 @@ class Diagram:
     @cached_property
     def pair_counts(self) -> dict[tuple[int, int], int]:
         """The number of crossings joining each mixed pair (i, j), i < j."""
-        counts = {(i, j): 0 for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)}
+        n = self.n
+        counts = {(i, j): 0 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         for places in self.occurrences.values():
-            if len(places) == 2 and places[0][0] != places[1][0]:
-                i, j = places[0][0], places[1][0]
-                counts[min(i, j), max(i, j)] += 1
+            if len(places) == 2:
+                # scan order puts the lesser component first
+                (i, _), (j, _) = places
+                if i != j:
+                    counts[i, j] += 1
         return counts
 
     @cached_property

@@ -142,23 +142,24 @@ def _pair_words(d: Diagram) -> dict[tuple[int, int], list[int]]:
     as letter indices.
 
     The letters of the type-(along, other) crossings are read along
-    component ``along`` and reduced on a stack as they are read.
+    component ``along`` and reduced on a stack as they are read; each
+    component keeps one row of stacks, indexed by the other component.
     """
     letters = _letters(d)
     occ = d.occurrences
-    words: dict[tuple[int, int], list[int]] = {
-        (i, j): [] for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j
-    }
+    n = d.n
+    rows = [[[] for _ in range(n + 1)] for _ in range(n + 1)]
     for along, comp in enumerate(d.components, start=1):
+        row = rows[along]
         for name in comp.passes:
             (a, _), (b, _) = occ[name]
-            stack = words[along, b if a == along else a]
+            stack = row[b if a == along else a]
             x = letters[name]
             if stack and stack[-1] == x:
                 stack.pop()
             else:
                 stack.append(x)
-    return words
+    return {(i, j): rows[i][j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
 
 
 def word_table(d: Diagram) -> dict[tuple[int, int], Word]:
@@ -220,12 +221,20 @@ def _class_words(d: Diagram) -> dict[tuple[tuple[int, int], int], tuple[int, ...
     _require_pure_free(d)
     _require_good(d)
     closed = d.kind == "link"
+    n = d.n
     words = _pair_words(d)
     out: dict[tuple[tuple[int, int], int], tuple[int, ...]] = {}
-    for i in range(1, d.n + 1):
-        for j in range(i + 1, d.n + 1):
-            out[((i, j), i)] = _least_class(words[i, j], closed)
-            out[((i, j), j)] = _least_class(words[j, i], closed)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for key, word in ((((i, j), i), words[i, j]), (((i, j), j), words[j, i])):
+                # most words are empty or two letters long, and these are
+                # the values _least_class gives them
+                if not word:
+                    out[key] = ()
+                elif len(word) == 2:
+                    out[key] = (0, word[0] ^ word[1])
+                else:
+                    out[key] = _least_class(word, closed)
     return out
 
 

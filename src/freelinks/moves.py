@@ -173,24 +173,29 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
             if len(places) < 2 or not pure.issubset(letters):
                 continue
             for loc1, loc2 in combinations(places, 2):
-                if _disjoint(d, loc1, loc2):
+                if loc1[0] != loc2[0] or _disjoint(d, loc1, loc2):
                     sites.append(
                         MoveSite("R2_delete", names=_pair_letters(d, loc1), pairs=(loc1, loc2))
                     )
 
     if "R3" in kinds and not pure:
-        near: dict[str, set[str]] = {}
+        # each letter's greater partners; each triangle {x,y} {x,z} {y,z},
+        # x < y < z, is found once, from {x,y} and a partner z of x past y
+        greater: dict[str, list[str]] = {}
         for a, b in by_letters:
-            near.setdefault(a, set()).add(b)
-            near.setdefault(b, set()).add(a)
-        # each triangle {x,y} {x,z} {y,z}, x < y < z, is found once, from {x,y}
+            greater.setdefault(a, []).append(b)
         for (x, y), places in by_letters.items():
-            for z in near[x] & near[y]:
-                if z < y:
+            for z in greater[x]:
+                if z <= y or (y, z) not in by_letters:
                     continue
-                for locs in product(places, by_letters[x, z], by_letters[y, z]):
-                    if all(_disjoint(d, u, v) for u, v in combinations(locs, 2)):
-                        sites.append(MoveSite("R3", names=(x, y, z), pairs=tuple(sorted(locs))))
+                for u, v, w in product(places, by_letters[x, z], by_letters[y, z]):
+                    if (
+                        (u[0] != v[0] or _disjoint(d, u, v))
+                        and (u[0] != w[0] or _disjoint(d, u, w))
+                        and (v[0] != w[0] or _disjoint(d, v, w))
+                    ):
+                        pairs = tuple(sorted((u, v, w)))
+                        sites.append(MoveSite("R3", names=(x, y, z), pairs=pairs))
 
     sites.sort(key=lambda s: (s.kind, s.pairs, s.names))
     return sites
@@ -201,7 +206,9 @@ def _disjoint(d: Diagram, loc1: tuple[int, int], loc2: tuple[int, int]) -> bool:
     if c1 != c2:
         return True
     comp = d.components[c1 - 1]
-    return not (set(_pair_positions(comp, p1)) & set(_pair_positions(comp, p2)))
+    a1, b1 = _pair_positions(comp, p1)
+    a2, b2 = _pair_positions(comp, p2)
+    return a1 != a2 and a1 != b2 and b1 != a2 and b1 != b2
 
 
 # -- application --------------------------------------------------------------
@@ -447,14 +454,15 @@ class _Slate(NamedTuple):
     """The layout of a :func:`move_candidates` slate; see :func:`_slate`."""
 
     sites: list[MoveSite]
-    names: tuple[str, str]
+    names: tuple[str, ...]
     first: list[tuple[int, int, bool]]
     slots: list[tuple[int, int, bool]]
     starts: list[int]
 
     @property
     def size(self) -> int:
-        return len(self.sites) + len(self.first) + 2 * sum(len(self.slots) - a for a in self.starts)
+        slots, starts = self.slots, self.starts
+        return len(self.sites) + len(self.first) + 2 * (len(slots) * len(starts) - sum(starts))
 
 
 def _fresh_names(d: Diagram) -> tuple[str, str]:
@@ -472,8 +480,9 @@ def _slate(d: Diagram, *, forbid_pure: bool, max_size: int) -> _Slate:
     insertion of ``names[0]`` at each of ``first``, then, per slot
     ``slots[a]``, a run of second-move insertions of ``names`` with each
     later slot of ``slots[starts[a]:]``, in both letter orders.  The slots
-    are the unwrapped positions of every component, in component order.
-    No insertion's result exceeds ``max_size`` crossings.  Under
+    are the unwrapped positions of every component, in component order;
+    there are none, and no ``names``, when no insertion fits.  No
+    insertion's result exceeds ``max_size`` crossings.  Under
     ``forbid_pure`` no site's result has a pure crossing: there is no
     first-move insertion, each run starts past its slot's component, and a
     diagram with pure crossings gets no insertion at all, since an
@@ -481,20 +490,23 @@ def _slate(d: Diagram, *, forbid_pure: bool, max_size: int) -> _Slate:
     """
     sites = enumerate_moves(d, forbid_pure=forbid_pure)
     count = d.crossing_count
-    slots = [] if forbid_pure and d.pure else [
-        (ci, pos, False)
-        for ci, comp in enumerate(d.components, start=1)
-        for pos in range(max(len(comp.passes), 1) if comp.closed else len(comp.passes) + 1)
-    ]
-    first = slots if not forbid_pure and count + 1 <= max_size else []
+    # the slots, and per slot the index just past its component's slots;
+    # built only when some insertion fits in max_size
+    slots: list[tuple[int, int, bool]] = []
+    ends: list[int] = []
+    if count + (2 if forbid_pure else 1) <= max_size and not (forbid_pure and d.pure):
+        for ci, comp in enumerate(d.components, start=1):
+            k = max(len(comp.passes), 1) if comp.closed else len(comp.passes) + 1
+            slots += [(ci, pos, False) for pos in range(k)]
+            ends += [len(slots)] * k
+    first = [] if forbid_pure else slots
     if count + 2 > max_size:
         starts = []
     elif forbid_pure:
-        ends = {ci: b + 1 for b, (ci, _, _) in enumerate(slots)}
-        starts = [ends[ci] for ci, _, _ in slots]
+        starts = ends
     else:
         starts = list(range(len(slots)))
-    return _Slate(sites, _fresh_names(d), first, slots, starts)
+    return _Slate(sites, _fresh_names(d) if slots else (), first, slots, starts)
 
 
 def move_candidates(

@@ -43,6 +43,7 @@ from freelinks.moves import (
     _disjoint,
     _joined_trace,
     _pair_positions,
+    _walk,
     apply_move,
     bounded_equivalence_search,
     move_candidates,
@@ -122,6 +123,15 @@ def reference_is_good_condition(d: Diagram) -> tuple[bool, dict[tuple[int, int],
             key = (min(i, j), max(i, j))
             table[key] ^= 1
     return all(bit == 0 for bit in table.values()), table
+
+
+def reference_pair_counts(d: Diagram) -> dict[tuple[int, int], int]:
+    counts = {(i, j): 0 for i in range(1, d.n + 1) for j in range(i + 1, d.n + 1)}
+    for places in reference_crossing_occurrences(d).values():
+        if len(places) == 2 and places[0][0] != places[1][0]:
+            i, j = places[0][0], places[1][0]
+            counts[min(i, j), max(i, j)] += 1
+    return counts
 
 
 # -- random diagrams -----------------------------------------------------------
@@ -246,6 +256,19 @@ def scramble(rng: random.Random, d: Diagram) -> Diagram:
                 passes = passes[::-1]
         comps.append(ComponentCode(comp.closed, passes))
     return Diagram(d.kind, tuple(comps))
+
+
+def fuzz_walk_diagrams(rng: random.Random, kind: str, n: int) -> list[Diagram]:
+    """Every diagram of one 10-step restricted walk, as ``fuzz --forbid-pure``
+    walks it: a scrambled ``n``-component diagram in good condition without
+    pure crossings, with 12 to 14 crossings, then each diagram the walk
+    reaches, with its inserted ``w`` names."""
+    d = random_good_diagram(rng, n, 14, kind)
+    while d.crossing_count < 12:
+        d = random_good_diagram(rng, n, 14, kind)
+    d = scramble(rng, d)
+    walk = _walk(d, 10, rng.randrange(10**6), forbid_pure=True, max_size=None)
+    return [d, *(current for _, current in walk)]
 
 
 def plant_triangle(rng: random.Random, d: Diagram) -> Diagram:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelinks import cli
 from freelinks.bracket import bracket, bracket_equal
 from freelinks.cli import run
 from freelinks.diagram import ComponentCode, Diagram, parse_diagram, serialize_diagram
@@ -83,6 +84,39 @@ class TestValidate:
         assert code == 0
         assert out.startswith("invalid, n=1, violations=1")
         assert "kind" in out
+
+    def test_invalid_names_output_pinned(self, capsys, monkeypatch, tmp_path):
+        # A bad name on two components, a closed component in a tangle and
+        # names that occur once.  The file stops at its first bad name; the
+        # same diagram built in the library reaches the violation listing.
+        bad = tmp_path / "bad.tangle"
+        bad.write_text(
+            "tangle n=3\ncomponent 1 open: a-b x y\n"
+            "component 2 closed: x z z w\ncomponent 3 open: y a-b\n"
+        )
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: invalid crossing name 'a-b' (line 2, column 19)\n"
+        d = Diagram(
+            "tangle",
+            (
+                ComponentCode(False, ("a-b", "x", "y")),
+                ComponentCode(True, ("x", "z", "z", "w")),
+                ComponentCode(False, ("y", "a-b", "q q")),
+            ),
+        )
+        monkeypatch.setattr(cli, "parse_diagram", lambda text: d)
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, err) == (0, "")
+        assert out == (
+            "invalid, n=3, violations=6\n"
+            "  token at component 1: unserializable name 'a-b'\n"
+            "  kind at component 2: closed component in a tangle\n"
+            "  token at component 3: unserializable name 'a-b'\n"
+            "  token at component 3: unserializable name 'q q'\n"
+            "  arity at crossing q q: occurs 1 times, expected 2\n"
+            "  arity at crossing w: occurs 1 times, expected 2\n"
+        )
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.tangle"

@@ -22,6 +22,7 @@ from freelinks.diagram import (
 from freelinks.diagram import _diagram_from_key
 
 from genutil import (
+    fuzz_walk_diagrams,
     naive_canonical_key,
     random_any_diagram,
     random_good_diagram,
@@ -30,6 +31,7 @@ from genutil import (
     random_sparse_link,
     reference_crossing_occurrences,
     reference_is_good_condition,
+    reference_pair_counts,
     reference_pure_crossings,
     reference_validate,
     scramble,
@@ -242,6 +244,60 @@ class TestIndex:
         d = random_good_diagram(random.Random(5), 4, 12, kind="link")
         canonical_key(d)
         assert d.violations == ()
+        assert "occurrences" not in vars(d)
+
+
+class TestWalkedIndex:
+    """The index fields on the diagrams that ``fuzz --forbid-pure`` walks:
+    4- and 5-component tangles and links in good condition with 12 to 14
+    crossings, and every diagram of a 10-step restricted walk from each,
+    inserted ``w`` names included."""
+
+    def test_matches_reference(self):
+        rng = random.Random(19)
+        walked = inserted = 0
+        for kind in ("tangle", "link"):
+            for n in (4, 5):
+                for _ in range(8):
+                    for d in fuzz_walk_diagrams(rng, kind, n):
+                        occ = reference_crossing_occurrences(d)
+                        # the same passes, and the same key order
+                        assert list(d.occurrences.items()) == [
+                            (name, tuple(places)) for name, places in occ.items()
+                        ], d
+                        assert d.pure == reference_pure_crossings(d), d
+                        counts = reference_pair_counts(d)
+                        assert list(d.pair_counts.items()) == list(counts.items()), d
+                        good, table = reference_is_good_condition(d)
+                        assert (not any(d.parity.values()), list(d.parity.items())) == (
+                            good,
+                            list(table.items()),
+                        ), d
+                        assert list(d.violations) == reference_validate(d), d
+                        walked += 1
+                        inserted += any(name.startswith("w") for name in d.occurrences)
+        assert walked == 4 * 8 * 11 and inserted >= walked // 2
+
+    def test_invalid_names_listed_per_pass(self):
+        # a bad name on two components, a closed component in a tangle, and
+        # two names that occur once, one of them bad too
+        d = Diagram(
+            "tangle",
+            (
+                ComponentCode(False, ("a-b", "x", "y")),
+                ComponentCode(True, ("x", "z", "z", "w")),
+                ComponentCode(False, ("y", "a-b", "q q")),
+            ),
+        )
+        assert [str(v) for v in d.violations] == [
+            "token at component 1: unserializable name 'a-b'",
+            "kind at component 2: closed component in a tangle",
+            "token at component 3: unserializable name 'a-b'",
+            "token at component 3: unserializable name 'q q'",
+            "arity at crossing q q: occurs 1 times, expected 2",
+            "arity at crossing w: occurs 1 times, expected 2",
+        ]
+        assert list(d.violations) == reference_validate(d)
         assert "occurrences" not in vars(d)
 
 

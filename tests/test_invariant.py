@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from freelinks.words import (
     _indices_word,
     canonical_class_word,
     conjugate_equal,
+    letter_index,
     make_word,
     reduce,
     render_word,
@@ -28,6 +30,7 @@ from freelinks.words import (
 )
 
 from genutil import (
+    fuzz_walk_diagrams,
     random_good_diagram,
     reference_class_word,
     reference_fingerprint,
@@ -254,6 +257,55 @@ class TestWordKernel:
                         reference_class_word(word, undirected=undirected)
                     )
         assert tangles >= 300 and links >= 300
+
+
+class TestWalkedClassWords:
+    """``_class_words`` on the diagrams that ``fuzz --forbid-pure`` walks,
+    and its inline answers for short words."""
+
+    def test_walked_match_reference_fingerprint(self):
+        rng = random.Random(23)
+        walked = 0
+        for kind in ("tangle", "link"):
+            for n in (4, 5):
+                for _ in range(6):
+                    for d in fuzz_walk_diagrams(rng, kind, n):
+                        expected = [
+                            (key, tuple(letter_index(x) for x in word.letters))
+                            for key, word in reference_fingerprint(d).items()
+                        ]
+                        assert list(invariant._class_words(d).items()) == expected, d
+                        walked += 1
+        assert walked == 4 * 6 * 11
+
+    def test_short_words_match_reference(self, monkeypatch):
+        # every reduced word of 0 to 3 letters over the four letters of a
+        # 4-component diagram, read in place of the diagram's own words
+        words = [
+            word
+            for size in range(4)
+            for word in product(range(4), repeat=size)
+            if all(x != y for x, y in zip(word, word[1:]))
+        ]
+        assert len(words) == 1 + 4 + 12 + 36
+        pairs = [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
+        for kind in ("tangle", "link"):
+            d = Diagram(kind, tuple(ComponentCode(kind == "link", ()) for _ in range(4)))
+            for start in range(0, len(words), len(pairs)):
+                table = {
+                    pair: list(words[(start + k) % len(words)]) for k, pair in enumerate(pairs)
+                }
+                monkeypatch.setattr(invariant, "_pair_words", lambda _, table=table: table)
+                for ((i, j), along), word in invariant._class_words(d).items():
+                    other = j if along == i else i
+                    context = GroupContext(4, along, other)
+                    expected = reference_class_word(
+                        _indices_word(context, table[along, other]), undirected=kind == "link"
+                    )
+                    assert word == tuple(letter_index(x) for x in expected.letters), (
+                        kind,
+                        table[along, other],
+                    )
 
 
 class TestMoveInvariance:
