@@ -13,7 +13,9 @@ Adjacency is cyclic on closed components.  A pair located at position ``p``
 occupies positions ``p`` and ``p+1`` modulo the component length, so on a
 closed component ``p = len-1`` denotes the pair wrapping over the stored
 basepoint.  Insertions may likewise be "wrapped" (one letter prepended, one
-appended), which makes every deletion exactly invertible.
+appended), which makes every deletion exactly invertible.  First and second
+moves, on one and two pairs, share one pair deletion, one pair insertion and
+one inverse rule.
 
 Deletions and third-move sites are finitely enumerable; insertions form
 infinite families, of which a finite slate is used.  ``_slate`` alone holds
@@ -68,6 +70,14 @@ MAX_NODES = 50000
 _COUNT_CHANGE = {"R1_delete": -1, "R1_insert": 1, "R2_delete": -2, "R2_insert": 2}
 # component pair (i, j), i <= j -> the number of crossings between them
 PairCounts = dict[tuple[int, int], int]
+# move kind -> (crossing names, pairs or slots) of a site and of a trace line
+_TRACE_FIELDS = {
+    "R1_delete": (1, 1),
+    "R1_insert": (1, 1),
+    "R2_delete": (2, 2),
+    "R2_insert": (2, 2),
+    "R3": (3, 3),
+}
 
 
 class MoveError(ValueError):
@@ -218,54 +228,35 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
     """Apply a move site; raises :class:`MoveError` if its pattern is absent.
 
     Component count, component indices, openness and all passes outside the
-    site are unchanged.
+    site are unchanged.  First and second moves share one deletion, which
+    drops the positions of their pairs, and one insertion, :func:`_insert_pairs`.
     """
-    comps = list(d.components)
-    if m.kind == "R1_delete":
-        ((ci, p),) = m.pairs
-        comp = _component(d, ci)
-        a, b = _pair_positions(comp, p)
-        (x,) = m.names
-        if comp.passes[a] != x or comp.passes[b] != x:
-            raise MoveError(f"no double occurrence of {x!r} at component {ci} position {p}")
-        comps[ci - 1] = _delete_positions(comp, {a, b})
-    elif m.kind == "R1_insert":
-        ((ci, p, wrapped),) = m.slots
-        (x,) = m.names
-        _check_fresh(d, x)
-        comp = _component(d, ci)
-        comps[ci - 1] = _insert_pair(comp, p, (x, x), wrapped)
-    elif m.kind == "R2_delete":
-        loc1, loc2 = m.pairs
-        x, y = m.names
-        if x == y:
-            raise MoveError("second-move crossings must be distinct")
-        _check_pair_letters(d, loc1, (x, y))
-        second = _pair_letters(d, loc2)
-        if set(second) != {x, y}:
-            raise MoveError(f"pair at {loc2} reads {second}, expected letters {{{x}, {y}}}")
-        if not _disjoint(d, loc1, loc2):
-            raise MoveError("second-move pairs overlap")
-        deletions: dict[int, set[int]] = {}
-        for ci, p in (loc1, loc2):
-            a, b = _pair_positions(_component(d, ci), p)
-            deletions.setdefault(ci, set()).update((a, b))
-        for ci, positions in deletions.items():
-            comps[ci - 1] = _delete_positions(comps[ci - 1], positions)
-    elif m.kind == "R2_insert":
-        slot_a, slot_b = m.slots
+    kind = m.kind
+    locs = _locations(m)
+    if kind == "R2_insert":
         x, y = m.names
         if x == y:
             raise MoveError("second-move crossings must be distinct")
         _check_fresh(d, x)
         _check_fresh(d, y)
-        pair_a = (x, y)
-        pair_b = (x, y) if m.same_order else (y, x)
-        comps = _apply_two_inserts(d, comps, (slot_a, pair_a), (slot_b, pair_b))
-    elif m.kind == "R3":
-        locs = m.pairs
-        if len(locs) != 3:
-            raise MoveError("third move needs exactly three pairs")
+        slot_a, slot_b = locs
+        inserts = [(slot_a, (x, y)), (slot_b, (x, y) if m.same_order else (y, x))]
+        (ca, pa, wa), (cb, pb, wb) = locs
+        if ca == cb:
+            # two slots of one component go in right to left, the wrapped
+            # one last, so that each reads the component as d has it
+            _component(d.components, ca)
+            if wa and wb:
+                raise MoveError("at most one wrapped insertion per component")
+            if wa or (not wb and pa <= pb):
+                inserts.reverse()
+        return _insert_pairs(d, inserts)
+    if kind == "R1_insert":
+        (x,) = m.names
+        _check_fresh(d, x)
+        return _insert_pairs(d, [(locs[0], (x, x))])
+    comps = list(d.components)
+    if kind == "R3":
         lettersets = [frozenset(_pair_letters(d, loc)) for loc in locs]
         union = frozenset().union(*lettersets)
         if len(union) != 3 or any(len(s) != 2 for s in lettersets) or len(set(lettersets)) != 3:
@@ -281,9 +272,68 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
             passes = list(comp.passes)
             passes[a], passes[b] = passes[b], passes[a]
             comps[ci - 1] = ComponentCode(comp.closed, tuple(passes))
+        return Diagram(d.kind, tuple(comps))
+    if kind == "R1_delete":
+        ((ci, p),) = locs
+        (x,) = m.names
+        if _pair_letters(d, (ci, p)) != (x, x):
+            raise MoveError(f"no double occurrence of {x!r} at component {ci} position {p}")
     else:
-        raise MoveError(f"unknown move kind {m.kind!r}")
-    return Diagram(kind=d.kind, components=tuple(comps))
+        loc1, loc2 = locs
+        x, y = m.names
+        if x == y:
+            raise MoveError("second-move crossings must be distinct")
+        first = _pair_letters(d, loc1)
+        if first != (x, y):
+            raise MoveError(f"pair at {loc1} reads {first}, expected {(x, y)}")
+        second = _pair_letters(d, loc2)
+        if set(second) != {x, y}:
+            raise MoveError(f"pair at {loc2} reads {second}, expected letters {{{x}, {y}}}")
+        if not _disjoint(d, loc1, loc2):
+            raise MoveError("second-move pairs overlap")
+    for ci in {ci for ci, _ in locs}:
+        comp = d.components[ci - 1]
+        gone = {k for c, p in locs if c == ci for k in _pair_positions(comp, p)}
+        passes = tuple(tok for k, tok in enumerate(comp.passes) if k not in gone)
+        comps[ci - 1] = ComponentCode(comp.closed, passes)
+    return Diagram(d.kind, tuple(comps))
+
+
+def _locations(m: MoveSite) -> tuple:
+    """The slots of an insertion, else the pairs, of ``m``, if its kind and
+    its counts of names and locations are in :data:`_TRACE_FIELDS`."""
+    kind = m.kind
+    fields = _TRACE_FIELDS.get(kind)
+    if fields is None:
+        raise MoveError(f"unknown move kind {kind!r}")
+    insert = kind == "R2_insert" or kind == "R1_insert"
+    locs = m.slots if insert else m.pairs
+    if len(m.names) != fields[0] or len(locs) != fields[1]:
+        raise MoveError(
+            f"{kind} takes {fields[0]} crossing names and {fields[1]}"
+            f" {'slots' if insert else 'pairs'}, got {len(m.names)} and {len(locs)}"
+        )
+    return locs
+
+
+def _insert_pairs(d: Diagram, inserts: list) -> Diagram:
+    """Insert each ``(slot, pair)`` of ``inserts`` into ``d`` in turn: at the
+    slot's position, or, at a wrapped slot, the pair's second letter before
+    the first pass and its first letter after the last."""
+    comps = list(d.components)
+    for (ci, pos, wrapped), pair in inserts:
+        comp = _component(comps, ci)
+        passes = comp.passes
+        if wrapped:
+            if not comp.closed:
+                raise MoveError("wrapped insertion needs a closed component")
+            passes = (pair[1],) + passes + (pair[0],)
+        elif 0 <= pos <= len(passes):
+            passes = passes[:pos] + pair + passes[pos:]
+        else:
+            raise MoveError(f"insertion position {pos} out of range 0..{len(passes)}")
+        comps[ci - 1] = ComponentCode(comp.closed, passes)
+    return Diagram(d.kind, tuple(comps))
 
 
 def _check_fresh(d: Diagram, name: str) -> None:
@@ -294,65 +344,18 @@ def _check_fresh(d: Diagram, name: str) -> None:
         raise MoveError(f"crossing name {name!r} already present")
 
 
-def _component(d: Diagram, ci: int) -> ComponentCode:
-    if not 1 <= ci <= d.n:
-        raise MoveError(f"component {ci} out of range 1..{d.n}")
-    return d.components[ci - 1]
+def _component(comps, ci: int) -> ComponentCode:
+    """Component ``ci``, 1-based, of the sequence ``comps``."""
+    if not 1 <= ci <= len(comps):
+        raise MoveError(f"component {ci} out of range 1..{len(comps)}")
+    return comps[ci - 1]
 
 
 def _pair_letters(d: Diagram, loc: tuple[int, int]) -> tuple[str, str]:
     ci, p = loc
-    comp = _component(d, ci)
+    comp = _component(d.components, ci)
     a, b = _pair_positions(comp, p)
     return comp.passes[a], comp.passes[b]
-
-
-def _check_pair_letters(d: Diagram, loc: tuple[int, int], expected: tuple[str, str]):
-    actual = _pair_letters(d, loc)
-    if actual != expected:
-        raise MoveError(f"pair at {loc} reads {actual}, expected {expected}")
-
-
-def _delete_positions(comp: ComponentCode, positions: set[int]) -> ComponentCode:
-    passes = tuple(tok for k, tok in enumerate(comp.passes) if k not in positions)
-    return ComponentCode(comp.closed, passes)
-
-
-def _insert_pair(comp: ComponentCode, pos: int, pair: tuple[str, str], wrapped: bool) -> ComponentCode:
-    if wrapped:
-        if not comp.closed:
-            raise MoveError("wrapped insertion needs a closed component")
-        first, second = pair
-        return ComponentCode(True, (second,) + comp.passes + (first,))
-    if not 0 <= pos <= len(comp.passes):
-        raise MoveError(f"insertion position {pos} out of range 0..{len(comp.passes)}")
-    return ComponentCode(comp.closed, comp.passes[:pos] + pair + comp.passes[pos:])
-
-
-def _apply_two_inserts(d, comps, first, second):
-    (slot_a, pair_a), (slot_b, pair_b) = first, second
-    (ca, pa, wa), (cb, pb, wb) = slot_a, slot_b
-    if ca != cb:
-        comps[ca - 1] = _insert_pair(_component(d, ca), pa, pair_a, wa)
-        comps[cb - 1] = _insert_pair(_component(d, cb), pb, pair_b, wb)
-        return comps
-    comp = _component(d, ca)
-    if wa and wb:
-        raise MoveError("at most one wrapped insertion per component")
-    if wa:
-        comp = _insert_pair(comp, pb, pair_b, False)
-        comp = _insert_pair(comp, 0, pair_a, True)
-    elif wb:
-        comp = _insert_pair(comp, pa, pair_a, False)
-        comp = _insert_pair(comp, 0, pair_b, True)
-    elif pa <= pb:
-        comp = _insert_pair(comp, pb, pair_b, False)
-        comp = _insert_pair(comp, pa, pair_a, False)
-    else:
-        comp = _insert_pair(comp, pa, pair_a, False)
-        comp = _insert_pair(comp, pb, pair_b, False)
-    comps[ca - 1] = comp
-    return comps
 
 
 # -- inversion ----------------------------------------------------------------
@@ -361,90 +364,60 @@ def _apply_two_inserts(d, comps, first, second):
 def inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
     """The site undoing ``m``: applying it to ``apply_move(d, m)`` restores ``d``.
 
-    The third move is its own inverse at the same site.
+    The third move is its own inverse at the same site.  First and second
+    moves share one rule on their one or two pairs.  A deleted pair leaves a
+    slot at its position, less the deleted positions before it on its
+    component, or the wrapped slot when it spans the basepoint.  An
+    inserted pair lies at its slot's position plus the letters put before
+    it, or at its component's new end when its slot is wrapped.  A second
+    move's names are those of its sorted first pair.
     """
+    locs = _locations(m)
     if m.kind == "R3":
         return m
-    if m.kind == "R1_delete":
-        ((ci, p),) = m.pairs
-        comp = _component(d, ci)
-        wrapped = comp.closed and p == len(comp.passes) - 1
-        return MoveSite("R1_insert", names=m.names, slots=((ci, 0 if wrapped else p, wrapped),))
-    if m.kind == "R1_insert":
-        ((ci, p, wrapped),) = m.slots
-        comp = _component(d, ci)
-        newlen = len(comp.passes) + 2
-        pos = newlen - 1 if wrapped else p
-        return MoveSite("R1_delete", names=m.names, pairs=((ci, pos),))
-    if m.kind == "R2_delete":
-        return _inverse_r2_delete(d, m)
-    if m.kind == "R2_insert":
-        return _inverse_r2_insert(d, m)
-    raise MoveError(f"unknown move kind {m.kind!r}")
-
-
-def _is_wrapped_pair(comp: ComponentCode, p: int) -> bool:
-    return comp.closed and len(comp.passes) >= 2 and p == len(comp.passes) - 1
-
-
-def _inverse_r2_delete(d: Diagram, m: MoveSite) -> MoveSite:
-    entries = []
-    for ci, p in m.pairs:
-        comp = _component(d, ci)
-        entries.append((ci, p, _is_wrapped_pair(comp, p), _pair_letters(d, (ci, p))))
-    (c1, p1, w1, l1), (c2, p2, w2, l2) = entries
-    if c1 != c2:
-        slots = ((c1, 0 if w1 else p1, w1), (c2, 0 if w2 else p2, w2))
-        letters = (l1, l2)
-    else:
-        if w1 and w2:
-            raise MoveError("two wrapped pairs on one component cannot be disjoint")
-        if w1:
-            (c1, p1, w1, l1), (c2, p2, w2, l2) = (c2, p2, w2, l2), (c1, p1, w1, l1)
-        if w2:
-            slots = ((c1, p1 - 1, False), (c2, 0, True))
-            letters = (l1, l2)
-        else:
-            if p1 > p2:
-                (p1, l1), (p2, l2) = (p2, l2), (p1, l1)
-            slots = ((c1, p1, False), (c2, p2 - 2, False))
-            letters = (l1, l2)
-    return MoveSite(
-        "R2_insert",
-        names=letters[0],
-        slots=slots,
-        same_order=(letters[1] == letters[0]),
-    )
-
-
-def _inverse_r2_insert(d: Diagram, m: MoveSite) -> MoveSite:
-    slot_a, slot_b = m.slots
-    (ca, pa, wa), (cb, pb, wb) = slot_a, slot_b
-    x, y = m.names
-    if ca != cb:
-        La, Lb = len(_component(d, ca).passes), len(_component(d, cb).passes)
-        pair_a = (ca, La + 1 if wa else pa)
-        pair_b = (cb, Lb + 1 if wb else pb)
-    else:
-        L = len(_component(d, ca).passes)
+    two = len(locs) == 2
+    same = two and locs[0][0] == locs[1][0]
+    if m.kind.endswith("_insert"):
+        pairs = []
+        for k, (ci, p, wrapped) in enumerate(locs):
+            end = len(_component(d.components, ci).passes) + 1
+            if same:
+                _, q, other_wrapped = locs[1 - k]
+                if wrapped and other_wrapped:
+                    raise MoveError("at most one wrapped insertion per component")
+                end += 2
+                # the other pair went in left of this one if it wrapped, or
+                # if its slot is less, or equal and first
+                p += 1 if other_wrapped else 2 * (q < p or q == p and k == 1)
+            pairs.append((ci, end if wrapped else p))
+        # a second-move deletion takes its pairs sorted, named by the first
+        names = m.names
+        if pairs[-1] < pairs[0]:
+            pairs.reverse()
+            names = names if m.same_order else names[::-1]
+        return MoveSite(m.kind.replace("_insert", "_delete"), names=names, pairs=tuple(pairs))
+    # per pair: component, position, whether it spans the basepoint, and the
+    # letters that name the insertion: a second move's pair, a first move's name
+    ends = []
+    for ci, p in locs:
+        comp = _component(d.components, ci)
+        letters = _pair_letters(d, (ci, p)) if two else m.names
+        ends.append((ci, p, comp.closed and p == len(comp.passes) - 1, letters))
+    if same:
+        (_, pa, wa, _), (_, pb, wb, _) = ends
         if wa and wb:
-            raise MoveError("at most one wrapped insertion per component")
-        if wa:
-            pair_a = (ca, L + 3)
-            pair_b = (cb, pb + 1)
-        elif wb:
-            pair_a = (ca, pa + 1)
-            pair_b = (cb, L + 3)
-        elif pa <= pb:
-            pair_a = (ca, pa)
-            pair_b = (cb, pb + 2)
-        else:
-            pair_a = (ca, pa + 2)
-            pair_b = (cb, pb)
-    first, second = sorted((pair_a, pair_b))
-    # anchor the stored names to the sorted first pair
-    first_letters = (x, y) if first == pair_a else ((x, y) if m.same_order else (y, x))
-    return MoveSite("R2_delete", names=first_letters, pairs=(first, second))
+            raise MoveError("two wrapped pairs on one component cannot be disjoint")
+        if wa or (not wb and pa > pb):
+            ends.reverse()
+    slots = []
+    for k, (ci, p, wrapped, _) in enumerate(ends):
+        # on a shared component, the first pair has the wrapped second's
+        # position 0 before it, and an unwrapped second has the first's two
+        before = (1 if ends[1 - k][2] else 2 * k) if same else 0
+        slots.append((ci, 0, True) if wrapped else (ci, p - before, False))
+    names, last = ends[0][3], ends[-1][3]
+    kind = m.kind.replace("_delete", "_insert")
+    return MoveSite(kind, names=names, slots=tuple(slots), same_order=last == names)
 
 
 # -- candidate generation, walks, search --------------------------------------
@@ -870,15 +843,6 @@ def _parse_slot(token: str, lineno: int) -> tuple[int, int, bool]:
         return ci, 0, True
     return ci, int(m.group(2)), False
 
-
-# move kind -> (crossing names, locations) on a trace line
-_TRACE_FIELDS = {
-    "R1_delete": (1, 1),
-    "R1_insert": (1, 1),
-    "R2_delete": (2, 2),
-    "R2_insert": (2, 2),
-    "R3": (3, 3),
-}
 
 
 def parse_trace(text: str) -> list[MoveSite]:

@@ -40,6 +40,7 @@ from freelinks.moves import (
     MoveSite,
     SearchVerdict,
     WalkTrace,
+    _check_fresh,
     _disjoint,
     _joined_trace,
     _pair_positions,
@@ -981,3 +982,228 @@ def reference_enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = Fal
         unique = [s for s in unique if not reference_pure_crossings(apply_move(d, s))]
     unique.sort(key=lambda s: (s.kind, s.pairs, s.names))
     return unique
+
+
+# -- reference move application and inversion -------------------------------------
+#
+# The bodies that gave each of the first and second moves its own deletion,
+# insertion and inverse, kept as references for ``moves.apply_move`` and
+# ``moves.inverse_site``.  A site with the wrong number of names or
+# locations fails here with a bare unpacking ``ValueError``.
+
+
+def reference_apply_move(d: Diagram, m: MoveSite) -> Diagram:
+    comps = list(d.components)
+    if m.kind == "R1_delete":
+        ((ci, p),) = m.pairs
+        comp = _reference_component(d, ci)
+        a, b = _pair_positions(comp, p)
+        (x,) = m.names
+        if comp.passes[a] != x or comp.passes[b] != x:
+            raise MoveError(f"no double occurrence of {x!r} at component {ci} position {p}")
+        comps[ci - 1] = _reference_delete_positions(comp, {a, b})
+    elif m.kind == "R1_insert":
+        ((ci, p, wrapped),) = m.slots
+        (x,) = m.names
+        _check_fresh(d, x)
+        comp = _reference_component(d, ci)
+        comps[ci - 1] = _reference_insert_pair(comp, p, (x, x), wrapped)
+    elif m.kind == "R2_delete":
+        loc1, loc2 = m.pairs
+        x, y = m.names
+        if x == y:
+            raise MoveError("second-move crossings must be distinct")
+        _reference_check_pair_letters(d, loc1, (x, y))
+        second = _reference_pair_letters(d, loc2)
+        if set(second) != {x, y}:
+            raise MoveError(f"pair at {loc2} reads {second}, expected letters {{{x}, {y}}}")
+        if not _disjoint(d, loc1, loc2):
+            raise MoveError("second-move pairs overlap")
+        deletions: dict[int, set[int]] = {}
+        for ci, p in (loc1, loc2):
+            a, b = _pair_positions(_reference_component(d, ci), p)
+            deletions.setdefault(ci, set()).update((a, b))
+        for ci, positions in deletions.items():
+            comps[ci - 1] = _reference_delete_positions(comps[ci - 1], positions)
+    elif m.kind == "R2_insert":
+        slot_a, slot_b = m.slots
+        x, y = m.names
+        if x == y:
+            raise MoveError("second-move crossings must be distinct")
+        _check_fresh(d, x)
+        _check_fresh(d, y)
+        pair_a = (x, y)
+        pair_b = (x, y) if m.same_order else (y, x)
+        comps = _reference_two_inserts(d, comps, (slot_a, pair_a), (slot_b, pair_b))
+    elif m.kind == "R3":
+        locs = m.pairs
+        if len(locs) != 3:
+            raise MoveError("third move needs exactly three pairs")
+        lettersets = [frozenset(_reference_pair_letters(d, loc)) for loc in locs]
+        union = frozenset().union(*lettersets)
+        if len(union) != 3 or any(len(s) != 2 for s in lettersets) or len(set(lettersets)) != 3:
+            raise MoveError(f"pairs at {locs} do not form a triangle")
+        if sorted(m.names) != sorted(union):
+            raise MoveError(f"pairs at {locs} read {sorted(union)}, not the names {m.names}")
+        for u, v in combinations(locs, 2):
+            if not _disjoint(d, u, v):
+                raise MoveError("third-move pairs overlap")
+        for ci, p in locs:
+            comp = comps[ci - 1]
+            a, b = _pair_positions(comp, p)
+            passes = list(comp.passes)
+            passes[a], passes[b] = passes[b], passes[a]
+            comps[ci - 1] = ComponentCode(comp.closed, tuple(passes))
+    else:
+        raise MoveError(f"unknown move kind {m.kind!r}")
+    return Diagram(kind=d.kind, components=tuple(comps))
+
+
+def _reference_component(d: Diagram, ci: int) -> ComponentCode:
+    if not 1 <= ci <= d.n:
+        raise MoveError(f"component {ci} out of range 1..{d.n}")
+    return d.components[ci - 1]
+
+
+def _reference_pair_letters(d: Diagram, loc: tuple[int, int]) -> tuple[str, str]:
+    ci, p = loc
+    comp = _reference_component(d, ci)
+    a, b = _pair_positions(comp, p)
+    return comp.passes[a], comp.passes[b]
+
+
+def _reference_check_pair_letters(d: Diagram, loc: tuple[int, int], expected: tuple[str, str]):
+    actual = _reference_pair_letters(d, loc)
+    if actual != expected:
+        raise MoveError(f"pair at {loc} reads {actual}, expected {expected}")
+
+
+def _reference_delete_positions(comp: ComponentCode, positions: set[int]) -> ComponentCode:
+    passes = tuple(tok for k, tok in enumerate(comp.passes) if k not in positions)
+    return ComponentCode(comp.closed, passes)
+
+
+def _reference_insert_pair(
+    comp: ComponentCode, pos: int, pair: tuple[str, str], wrapped: bool
+) -> ComponentCode:
+    if wrapped:
+        if not comp.closed:
+            raise MoveError("wrapped insertion needs a closed component")
+        first, second = pair
+        return ComponentCode(True, (second,) + comp.passes + (first,))
+    if not 0 <= pos <= len(comp.passes):
+        raise MoveError(f"insertion position {pos} out of range 0..{len(comp.passes)}")
+    return ComponentCode(comp.closed, comp.passes[:pos] + pair + comp.passes[pos:])
+
+
+def _reference_two_inserts(d, comps, first, second):
+    (slot_a, pair_a), (slot_b, pair_b) = first, second
+    (ca, pa, wa), (cb, pb, wb) = slot_a, slot_b
+    if ca != cb:
+        comps[ca - 1] = _reference_insert_pair(_reference_component(d, ca), pa, pair_a, wa)
+        comps[cb - 1] = _reference_insert_pair(_reference_component(d, cb), pb, pair_b, wb)
+        return comps
+    comp = _reference_component(d, ca)
+    if wa and wb:
+        raise MoveError("at most one wrapped insertion per component")
+    if wa:
+        comp = _reference_insert_pair(comp, pb, pair_b, False)
+        comp = _reference_insert_pair(comp, 0, pair_a, True)
+    elif wb:
+        comp = _reference_insert_pair(comp, pa, pair_a, False)
+        comp = _reference_insert_pair(comp, 0, pair_b, True)
+    elif pa <= pb:
+        comp = _reference_insert_pair(comp, pb, pair_b, False)
+        comp = _reference_insert_pair(comp, pa, pair_a, False)
+    else:
+        comp = _reference_insert_pair(comp, pa, pair_a, False)
+        comp = _reference_insert_pair(comp, pb, pair_b, False)
+    comps[ca - 1] = comp
+    return comps
+
+
+def reference_inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
+    if m.kind == "R3":
+        return m
+    if m.kind == "R1_delete":
+        ((ci, p),) = m.pairs
+        comp = _reference_component(d, ci)
+        wrapped = comp.closed and p == len(comp.passes) - 1
+        return MoveSite("R1_insert", names=m.names, slots=((ci, 0 if wrapped else p, wrapped),))
+    if m.kind == "R1_insert":
+        ((ci, p, wrapped),) = m.slots
+        comp = _reference_component(d, ci)
+        newlen = len(comp.passes) + 2
+        pos = newlen - 1 if wrapped else p
+        return MoveSite("R1_delete", names=m.names, pairs=((ci, pos),))
+    if m.kind == "R2_delete":
+        return _reference_inverse_r2_delete(d, m)
+    if m.kind == "R2_insert":
+        return _reference_inverse_r2_insert(d, m)
+    raise MoveError(f"unknown move kind {m.kind!r}")
+
+
+def _reference_is_wrapped_pair(comp: ComponentCode, p: int) -> bool:
+    return comp.closed and len(comp.passes) >= 2 and p == len(comp.passes) - 1
+
+
+def _reference_inverse_r2_delete(d: Diagram, m: MoveSite) -> MoveSite:
+    entries = []
+    for ci, p in m.pairs:
+        comp = _reference_component(d, ci)
+        letters = _reference_pair_letters(d, (ci, p))
+        entries.append((ci, p, _reference_is_wrapped_pair(comp, p), letters))
+    (c1, p1, w1, l1), (c2, p2, w2, l2) = entries
+    if c1 != c2:
+        slots = ((c1, 0 if w1 else p1, w1), (c2, 0 if w2 else p2, w2))
+        letters = (l1, l2)
+    else:
+        if w1 and w2:
+            raise MoveError("two wrapped pairs on one component cannot be disjoint")
+        if w1:
+            (c1, p1, w1, l1), (c2, p2, w2, l2) = (c2, p2, w2, l2), (c1, p1, w1, l1)
+        if w2:
+            slots = ((c1, p1 - 1, False), (c2, 0, True))
+            letters = (l1, l2)
+        else:
+            if p1 > p2:
+                (p1, l1), (p2, l2) = (p2, l2), (p1, l1)
+            slots = ((c1, p1, False), (c2, p2 - 2, False))
+            letters = (l1, l2)
+    return MoveSite(
+        "R2_insert",
+        names=letters[0],
+        slots=slots,
+        same_order=(letters[1] == letters[0]),
+    )
+
+
+def _reference_inverse_r2_insert(d: Diagram, m: MoveSite) -> MoveSite:
+    slot_a, slot_b = m.slots
+    (ca, pa, wa), (cb, pb, wb) = slot_a, slot_b
+    x, y = m.names
+    if ca != cb:
+        La = len(_reference_component(d, ca).passes)
+        Lb = len(_reference_component(d, cb).passes)
+        pair_a = (ca, La + 1 if wa else pa)
+        pair_b = (cb, Lb + 1 if wb else pb)
+    else:
+        L = len(_reference_component(d, ca).passes)
+        if wa and wb:
+            raise MoveError("at most one wrapped insertion per component")
+        if wa:
+            pair_a = (ca, L + 3)
+            pair_b = (cb, pb + 1)
+        elif wb:
+            pair_a = (ca, pa + 1)
+            pair_b = (cb, L + 3)
+        elif pa <= pb:
+            pair_a = (ca, pa)
+            pair_b = (cb, pb + 2)
+        else:
+            pair_a = (ca, pa + 2)
+            pair_b = (cb, pb)
+    first, second = sorted((pair_a, pair_b))
+    # anchor the stored names to the sorted first pair
+    first_letters = (x, y) if first == pair_a else ((x, y) if m.same_order else (y, x))
+    return MoveSite("R2_delete", names=first_letters, pairs=(first, second))

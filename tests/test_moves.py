@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -26,8 +27,10 @@ from genutil import (
     random_any_diagram,
     random_good_diagram,
     random_pure_diagram,
+    reference_apply_move,
     reference_bidirectional_search,
     reference_enumerate_moves,
+    reference_inverse_site,
     reference_move_lower_bound,
     reference_random_walk,
     reference_search,
@@ -263,6 +266,144 @@ class TestInverses:
             out = apply_move(d, site)
             assert apply_move(out, inverse_site(d, site)) == d
 
+    def test_deletion_inverse_is_exact(self):
+        # the insertion undoing a deletion is undone by that same deletion
+        checked = 0
+        for trial, start in enumerate(slate_diagrams(60, seed=29)):
+            # a walk's insertions leave deletion sites, some across the basepoint
+            for d in replay_steps(random_walk(start, 6, trial)):
+                for site in enumerate_moves(d, kinds={"R1_delete", "R2_delete"}):
+                    back = inverse_site(d, site)
+                    assert inverse_site(apply_move(d, site), back) == site, (d, site, back)
+                    checked += 1
+        assert checked > 500
+
+    def test_wrapped_insertion_roundtrip(self):
+        # the slate never builds wrapped slots: each wrapped slot, first and
+        # second, against every other slot of one component and of two
+        one = parse_diagram("link n=1\ncomponent 1 closed: a b a b")
+        two = parse_diagram("link n=2\ncomponent 1 closed: a b c\ncomponent 2 closed: b a c")
+        sites = [MoveSite("R1_insert", names=("w",), slots=((c, 0, True),)) for c in (1, 2)]
+        for d in (one, two):
+            others = [(c, p, False) for c in range(1, d.n + 1) for p in range(4)]
+            others += [(c, 0, True) for c in range(2, d.n + 1)]
+            for other, same_order in product(others, (True, False)):
+                for slots in (((1, 0, True), other), (other, (1, 0, True))):
+                    sites.append(
+                        MoveSite("R2_insert", names=("v", "w"), slots=slots, same_order=same_order)
+                    )
+        for site in sites:
+            for d in (one, two):
+                if max(c for c, _, _ in site.slots) > d.n:
+                    continue
+                out = apply_move(d, site)
+                assert apply_move(out, inverse_site(d, site)) == d, (d, site)
+
+
+# each function and its reference
+PAIRED = ((apply_move, reference_apply_move), (inverse_site, reference_inverse_site))
+
+
+def _outcome(f, d, site):
+    try:
+        return f(d, site)
+    except MoveError as err:
+        return str(err)
+
+
+def _malformed_site(rng: random.Random, d, site: MoveSite) -> MoveSite:
+    """A site with the right number of names and locations for its kind that
+    may not apply to ``d``: ``site`` with one field changed, or one drawn at
+    random near ``d``'s components and positions."""
+    letters = sorted(d.crossing_names) + ["w1", "w2"]
+    if rng.random() < 0.5:
+        names, pairs, slots = list(site.names), list(site.pairs), list(site.slots)
+        locs = slots or pairs
+        change = rng.choice(("component", "position", "name", "order") + ("wrap",) * bool(slots))
+        if change == "name":
+            names[rng.randrange(len(names))] = rng.choice(letters)
+        elif change == "order":
+            locs.reverse()
+        else:
+            k = rng.randrange(len(locs))
+            loc = list(locs[k])
+            if change == "component":
+                loc[0] += rng.choice((-1, 1))
+            elif change == "position":
+                loc[1] += rng.choice((-2, -1, 1, 2))
+            else:
+                loc[2] = not loc[2]
+            locs[k] = tuple(loc)
+        return MoveSite(site.kind, tuple(names), tuple(pairs), tuple(slots), rng.random() < 0.5)
+    kind = rng.choice(moves.ALL_KINDS)
+    count = moves._TRACE_FIELDS[kind][0]
+    locs = []
+    for _ in range(count):
+        ci = rng.randint(0, d.n + 1)
+        size = len(d.components[ci - 1].passes) if 1 <= ci <= d.n else 2
+        locs.append((ci, rng.randint(-1, size + 2), rng.random() < 0.5))
+    names = tuple(rng.choice(letters) for _ in range(count))
+    if kind.endswith("_insert"):
+        return MoveSite(kind, names, slots=tuple(locs), same_order=rng.random() < 0.5)
+    return MoveSite(kind, names, pairs=tuple(loc[:2] for loc in locs))
+
+
+class TestReference:
+    """``apply_move`` and ``inverse_site`` against the bodies that gave each
+    of the first and second moves its own deletion, insertion and inverse."""
+
+    def test_slate_sites_match_reference(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            d = random_any_diagram(rng, 8)
+            for forbid in (False, True):
+                for site in move_candidates(d, forbid_pure=forbid, max_size=d.crossing_count + 2):
+                    for f, g in PAIRED:
+                        assert _outcome(f, d, site) == _outcome(g, d, site), (d, site)
+
+    def test_malformed_sites_match_reference(self):
+        rng = random.Random(67)
+        refused = 0
+        for _ in range(400):
+            d = random_any_diagram(rng, 8)
+            slate = move_candidates(d, max_size=d.crossing_count + 2)
+            for _ in range(8):
+                site = _malformed_site(rng, d, rng.choice(slate))
+                for f, g in PAIRED:
+                    got = _outcome(f, d, site)
+                    assert got == _outcome(g, d, site), (d, site)
+                    refused += isinstance(got, str)
+        assert refused > 2000
+
+    @pytest.mark.parametrize(
+        "site",
+        [
+            MoveSite("R1_delete", names=("x", "y"), pairs=((1, 0),)),
+            MoveSite("R1_delete", names=("x",), pairs=()),
+            MoveSite("R1_delete", names=("x",), slots=((1, 0, False),)),
+            MoveSite("R1_insert", names=("w",), slots=((1, 0, False), (1, 1, False))),
+            MoveSite("R1_insert", names=(), slots=((1, 0, False),)),
+            MoveSite("R2_delete", names=("x", "y"), pairs=((1, 0),)),
+            MoveSite("R2_delete", names=("x",), pairs=((1, 0), (1, 2))),
+            MoveSite("R2_insert", names=("v", "w"), slots=((1, 0, False),)),
+            MoveSite("R2_insert", names=("v", "w", "u"), slots=((1, 0, False), (1, 1, False))),
+            MoveSite("R3", names=("x", "y", "z"), pairs=((1, 0), (1, 2))),
+            MoveSite("R3", names=("x", "y"), pairs=((1, 0), (1, 2), (1, 4))),
+        ],
+    )
+    def test_wrong_counts_are_move_errors(self, site):
+        # each kind takes as many names and locations as a trace line
+        d = parse_diagram("link n=1\ncomponent 1 closed: x x y z y z")
+        names, locs = moves._TRACE_FIELDS[site.kind]
+        field = "slots" if site.kind.endswith("_insert") else "pairs"
+        got = len(site.slots if field == "slots" else site.pairs)
+        text = f"{site.kind} takes {names} crossing names and {locs} {field}"
+        text += f", got {len(site.names)} and {got}"
+        for f in (apply_move, inverse_site):
+            with pytest.raises(MoveError) as caught:
+                f(d, site)
+            assert str(caught.value) == text
+
 
 class TestRandomWalk:
     def test_zero_steps(self, sample_tangle):
@@ -314,6 +455,15 @@ class TestRandomWalk:
         sites = move_candidates(d, forbid_pure=True, max_size=10)
         assert [(s.kind, s.names) for s in sites] == [("R2_delete", ("p", "q"))]
         assert not apply_move(d, sites[0]).pure
+
+
+def replay_steps(walk):
+    """Every diagram a walk passes through, its start first."""
+    d = walk.initial
+    yield d
+    for site in walk.moves:
+        d = apply_move(d, site)
+        yield d
 
 
 def slate_diagrams(count: int, seed: int):
