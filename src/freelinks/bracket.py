@@ -47,7 +47,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from . import invariant as _invariant
 from .diagram import (
     ComponentCode,
     Diagram,
@@ -56,8 +55,8 @@ from .diagram import (
     require_valid,
     serialize_diagram,
 )
+from .invariant import _class_words, fingerprint, render_fingerprint
 from .moves import bounded_equivalence_search
-from .words import render_word
 
 __all__ = [
     "Bracket",
@@ -242,7 +241,7 @@ def apply_splices(d: Diagram, branches: dict[str, str]) -> Diagram:
             raise BracketError(f"branch must be 'A' or 'B', got {branch!r}")
     code = sum(1 << r for r, branch in enumerate(branches.values()) if branch == "B")
     components, _ = _splice_components(d, code, _splice_table(d, tuple(branches)))
-    return Diagram(kind=d.kind, components=tuple(components))
+    return Diagram(d.kind, tuple(components))
 
 
 def _interlacement_rows(passes: tuple[str, ...], pures: tuple[str, ...]) -> list[int]:
@@ -351,7 +350,7 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
         )
     survivors = [
         _component_states(
-            Diagram(kind=d.kind, components=(comp,)),
+            Diagram(d.kind, (comp,)),
             tuple(sorted(pures.intersection(comp.passes))),
         )
         for comp in d.components
@@ -359,7 +358,7 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
 
     keys: set[tuple] = set()
     for combo in product(*survivors):
-        keys ^= {canonical_key(Diagram(kind=d.kind, components=combo))}
+        keys ^= {canonical_key(Diagram(d.kind, combo))}
     members = frozenset(_diagram_from_key(key) for key in keys)
     for summand in members:
         if summand.pure:
@@ -380,19 +379,16 @@ def serialize_bracket(b: Bracket) -> str:
 def _class_key(s: Diagram):
     """A hashable invariant of the restricted-move class of a summand.
 
-    Combines the good-condition parity table with, when defined, the full
-    word-invariant fingerprint; both are preserved by second and third moves
-    through pure-crossing-free diagrams, so differing multiset parities of
-    these keys certify distinct bracket values.
+    Combines the good-condition parity table with, when defined, the
+    fingerprint's class words as letter indices; both are preserved by
+    second and third moves through pure-crossing-free diagrams, so
+    differing multiset parities of these keys certify distinct bracket
+    values.
     """
     parity = tuple(sorted(s.parity.items()))
     if any(s.parity.values()):
         return (parity, None)
-    fp = _invariant.fingerprint(s)
-    rendered = tuple(
-        (pair, along, render_word(word)) for (pair, along), word in sorted(fp.items())
-    )
-    return (parity, rendered)
+    return (parity, tuple(_class_words(s).items()))
 
 
 def _odd_pairs(parity) -> str:
@@ -401,26 +397,19 @@ def _odd_pairs(parity) -> str:
     return ", ".join(f"({i},{j})" for (i, j), bit in sorted(parity) if bit) or "none"
 
 
-def _render_class_key(key) -> str:
-    parity, rendered = key
-    if rendered is None:
-        return "odd crossing parities at pairs " + _odd_pairs(parity)
-    return "; ".join(f"pair ({i},{j}) along {a}: {w}" for (i, j), a, w in rendered)
-
-
 def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
     """Compare two bracket values; sound for ``equal`` and ``distinct``.
 
-    Stage 1 tests canonical-form set equality.  Stage 2 counts the
-    invariant class keys over the symmetric difference mod 2: a key counted
-    an odd number of times certifies distinctness and is returned as the
-    certificate.  Stage 3 sorts the symmetric difference into classes: one
-    :func:`bounded_equivalence_search` of at most ``depth``
-    pure-crossing-free moves runs for each pair of summands not yet in one
-    class, and each class found equivalent merges.  Values are mod 2, so a
-    class of even size cancels; when every class does, the answer is equal,
-    and otherwise unknown.  Every member of a class has the class's key, so
-    stage 2 reads the same parities as over one summand per odd class.
+    Stage 1 tests canonical-form set equality.  Stage 2 groups the
+    symmetric difference by class key: a group of odd size certifies
+    distinctness, and the certificate is the least rendered fingerprint of
+    such a group, or else its parity table.  Stage 3 sorts each group into
+    classes: one :func:`bounded_equivalence_search` of at most ``depth``
+    pure-crossing-free moves runs for each pair of its summands not yet in
+    one class, and each class found equivalent merges.  Such a search keeps
+    the key, so summands of different groups are never joined.  Values are
+    mod 2, so a class of even size cancels; when every class does, the
+    answer is equal, and otherwise unknown.
     """
     if p.n != q.n:
         raise BracketError(f"mismatched component counts: {p.n} vs {q.n}")
@@ -431,31 +420,34 @@ def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
     if set(a_members) == set(b_members):
         return Verdict("equal")
     members = {**a_members, **b_members}
-    every = [members[k] for k in sorted(set(a_members) ^ set(b_members))]
+    groups: dict = {}
+    for k in sorted(set(a_members) ^ set(b_members)):
+        groups.setdefault(_class_key(members[k]), []).append(members[k])
 
-    counts = Counter(_class_key(s) for s in every)
-    odd = sorted(
-        (key for key, c in counts.items() if c % 2 != 0),
-        key=lambda key: (key[1] is None, str(key)),
-    )
+    odd = [key for key, group in groups.items() if len(group) % 2]
     if odd:
-        return Verdict("distinct", certificate=_render_class_key(odd[0]))
+        # certificates are ordered as printed, words before parity tables
+        worded = [render_fingerprint(fingerprint(groups[k][0])) for k in odd if k[1] is not None]
+        if worded:
+            return Verdict("distinct", min(worded))
+        parity, _ = min(odd, key=str)
+        return Verdict("distinct", "odd crossing parities at pairs " + _odd_pairs(parity))
 
-    root = list(range(len(every)))
+    for group in groups.values():
+        root = list(range(len(group)))
 
-    def find(u: int) -> int:
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        return u
+        def find(u: int) -> int:
+            while root[u] != u:
+                root[u] = root[root[u]]
+                u = root[u]
+            return u
 
-    for u, v in combinations(range(len(every)), 2):
-        ru, rv = find(u), find(v)
-        if ru != rv and bounded_equivalence_search(
-            every[u], every[v], depth, forbid_pure=True
-        ).equivalent:
-            root[rv] = ru
-    sizes = Counter(find(u) for u in range(len(every)))
-    if all(size % 2 == 0 for size in sizes.values()):
-        return Verdict("equal")
-    return Verdict("unknown")
+        for u, v in combinations(range(len(group)), 2):
+            ru, rv = find(u), find(v)
+            if ru != rv and bounded_equivalence_search(
+                group[u], group[v], depth, forbid_pure=True
+            ).equivalent:
+                root[rv] = ru
+        if any(size % 2 for size in Counter(find(u) for u in range(len(group))).values()):
+            return Verdict("unknown")
+    return Verdict("equal")

@@ -26,7 +26,14 @@ from .diagram import (
     require_valid,
     serialize_diagram,
 )
-from .invariant import InvariantError, _class_words, link_invariant, link_word, word_invariant
+from .invariant import (
+    InvariantError,
+    _class_words,
+    fingerprint,
+    link_invariant,
+    link_word,
+    word_invariant,
+)
 from .moves import (
     MoveError,
     MoveSite,
@@ -38,7 +45,7 @@ from .moves import (
     replay,
     serialize_trace,
 )
-from .words import GroupContext, WordError, _indices_word, orbit_representatives, render_word
+from .words import WordError, orbit_representatives, render_word
 
 __all__ = ["run", "main"]
 
@@ -213,14 +220,13 @@ def _cmd_compare(args) -> int:
         wa, wb = _class_words(a), _class_words(b)
         if wa != wb:
             # only the first differing fingerprint word is rendered
-            key = min(k for k in wa if wa[k] != wb[k])
+            fa, fb = fingerprint(a), fingerprint(b)
+            key = min(k for k in fa if fa[k] != fb[k])
             (i, j), along = key
-            context = GroupContext(a.n, i, j)
             print("distinct")
             print(
                 f"certificate: pair ({i},{j}) along {along}: "
-                f"{render_word(_indices_word(context, wa[key]))} != "
-                f"{render_word(_indices_word(context, wb[key]))}"
+                f"{render_word(fa[key])} != {render_word(fb[key])}"
             )
             return 1
 

@@ -279,13 +279,13 @@ def parse_diagram(text: str | bytes) -> Diagram:
             if TOKEN_RE.match(tok) is None:
                 col = line.index(tok) + 1
                 raise ParseError(f"invalid crossing name {tok!r}", lineno, col)
-        entries[index] = ComponentCode(closed=closed, passes=tuple(tokens))
+        entries[index] = ComponentCode(closed, tuple(tokens))
 
     missing = [i for i in range(1, n + 1) if i not in entries]
     if missing:
         raise ParseError(f"missing component lines for indices {missing}", headerno, 1)
 
-    diagram = Diagram(kind=kind, components=tuple(entries[i] for i in range(1, n + 1)))
+    diagram = Diagram(kind, tuple(entries[i] for i in range(1, n + 1)))
 
     counts = Counter(name for comp in diagram.components for name in comp.passes)
     bad = sorted(name for name, c in counts.items() if c != 2)
@@ -506,11 +506,8 @@ def _diagram_from_key(key) -> Diagram:
     """The canonical form whose :func:`canonical_key` is ``key``, with
     ``key`` already cached as its :attr:`Diagram.key`."""
     kind, parts = key
-    comps = tuple(
-        ComponentCode(closed=closed, passes=tuple(str(code) for code in rel))
-        for closed, rel in parts
-    )
-    d = Diagram(kind=kind, components=comps)
+    comps = tuple(ComponentCode(closed, tuple(str(code) for code in rel)) for closed, rel in parts)
+    d = Diagram(kind, comps)
     # where cached_property keeps it: a canonical form is its own canonical form
     d.__dict__["key"] = key
     return d
@@ -546,5 +543,5 @@ def cut_link(d: Diagram, basepoints: list[Basepoint]) -> Diagram:
     comps = []
     for ci, comp in enumerate(d.components, start=1):
         o = offsets[ci]
-        comps.append(ComponentCode(closed=False, passes=comp.passes[o:] + comp.passes[:o]))
-    return Diagram(kind="tangle", components=tuple(comps))
+        comps.append(ComponentCode(False, comp.passes[o:] + comp.passes[:o]))
+    return Diagram("tangle", tuple(comps))

@@ -25,7 +25,6 @@ from .words import (
     _index_letter,
     _indices_word,
     _least_class,
-    canonical_class_word,
     render_word,
 )
 
@@ -187,10 +186,6 @@ def word_invariant(d: Diagram, i: int, j: int) -> Word:
     return word_table(d)[(i, j)]
 
 
-def _default_basepoints(d: Diagram) -> list[Basepoint]:
-    return [Basepoint(i, 0) for i in range(1, d.n + 1)]
-
-
 def link_word(d: Diagram, basepoints: list[Basepoint], i: int, j: int) -> Word:
     """The word of the tangle obtained by cutting the link at ``basepoints``.
 
@@ -205,10 +200,14 @@ def link_invariant(d: Diagram, i: int, j: int) -> Word:
     """The canonical slide/conjugacy class word of the link, pair (i, j),
     taken up to reversing component i.
 
-    Computed from the offset-0 basepoints; the class does not depend on that
-    choice, nor on the direction in which any component is stored.
+    Its entry of the :func:`fingerprint`, read from the passes as stored;
+    the class does not depend on the basepoints of a cut, nor on the
+    direction in which any component is stored.
     """
-    return canonical_class_word(link_word(d, _default_basepoints(d), i, j), undirected=True)
+    if d.kind != "link":
+        raise InvariantError("link_word expects a link")
+    _checked_pair(d, i, j)
+    return _indices_word(GroupContext(d.n, i, j), _class_words(d)[(min(i, j), max(i, j)), i])
 
 
 def _class_words(d: Diagram) -> dict[tuple[tuple[int, int], int], tuple[int, ...]]:

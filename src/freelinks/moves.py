@@ -363,6 +363,7 @@ def _pair_letters(d: Diagram, loc: tuple[int, int]) -> tuple[str, str]:
 
 def inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
     """The site undoing ``m``: applying it to ``apply_move(d, m)`` restores ``d``.
+    Raises :class:`MoveError` unless ``m`` applies to ``d``.
 
     The third move is its own inverse at the same site.  First and second
     moves share one rule on their one or two pairs.  A deleted pair leaves a
@@ -372,6 +373,7 @@ def inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
     it, or at its component's new end when its slot is wrapped.  A second
     move's names are those of its sorted first pair.
     """
+    apply_move(d, m)
     locs = _locations(m)
     if m.kind == "R3":
         return m

@@ -111,6 +111,17 @@ def _same_context(u: Word, v: Word) -> GroupContext:
     return u.context
 
 
+def _reduced(letters) -> list:
+    """The reduced word of ``letters``, reduced on a stack as they are read."""
+    stack: list = []
+    for letter in letters:
+        if stack and stack[-1] == letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return stack
+
+
 def reduce(w: Word) -> Word:
     """Delete adjacent equal letters until none remain.
 
@@ -123,13 +134,31 @@ def reduce(w: Word) -> Word:
     >>> reduce(make_word(ctx, [(1,), (0,), (0,), (1,), (1,)])).letters
     ((1,),)
     """
-    stack: list[Letter] = []
-    for letter in w.letters:
-        if stack and stack[-1] == letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return _word(w.context, tuple(stack))
+    return _word(w.context, tuple(_reduced(w.letters)))
+
+
+def _strip(core):
+    """The cyclic reduction of the reduced word ``core``: equal end letters
+    stripped, which leaves the interior reduced."""
+    lo, hi = 0, len(core)
+    while hi - lo >= 2 and core[lo] == core[hi - 1]:
+        lo += 1
+        hi -= 1
+    return core[lo:hi]
+
+
+def _least_rotation(core: list[int]) -> tuple[int, ...]:
+    """The least rotation of the letter indices ``core``; it starts at a
+    least letter, so only those rotations are tried."""
+    if not core:
+        return ()
+    low = min(core)
+    return min(tuple(core[p:] + core[:p]) for p in range(len(core)) if core[p] == low)
+
+
+def _core(w: Word) -> list[int]:
+    """The letter indices of the cyclic reduction of w."""
+    return _strip(_reduced(map(letter_index, w.letters)))
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -139,32 +168,18 @@ def cyclic_reduce(w: Word) -> Word:
     >>> cyclic_reduce(make_word(ctx, [(0, 0), (0, 1), (1, 1), (0, 0)])).letters
     ((0, 1), (1, 1))
     """
-    letters = list(reduce(w).letters)
-    # interior stays reduced after stripping, so no re-reduction is needed
-    while len(letters) >= 2 and letters[0] == letters[-1]:
-        letters = letters[1:-1]
-    return _word(w.context, tuple(letters))
-
-
-def _rotations(letters: tuple[Letter, ...]):
-    if not letters:
-        yield letters
-        return
-    for r in range(len(letters)):
-        yield letters[r:] + letters[:r]
+    return _indices_word(w.context, _core(w))
 
 
 def conjugate_equal(u: Word, v: Word) -> bool:
     """Whether u and v are conjugate.
 
     In a free product of Z2 factors, two cyclically reduced words are
-    conjugate exactly when one is a cyclic rotation of the other.
+    conjugate exactly when one is a cyclic rotation of the other, that is,
+    when their least rotations are equal.
     """
     _same_context(u, v)
-    cu, cv = cyclic_reduce(u).letters, cyclic_reduce(v).letters
-    if len(cu) != len(cv):
-        return False
-    return any(rot == cv for rot in _rotations(cu))
+    return _least_rotation(_core(u)) == _least_rotation(_core(v))
 
 
 def slide(w: Word, l: int) -> Word:
@@ -176,11 +191,7 @@ def slide(w: Word, l: int) -> Word:
     strands = w.context.strands
     if l not in strands:
         raise WordError(f"component {l} is not a strand of {w.context}")
-    r = strands.index(l)
-    flipped = tuple(
-        letter[:r] + (letter[r] ^ 1,) + letter[r + 1 :] for letter in w.letters
-    )
-    return _word(w.context, flipped)
+    return apply_mask(w, tuple(int(k == l) for k in strands))
 
 
 def apply_mask(w: Word, mask: Letter) -> Word:
@@ -189,14 +200,8 @@ def apply_mask(w: Word, mask: Letter) -> Word:
         raise WordError(f"mask {mask} has length {len(mask)}, expected {w.context.width}")
     if any(bit not in (0, 1) for bit in mask):
         raise WordError(f"mask {mask} has non-bit entries")
-    return _word(
-        w.context,
-        tuple(tuple(b ^ m for b, m in zip(letter, mask)) for letter in w.letters),
-    )
-
-
-def _all_masks(context: GroupContext):
-    return product((0, 1), repeat=context.width)
+    m = letter_index(mask)
+    return _indices_word(w.context, [letter_index(x) ^ m for x in w.letters])
 
 
 def slide_conjugacy_equal(u: Word, v: Word) -> bool:
@@ -220,10 +225,6 @@ def letter_index(x: Letter) -> int:
     return sum(bit << r for r, bit in enumerate(x))
 
 
-def _lex_key(letters: tuple[Letter, ...]) -> tuple[int, ...]:
-    return tuple(letter_index(letter) for letter in letters)
-
-
 def canonical_class_word(w: Word, *, undirected: bool = False) -> Word:
     """The least word in the slide/conjugacy class of w.
 
@@ -239,8 +240,7 @@ def canonical_class_word(w: Word, *, undirected: bool = False) -> Word:
     word starts with letter 0, and its mask is the letter its rotation
     starts with: one mask per rotation, not all 2^(n-2).
     """
-    core = [letter_index(x) for x in reduce(w).letters]
-    return _indices_word(w.context, _least_class(core, undirected))
+    return _indices_word(w.context, _least_class(_core(w), undirected))
 
 
 def _least_class(core: list[int], undirected: bool) -> tuple[int, ...]:
@@ -248,19 +248,16 @@ def _least_class(core: list[int], undirected: bool) -> tuple[int, ...]:
     ``core``, itself given as letter indices (see :func:`canonical_class_word`).
 
     On letter indices a mask is an XOR, and the order is the tuple order.
+    An anchored mask is a letter of the word, and the least rotation of its
+    image starts at the letters it anchors.
     """
-    lo, hi = 0, len(core)
-    # the interior of a reduced word stays reduced when equal ends are stripped
-    while hi - lo >= 2 and core[lo] == core[hi - 1]:
-        lo += 1
-        hi -= 1
-    core = core[lo:hi]
+    core = _strip(core)
     if len(core) < 3:
         # a cyclically reduced word of at most two letters has one anchored
         # image, in either direction
         return tuple(x ^ core[0] for x in core)
     cores = (core, core[::-1]) if undirected else (core,)
-    return min(tuple(x ^ c[p] for x in c[p:] + c[:p]) for c in cores for p in range(len(c)))
+    return min(_least_rotation([x ^ m for x in c]) for c in cores for m in set(core))
 
 
 def _index_letter(x: int, width: int) -> Letter:
@@ -280,12 +277,11 @@ def orbit_representatives(w: Word) -> dict[Letter, Word]:
     The key set is always the full mask cube Z2^(n-2); distinct masks may
     share a representative.
     """
-    reps: dict[Letter, Word] = {}
-    for mask in _all_masks(w.context):
-        masked = apply_mask(cyclic_reduce(w), mask).letters
-        best = min(_rotations(masked), key=_lex_key)
-        reps[mask] = _word(w.context, best)
-    return reps
+    core = _core(w)
+    return {
+        mask: _indices_word(w.context, _least_rotation([x ^ letter_index(mask) for x in core]))
+        for mask in product((0, 1), repeat=w.context.width)
+    }
 
 
 def render_letter(x: Letter) -> str:

@@ -16,8 +16,6 @@ from freelinks.bracket import (
     Bracket,
     BracketError,
     Verdict,
-    _class_key,
-    _render_class_key,
     apply_splices,
     bracket,
     bracket_equal,
@@ -388,6 +386,18 @@ def naive_class_word(w: Word) -> Word:
     return Word(w.context, best[1])
 
 
+def reference_orbit_representatives(w: Word) -> dict[Letter, Word]:
+    """Per mask in ``product`` order, the rotation of the masked cyclic
+    reduction whose letter indices are least: the bit-tuple scan."""
+    reps = {}
+    for mask in product((0, 1), repeat=w.context.width):
+        masked = apply_mask(cyclic_reduce(w), mask).letters
+        rotations = [masked[r:] + masked[:r] for r in range(len(masked))] or [()]
+        best = min(rotations, key=lambda rot: [letter_index(x) for x in rot])
+        reps[mask] = _word(w.context, best)
+    return reps
+
+
 # -- reference word kernel --------------------------------------------------------
 #
 # The bit-tuple bodies of ``invariant._letters``, ``word_table`` and
@@ -658,6 +668,25 @@ def reference_splice_components(d: Diagram, branches: dict[str, str]):
 # -- reference bracket comparison -------------------------------------------------
 
 
+def reference_class_key(s: Diagram):
+    """The class key of a summand with its words rendered: the parity table,
+    and, in good condition, the rendered :func:`reference_fingerprint`."""
+    good, table = reference_is_good_condition(s)
+    parity = tuple(sorted(table.items()))
+    if not good:
+        return (parity, None)
+    fp = reference_fingerprint(s)
+    return (parity, tuple((pair, along, render_word(w)) for (pair, along), w in sorted(fp.items())))
+
+
+def reference_render_class_key(key) -> str:
+    parity, rendered = key
+    if rendered is None:
+        odd = ", ".join(f"({i},{j})" for (i, j), bit in parity if bit) or "none"
+        return "odd crossing parities at pairs " + odd
+    return "; ".join(f"pair ({i},{j}) along {a}: {w}" for (i, j), a, w in rendered)
+
+
 def reference_bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
     """The comparison that searches before it reads class keys, kept as a
     reference for ``bracket.bracket_equal``: the symmetric difference is
@@ -693,13 +722,13 @@ def reference_bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
     if not rest:
         return Verdict("equal")
 
-    counts = Counter(_class_key(s) for s in rest)
+    counts = Counter(reference_class_key(s) for s in rest)
     odd = sorted(
         (key for key, c in counts.items() if c % 2 != 0),
         key=lambda key: (key[1] is None, str(key)),
     )
     if odd:
-        return Verdict("distinct", certificate=_render_class_key(odd[0]))
+        return Verdict("distinct", certificate=reference_render_class_key(odd[0]))
     return Verdict("unknown")
 
 
@@ -989,7 +1018,8 @@ def reference_enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = Fal
 # The bodies that gave each of the first and second moves its own deletion,
 # insertion and inverse, kept as references for ``moves.apply_move`` and
 # ``moves.inverse_site``.  A site with the wrong number of names or
-# locations fails here with a bare unpacking ``ValueError``.
+# locations fails here with a bare unpacking ``ValueError``, and the inverse
+# of a site that does not apply is refused as its application is.
 
 
 def reference_apply_move(d: Diagram, m: MoveSite) -> Diagram:
@@ -1123,6 +1153,7 @@ def _reference_two_inserts(d, comps, first, second):
 
 
 def reference_inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
+    reference_apply_move(d, m)
     if m.kind == "R3":
         return m
     if m.kind == "R1_delete":

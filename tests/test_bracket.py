@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from freelinks.bracket import (
+    Bracket,
     BracketError,
     Verdict,
     apply_splices,
@@ -30,8 +31,11 @@ _one_curve_codes = _bracket_module._one_curve_codes
 from genutil import (
     brute_bracket_keys,
     random_any_diagram,
+    random_good_diagram,
+    random_mixed_diagram,
     random_pure_diagram,
     reference_bracket_equal,
+    reference_class_key,
     reference_splice_components,
     sequential_bracket_keys,
 )
@@ -413,6 +417,34 @@ class TestBracketEqual:
             assert verdict == reference_bracket_equal(p, q, depth), (d, e, depth)
             statuses.add(verdict.status)
         assert statuses == {"equal", "distinct", "unknown"}
+
+    def test_certificate_among_odd_keys_matches_reference(self):
+        # brackets of random 3-4-component summands whose symmetric
+        # difference has two or more odd class keys: all with words, all
+        # parity-only, or both
+        rng = random.Random(107)
+        counts = {"words": 0, "parity": 0, "both": 0}
+        while min(counts.values()) < 100:
+            n, kind = rng.randint(3, 4), rng.choice(("tangle", "link"))
+            make = rng.choice(("words", "parity", "both"))
+
+            def summand():
+                if make == "words" or make == "both" and rng.random() < 0.5:
+                    return canonical_form(random_good_diagram(rng, n, 10, kind=kind))
+                return canonical_form(random_mixed_diagram(rng, n, rng.randint(1, 7), kind))
+
+            p = Bracket(kind, n, frozenset(summand() for _ in range(rng.randint(1, 4))))
+            q = Bracket(kind, n, frozenset(summand() for _ in range(rng.randint(1, 4))))
+            keys = [reference_class_key(s) for s in p.summands ^ q.summands]
+            odd = {key for key in keys if keys.count(key) % 2}
+            worded = sum(key[1] is not None for key in odd)
+            wanted = {"words": worded == len(odd), "parity": worded == 0, "both": 0 < worded < len(odd)}
+            if len(odd) < 2 or not wanted[make]:
+                continue
+            verdict = bracket_equal(p, q, 0)
+            assert verdict.status == "distinct"
+            assert verdict == reference_bracket_equal(p, q, 0), (p, q)
+            counts[make] += 1
 
     def test_class_keys_decide_before_search(self, monkeypatch, sample_tangle, trivial_tangle):
         def no_search(*args, **kwargs):

@@ -175,6 +175,25 @@ class TestLinkInvariant:
                     assert slide_conjugacy_equal(u, v), (d, points_a, points_b, i, j)
 
 
+    def test_is_the_offset_zero_class_word(self):
+        # the fingerprint entry equals the class word of the offset-0 cut,
+        # also with one closed component stored reversed
+        rng = random.Random(23)
+        links = 0
+        while links < 200:
+            d = random_good_diagram(rng, rng.randint(2, 5), 12, kind="link")
+            k = rng.randrange(d.n)
+            comps = list(d.components)
+            comps[k] = ComponentCode(True, comps[k].passes[::-1])
+            for e in (d, Diagram("link", tuple(comps))):
+                links += 1
+                origin = [Basepoint(c, 0) for c in range(1, e.n + 1)]
+                for i, j in product(range(1, e.n + 1), repeat=2):
+                    if i != j:
+                        expected = canonical_class_word(link_word(e, origin, i, j), undirected=True)
+                        assert link_invariant(e, i, j) == expected, (e, i, j)
+
+
 class TestFingerprint:
     def test_sample_values(self, sample_tangle):
         fp = fingerprint(sample_tangle)

@@ -22,6 +22,7 @@ from freelinks.moves import (
     serialize_trace,
 )
 
+from conftest import DATA
 from genutil import (
     plant_triangle,
     random_any_diagram,
@@ -277,6 +278,40 @@ class TestInverses:
                     assert inverse_site(apply_move(d, site), back) == site, (d, site, back)
                     checked += 1
         assert checked > 500
+
+    @pytest.mark.parametrize(
+        "site",
+        [
+            MoveSite("R1_delete", names=("q",), pairs=((1, 5),)),
+            MoveSite("R2_insert", names=("v", "w"), slots=((1, 0, True), (1, 4, False))),
+        ],
+    )
+    def test_refuses_a_site_that_does_not_apply(self, site):
+        d = parse_diagram((DATA / "kink.link").read_text())
+        with pytest.raises(MoveError) as applied:
+            apply_move(d, site)
+        with pytest.raises(MoveError) as inverted:
+            inverse_site(d, site)
+        assert str(inverted.value) == str(applied.value)
+
+    def test_inverse_exactly_when_the_site_applies(self):
+        # sites near the slate: each is refused by both, or undone
+        rng = random.Random(73)
+        undone = 0
+        for _ in range(300):
+            d = random_any_diagram(rng, 8)
+            slate = move_candidates(d, max_size=d.crossing_count + 2)
+            for _ in range(6):
+                site = _malformed_site(rng, d, rng.choice(slate))
+                try:
+                    out = apply_move(d, site)
+                except MoveError:
+                    with pytest.raises(MoveError):
+                        inverse_site(d, site)
+                    continue
+                assert apply_move(out, inverse_site(d, site)) == d, (d, site)
+                undone += 1
+        assert undone > 100
 
     def test_wrapped_insertion_roundtrip(self):
         # the slate never builds wrapped slots: each wrapped slot, first and

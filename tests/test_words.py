@@ -26,6 +26,7 @@ from genutil import (
     brute_conjugate_equal,
     naive_class_word,
     random_word,
+    reference_orbit_representatives,
     reference_slide_conjugacy_equal,
 )
 
@@ -151,6 +152,20 @@ class TestSlide:
         with pytest.raises(WordError):
             slide(make_word(CTX4, []), 1)
 
+    def test_is_a_unit_mask(self):
+        rng = random.Random(17)
+        for n in (3, 4, 5):
+            for i, j in ((1, 2), (1, n), (2, 3)):
+                ctx = GroupContext(n, i, j)
+                for _ in range(20):
+                    w = random_word(rng, ctx, 6)
+                    for l in ctx.strands:
+                        unit = tuple(int(k == l) for k in ctx.strands)
+                        assert slide(w, l) == apply_mask(w, unit), (w, l)
+                    for l in (0, i, j, n + 1):
+                        with pytest.raises(WordError, match="is not a strand"):
+                            slide(w, l)
+
     def test_preserves_reducedness(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -272,6 +287,14 @@ class TestOrbit:
         reps = orbit_representatives(w)
         assert set(reps) == set(product((0, 1), repeat=n - 2))
         assert len(set(reps.values())) <= 2 ** (n - 2)
+
+    def test_matches_bit_tuple_scan(self):
+        rng = random.Random(19)
+        for trial in range(300):
+            width = trial % 4
+            w = random_word(rng, GroupContext(width + 2, 1, 2), 8)
+            reps = orbit_representatives(w)
+            assert list(reps.items()) == list(reference_orbit_representatives(w).items()), w
 
     def test_masking_matches_slides(self):
         w = make_word(CTX4, [ALPHA, DELTA])
