@@ -35,6 +35,15 @@ finds those states, and only they are traced, each by a walk over one
 table of the component's runs that all its states share.  The whole
 expansion runs in the calling process.
 
+Every component has an odd number of one-curve states: over GF(2),
+det(A + diag x) is multilinear in x with top term x_1 ... x_m, so its sum
+over x in {0,1}^m is that term's coefficient, 1.  A one-curve state keeps
+every unspliced pass, so when the pure passes of a component form one block
+(cyclically on a closed component, linearly on an open one) all its
+one-curve states leave the same curve, the unspliced passes read as one run,
+and that curve alone is the component's share, with no state traced.  Every
+knot is such a component, and so is one with no pure crossing.
+
 Bracket values are compared as sets of canonical forms: equality and
 distinctness verdicts are sound, but since equivalence of individual
 summands is only certified by bounded search, the comparison may also answer
@@ -304,16 +313,37 @@ def _one_curve_codes(rows: list[int]) -> list[int]:
     return codes
 
 
+def _least_curve(curve: ComponentCode) -> ComponentCode:
+    """A closed curve at its least rotation or reversal; others unchanged."""
+    if curve.closed and curve.passes:
+        seqs = (curve.passes, curve.passes[::-1])
+        curve = ComponentCode(True, min(seq[r:] + seq[:r] for seq in seqs for r in range(len(seq))))
+    return curve
+
+
 def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode]:
     """Mod-2 set of the one-curve results of one component's states.
 
     ``sub`` holds the component alone, and bit r of a state picks the
-    branch of ``pures[r]``.  Only the states that :func:`_one_curve_codes`
-    finds are traced.  Each curve is at its least rotation or reversal, so
-    that curves equal as closed curves cancel.
+    branch of ``pures[r]``.  The number of one-curve states is odd: summed
+    over all diagonals x, det(A + diag x) over GF(2) leaves only the
+    coefficient of x_1 ... x_m, which is 1.  Each one-curve state keeps
+    every unspliced pass, so when the pure passes form one block, cyclic on
+    a closed component and linear on an open one, every such state leaves
+    the unspliced passes in their order, read as one run, and that curve is
+    the result with no state traced.  Otherwise only the states that
+    :func:`_one_curve_codes` finds are traced.  Each curve is at its least
+    rotation or reversal, so that curves equal as closed curves cancel.
     """
+    comp, cut = sub.components[0], set(pures)
+    spliced = [name in cut for name in comp.passes]
+    previous = spliced[-1:] + spliced[:-1] if comp.closed else [False] + spliced[:-1]
+    # a block of pure passes starts at each spliced pass after an unspliced one
+    if sum(s and not p for s, p in zip(spliced, previous)) <= 1:
+        kept = tuple(name for name, s in zip(comp.passes, spliced) if not s)
+        return {_least_curve(ComponentCode(comp.closed, kept))}
     table = _splice_table(sub, pures)
-    rows = _interlacement_rows(sub.components[0].passes, pures)
+    rows = _interlacement_rows(comp.passes, pures)
     odd: set[ComponentCode] = set()
     for code in _one_curve_codes(rows):
         components, _ = _splice_components(sub, code, table)
@@ -322,11 +352,7 @@ def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode
                 f"state {code} of the pure crossings {', '.join(pures)} left "
                 f"{len(components)} curves where the interlacement test predicts one"
             )
-        curve = components[0]
-        if curve.closed and curve.passes:
-            seqs = (curve.passes, curve.passes[::-1])
-            curve = ComponentCode(True, min(seq[r:] + seq[:r] for seq in seqs for r in range(len(seq))))
-        odd ^= {curve}
+        odd ^= {_least_curve(components[0])}
     return odd
 
 

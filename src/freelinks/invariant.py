@@ -205,7 +205,7 @@ def link_invariant(d: Diagram, i: int, j: int) -> Word:
     direction in which any component is stored.
     """
     if d.kind != "link":
-        raise InvariantError("link_word expects a link")
+        raise InvariantError("link_invariant expects a link")
     _checked_pair(d, i, j)
     return _indices_word(GroupContext(d.n, i, j), _class_words(d)[(min(i, j), max(i, j)), i])
 

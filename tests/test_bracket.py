@@ -231,34 +231,158 @@ class TestOneCurveCriterion:
         assert _one_curve_codes([0]) == [1]
 
     def test_traces_only_one_curve_states(self, monkeypatch):
-        # bracket traces each one-curve state once and no other state; the
-        # count comes from the reference kernel over every state
+        # bracket traces no state of a component whose pure passes form one
+        # block, and each one-curve state of every other component once;
+        # the counts come from the reference kernel over every state
         passes = random_component(random.Random(97), 10, 0).components[0].passes
         knot = Diagram("link", (ComponentCode(True, passes),))
         tangle = parse_diagram(
             "tangle n=3\ncomponent 1 open: a x b x a y c y"
             "\ncomponent 2 open: d b z d e z f e\ncomponent 3 open: c u g u f w g w"
         )
+        link = parse_diagram("link n=2\ncomponent 1 closed: x a x b\ncomponent 2 closed: a y y b")
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return _splice_components(*args, **kwargs)
 
-        for d in (knot, tangle):
+        kinds = set()
+        for d, traced in ((knot, []), (tangle, [1, 2, 3]), (link, [1])):
             expected = 0
-            for comp in d.components:
+            for ci, comp in enumerate(d.components, start=1):
                 sub = Diagram(d.kind, (comp,))
                 pures = tuple(sorted(d.pure.intersection(comp.passes)))
+                assert pure_passes_form_one_block(comp, pures) == (ci not in traced)
                 states = one_curve_codes_by_tracing(sub, pures, reference=True)
-                assert 0 < len(states) < 1 << len(pures)
-                expected += len(states)
+                assert len(states) % 2 == 1 and len(states) < 1 << len(pures)
+                if ci in traced:
+                    expected += len(states)
+                kinds.add(ci in traced)
             calls.clear()
             monkeypatch.setattr(_bracket_module, "_splice_components", counting)
             value = bracket(d)
             monkeypatch.undo()
             assert len(calls) == expected
             assert {canonical_key(s) for s in value.summands} == brute_bracket_keys(d)
+        assert kinds == {True, False}
+
+
+def pure_passes_form_one_block(comp, pures):
+    """Whether the unspliced passes of ``comp`` are read as one run by every
+    state: cyclically consecutive on a closed component, and none between
+    the first and last pure pass on an open one."""
+    spliced = [p for p, name in enumerate(comp.passes) if name in pures]
+    kept = [p for p, name in enumerate(comp.passes) if name not in pures]
+    if not comp.closed:
+        return not any(spliced[0] < p < spliced[-1] for p in kept) if spliced else True
+    seq = comp.passes
+    return any(
+        all(name not in pures for name in (seq[r:] + seq[:r])[: len(kept)])
+        for r in range(len(seq) or 1)
+    )
+
+
+def chord_diagrams(m):
+    """Every pairing of the positions 0 .. 2m - 1 into m chords, as pass
+    sequences of the chord names ``p0`` .. ``p(m-1)``."""
+
+    def pairings(free):
+        if not free:
+            yield []
+            return
+        first, rest = free[0], free[1:]
+        for k, other in enumerate(rest):
+            for tail in pairings(rest[:k] + rest[k + 1 :]):
+                yield [(first, other), *tail]
+
+    for chords in pairings(list(range(2 * m))):
+        passes = [""] * (2 * m)
+        for r, (p, q) in enumerate(chords):
+            passes[p] = passes[q] = f"p{r}"
+        yield tuple(passes)
+
+
+FORCED = {
+    "knot": "link n=1\ncomponent 1 closed: a b c a d b c d",
+    "split closed component": (
+        "link n=3\ncomponent 1 closed: x y x y\ncomponent 2 closed: a b\ncomponent 3 closed: a b"
+    ),
+    "closed run": "link n=2\ncomponent 1 closed: x y a b x y\ncomponent 2 closed: a b",
+    "closed run across the start": "link n=2\ncomponent 1 closed: b x y x y a\ncomponent 2 closed: a b",
+    "open, mixed before": "tangle n=2\ncomponent 1 open: a b x y x y\ncomponent 2 open: a b",
+    "open, mixed after": "tangle n=2\ncomponent 1 open: x y x y a b\ncomponent 2 open: b a",
+    "open, mixed at both ends": "tangle n=2\ncomponent 1 open: a x y x y b\ncomponent 2 open: a b",
+}
+
+NEAR_MISSES = {
+    "closed": "link n=2\ncomponent 1 closed: x y a x b y\ncomponent 2 closed: a b",
+    "closed, kink between": "link n=2\ncomponent 1 closed: a x x b y y\ncomponent 2 closed: a b",
+    "open": "tangle n=2\ncomponent 1 open: x y a x y b\ncomponent 2 open: a b",
+    "open, mixed outside too": "tangle n=2\ncomponent 1 open: a x b x y c y\ncomponent 2 open: a b c",
+}
+
+
+class TestForcedCurve:
+    @pytest.mark.parametrize("m", range(7))
+    def test_one_curve_count_is_odd_on_every_chord_diagram(self, m):
+        # over GF(2) the sum of det(A + diag x) over all x is the top
+        # coefficient of a multilinear polynomial, 1
+        pures = tuple(f"p{r}" for r in range(m))
+        count = 0
+        for passes in chord_diagrams(m):
+            assert len(_one_curve_codes(_interlacement_rows(passes, pures))) % 2 == 1, passes
+            count += 1
+        assert count == [1, 1, 3, 15, 105, 945, 10395][m]
+
+    def test_one_curve_count_is_odd_on_random_chord_diagrams(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            (comp,) = random_component(rng, rng.randint(7, 14), 0).components
+            pures = tuple(sorted(set(comp.passes)))
+            assert len(_one_curve_codes(_interlacement_rows(comp.passes, pures))) % 2 == 1, comp
+
+    @pytest.mark.parametrize("name", sorted(FORCED))
+    def test_forced_components_trace_nothing(self, name, monkeypatch):
+        d = parse_diagram(FORCED[name])
+        for comp in d.components:
+            assert pure_passes_form_one_block(comp, d.pure.intersection(comp.passes))
+        expected = brute_bracket_keys(d)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forced component was expanded")
+
+        monkeypatch.setattr(_bracket_module, "_splice_components", refuse)
+        monkeypatch.setattr(_bracket_module, "_one_curve_codes", refuse)
+        assert {canonical_key(s) for s in bracket(d).summands} == expected
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+    def test_near_misses_are_traced(self, name, monkeypatch):
+        d = parse_diagram(NEAR_MISSES[name])
+        comp = d.components[0]
+        assert not pure_passes_form_one_block(comp, d.pure.intersection(comp.passes))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _splice_components(*args, **kwargs)
+
+        monkeypatch.setattr(_bracket_module, "_splice_components", counting)
+        assert {canonical_key(s) for s in bracket(d).summands} == brute_bracket_keys(d)
+        assert calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cap_sized_knot_is_one_circle(self, seed, monkeypatch):
+        passes = [f"p{k}" for k in range(20) for _ in (0, 1)]
+        random.Random(seed).shuffle(passes)
+        knot = Diagram("link", (ComponentCode(True, tuple(passes)),))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a knot was expanded")
+
+        monkeypatch.setattr(_bracket_module, "_splice_components", refuse)
+        monkeypatch.setattr(_bracket_module, "_one_curve_codes", refuse)
+        assert bracket(knot).summands == frozenset({canonical_form(CIRCLE)})
 
 
 class TestBracket:

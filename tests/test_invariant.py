@@ -142,6 +142,10 @@ class TestLinkWord:
 
 
 class TestLinkInvariant:
+    def test_rejects_tangle_by_name(self, sample_tangle):
+        with pytest.raises(InvariantError, match=r"^link_invariant expects a link$"):
+            link_invariant(sample_tangle, 1, 2)
+
     def test_four_component_example(self, four_component_link):
         value = link_invariant(four_component_link, 1, 2)
         expected = canonical_class_word(
