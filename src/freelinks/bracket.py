@@ -321,6 +321,16 @@ def _least_curve(curve: ComponentCode) -> ComponentCode:
     return curve
 
 
+def _one_block(comp: ComponentCode, pures) -> bool:
+    """Whether the passes of ``pures`` on ``comp`` form at most one block,
+    cyclic on a closed component and linear on an open one."""
+    cut = set(pures)
+    spliced = [name in cut for name in comp.passes]
+    previous = spliced[-1:] + spliced[:-1] if comp.closed else [False] + spliced[:-1]
+    # a block of pure passes starts at each spliced pass after an unspliced one
+    return sum(s and not p for s, p in zip(spliced, previous)) <= 1
+
+
 def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode]:
     """Mod-2 set of the one-curve results of one component's states.
 
@@ -335,12 +345,10 @@ def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode
     :func:`_one_curve_codes` finds are traced.  Each curve is at its least
     rotation or reversal, so that curves equal as closed curves cancel.
     """
-    comp, cut = sub.components[0], set(pures)
-    spliced = [name in cut for name in comp.passes]
-    previous = spliced[-1:] + spliced[:-1] if comp.closed else [False] + spliced[:-1]
-    # a block of pure passes starts at each spliced pass after an unspliced one
-    if sum(s and not p for s, p in zip(spliced, previous)) <= 1:
-        kept = tuple(name for name, s in zip(comp.passes, spliced) if not s)
+    comp = sub.components[0]
+    if _one_block(comp, pures):
+        cut = set(pures)
+        kept = tuple(name for name in comp.passes if name not in cut)
         return {_least_curve(ComponentCode(comp.closed, kept))}
     table = _splice_table(sub, pures)
     rows = _interlacement_rows(comp.passes, pures)
@@ -363,23 +371,24 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
     canonicalized, and pairs of equal canonical forms cancel.  A diagram
     without pure crossings brackets to the singleton of its own canonical
     form.  Raises :class:`DiagramError` when the diagram is invalid and
-    :class:`BracketError` when it has more than ``max_pure`` pure crossings.
+    :class:`BracketError` when the components whose states are traced have
+    more than ``max_pure`` pure crossings between them.
 
     Each component's states are expanded on their own, in this process, and
-    only those that leave it one curve are traced.
+    only those that leave it one curve are traced.  A component whose pure
+    passes form one block has no state traced, so its pure crossings do not
+    count toward the cap.
     """
     pures = require_valid(d).pure
-    if len(pures) > max_pure:
+    own = [tuple(sorted(pures.intersection(comp.passes))) for comp in d.components]
+    traced = sum(len(p) for comp, p in zip(d.components, own) if not _one_block(comp, p))
+    if traced > max_pure:
         raise BracketError(
-            f"{len(pures)} pure crossings exceed the expansion cap of {max_pure}; "
+            f"{traced} pure crossings to trace exceed the expansion cap of {max_pure}; "
             "only the library call bracket(d, max_pure=N) raises the cap"
         )
     survivors = [
-        _component_states(
-            Diagram(d.kind, (comp,)),
-            tuple(sorted(pures.intersection(comp.passes))),
-        )
-        for comp in d.components
+        _component_states(Diagram(d.kind, (comp,)), p) for comp, p in zip(d.components, own)
     ]
 
     keys: set[tuple] = set()

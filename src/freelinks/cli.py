@@ -22,6 +22,7 @@ from .diagram import (
     Diagram,
     DiagramError,
     ParseError,
+    _pass_counts,
     parse_diagram,
     require_valid,
     serialize_diagram,
@@ -230,7 +231,9 @@ def _cmd_compare(args) -> int:
             )
             return 1
 
-    if a.key == b.key:
+    # equal keys have equal pass counts, and the search keys A only when a
+    # diagram with its pass counts meets it
+    if _pass_counts(a) == _pass_counts(b) and a.key == b.key:
         print("equal")
         return 0
 

@@ -27,6 +27,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 __all__ = [
     "Diagram",
@@ -342,25 +343,34 @@ def canonical_key(d: Diagram) -> tuple:
     sequence is chosen among all combinations.  The result is identical to
     the minimum over the full product, which is not enumerated:
 
-    - the labelings of the tying prefixes are kept as a product of factors,
-      each a list of alternative labels for its own crossings, and only for
-      the crossings still to come.  Each pass reads one factor, so the least
-      code at a pass is the least over that factor's alternatives alone, and
-      the alternatives that give it stay a product with the other factors.
-      Components that share no crossing therefore add their tying rotations
-      as a factor instead of multiplying the states: a four-component link
-      with a dozen crossings per component otherwise carries several
-      hundred equal states.
+    - the labelings of the tying prefixes are kept as states, each a set of
+      labelings of the crossings still to come, held as ``(fixed,
+      factors)``: ``fixed`` maps each crossing whose label the state
+      determines to that label, and each factor lists the alternative
+      labels of its own crossings, two or more of them.  The state is the
+      fixed labels times the product of the factors.  Each pass reads its
+      fixed label or one factor, so the least code at a pass is the least
+      over that factor's alternatives alone, and the alternatives that give
+      it stay a product with the other factors; a factor narrowed to one
+      alternative moves its labels into ``fixed``.  Components that share
+      no crossing therefore add their tying rotations as a factor instead
+      of multiplying the states: a four-component link with a dozen
+      crossings per component otherwise carries several hundred equal
+      states.
     - only the (state, rotation/reversal) pairs whose first code is the
-      least are scanned.  The first code of a pair is the least alternative
-      label of its first crossing when an earlier component shares that
-      crossing, and the next fresh label ``nxt`` otherwise.  Those least
-      labels are the column minima of each state's factors, taken once per
-      state; they are also the code of the first pass that reads a factor.
-      The filter is exact: every other pair is already above the least at
-      position 0 and can never win.
+      least are scanned.  The first code of a pair is the fixed label or
+      the least alternative label of its first crossing when an earlier
+      component shares that crossing, and the next fresh label ``nxt``
+      otherwise.  Those least labels are the column minima of each state's
+      factors, taken once per state; they are also the code of the first
+      pass that reads a factor.  The filter is exact: every other pair is
+      already above the least at position 0 and can never win.
     - the scanned pairs are dropped at the first position where their
       relabeled prefix exceeds the best one found so far.
+    - the pairs that tie the best become the next states.  Ties that carry
+      the same fixed labels and factors differ only in the labels of the
+      component's new crossings, which then form one more factor; when a
+      single pair ties, its state is built directly, with nothing to merge.
     - a closed component of length ``L`` that shares no crossing with an
       earlier one and passes each of its crossings once is relabeled
       ``nxt, nxt+1, ...`` in every rotation and reversal, whatever the
@@ -383,10 +393,11 @@ def canonical_key(d: Diagram) -> tuple:
         later = later | frozenset(comp.passes)
     ahead.reverse()
 
-    # A state is a set of labelings: the product of its factors.  A factor is
-    # (crossings, alternatives), each alternative a tuple of their labels.
-    # Each earlier crossing still to come lies in one factor of every state.
-    states: list[tuple] = [()]
+    # A state is (fixed, factors): a label per determined crossing, and
+    # factors (crossings, alternatives), each alternative a tuple of their
+    # labels.  Each earlier crossing still to come is in fixed or in one
+    # factor of every state.
+    states: list[tuple[dict[str, int], list]] = [({}, [])]
     nxt = 1
     earlier: set[str] = set()
     key_parts: list[tuple[bool, tuple[int, ...]]] = []
@@ -394,7 +405,7 @@ def canonical_key(d: Diagram) -> tuple:
         passes = comp.passes
         length = len(passes)
         fresh_toks = tuple(sorted(tok for tok in set(passes) - earlier if tok in to_come))
-        # ties: (factors, narrowed, the alternatives for fresh_toks)
+        # ties: (fixed, factors, narrowed, the alternatives for fresh_toks)
         if comp.closed and earlier.isdisjoint(passes) and len(set(passes)) == length:
             labels = tuple(range(nxt, nxt + length))
             best = list(labels)
@@ -405,29 +416,37 @@ def canonical_key(d: Diagram) -> tuple:
                 *zip(*(labels[p::-1] + labels[:p:-1] for p in where)),
                 *zip(*(labels[-p:] + labels[:-p] for p in where)),
             }
-            ties = [(factors, {}, alts) for factors in states]
+            ties = [(fixed, factors, {}, alts) for fixed, factors in states]
         else:
-            # per state, each earlier crossing's factor and index, and its
+            # per state, each factor crossing's factor and index, and its
             # least label over that factor's alternatives
-            owners, firsts = [], []
-            for factors in states:
-                owner, first = {}, {}
-                for f, (toks, alts) in enumerate(factors):
-                    for i, (tok, label) in enumerate(zip(toks, map(min, zip(*alts)))):
-                        owner[tok] = f, i
-                        first[tok] = label
-                owners.append(owner)
-                firsts.append(first)
-            # the least first code over every state and rotation/reversal
             shared = earlier.intersection(passes)
-            least = min((first[tok] for first in firsts for tok in shared), default=nxt)
+            owners, leads = [], []
+            for _, factors in states:
+                owner, lead = {}, {}
+                for f, (toks, alts) in enumerate(factors):
+                    for i, tok in enumerate(toks):
+                        if tok in shared:
+                            owner[tok] = f, i
+                            lead[tok] = min(map(itemgetter(i), alts))
+                owners.append(owner)
+                leads.append(lead)
+            # the least first code over every state and rotation/reversal
+            least = min(
+                (
+                    fixed.get(tok) or lead[tok]
+                    for (fixed, _), lead in zip(states, leads)
+                    for tok in shared
+                ),
+                default=nxt,
+            )
             reverse = passes[::-1]
             best = None
-            for factors, owner, first in zip(states, owners, firsts):
+            for (fixed, factors), owner, lead in zip(states, owners, leads):
                 if comp.closed:
                     variants = set()
                     for p, tok in enumerate(passes):
-                        if first.get(tok, nxt) == least:
+                        if (fixed.get(tok) or lead.get(tok, nxt)) == least:
                             q = length - 1 - p
                             variants.add(passes[p:] + passes[:p])
                             variants.add(reverse[q:] + reverse[:q])
@@ -441,20 +460,22 @@ def canonical_key(d: Diagram) -> tuple:
                     # 0 while rel ties best's prefix, -1 once it is below it
                     order = -1 if best is None else 0
                     for tok in variant:
-                        place = owner.get(tok)
-                        if place is None:
-                            code = new.get(tok)
-                            if code is None:
-                                code = new[tok] = fresh
-                                fresh += 1
-                        else:
-                            f, i = place
-                            alts = narrowed.get(f)
-                            if alts is None:
-                                alts, code = factors[f][1], first[tok]
+                        code = fixed.get(tok)
+                        if code is None:
+                            place = owner.get(tok)
+                            if place is None:
+                                code = new.get(tok)
+                                if code is None:
+                                    code = new[tok] = fresh
+                                    fresh += 1
                             else:
-                                code = min(alt[i] for alt in alts)
-                            narrowed[f] = [alt for alt in alts if alt[i] == code]
+                                f, i = place
+                                alts = narrowed.get(f)
+                                if alts is None:
+                                    alts, code = factors[f][1], lead[tok]
+                                else:
+                                    code = min(alt[i] for alt in alts)
+                                narrowed[f] = [alt for alt in alts if alt[i] == code]
                         if not order:
                             bound = best[len(rel)]
                             if code > bound:
@@ -466,28 +487,85 @@ def canonical_key(d: Diagram) -> tuple:
                         if order:
                             best = rel
                             ties = []
-                        ties.append((factors, narrowed, (tuple(new[tok] for tok in fresh_toks),)))
+                        ties.append(
+                            (fixed, factors, narrowed, (tuple(new[tok] for tok in fresh_toks),))
+                        )
         assert best is not None
         key_parts.append((comp.closed, tuple(best)))
         nxt = max([nxt - 1, *best]) + 1
 
-        # Ties that carry the same factors differ only in the labels of this
-        # component's new crossings, which then form one more factor.
         earlier.update(passes)
-        merged: dict[tuple, set[tuple[int, ...]]] = {}
-        for factors, narrowed, fresh_alts in ties:
-            carried = []
-            for f, (toks, alts) in enumerate(factors):
-                keep = [i for i, tok in enumerate(toks) if tok in to_come]
-                if keep:
-                    alts = {tuple(alt[i] for i in keep) for alt in narrowed.get(f, alts)}
-                    carried.append((tuple(toks[i] for i in keep), tuple(sorted(alts))))
-            merged.setdefault(tuple(sorted(carried)), set()).update(fresh_alts)
-        states = [
-            carried + (((fresh_toks, tuple(sorted(alts))),) if fresh_toks else ())
-            for carried, alts in merged.items()
-        ]
+        if not to_come:
+            # no tie carries anything on
+            states = [({}, [])]
+        elif len(ties) == 1:
+            fixed, factors, narrowed, fresh_alts = ties[0]
+            kept, carried = _carried(fixed, factors, narrowed, to_come)
+            states = [_next_state(kept, carried, fresh_toks, fresh_alts)]
+        else:
+            # Ties that carry the same fixed labels and factors differ only in
+            # the labels of this component's new crossings, which then form
+            # one more factor.
+            merged: dict[tuple, tuple] = {}
+            for fixed, factors, narrowed, fresh_alts in ties:
+                kept, carried = _carried(fixed, factors, narrowed, to_come)
+                carried.sort()
+                group = (frozenset(kept.items()), tuple(carried))
+                entry = merged.get(group)
+                if entry is None:
+                    merged[group] = (kept, carried, set(fresh_alts))
+                else:
+                    entry[2].update(fresh_alts)
+            states = [
+                _next_state(kept, carried, fresh_toks, alts)
+                for kept, carried, alts in merged.values()
+            ]
     return (d.kind, tuple(key_parts))
+
+
+def _carried(fixed: dict[str, int], factors: list, narrowed: dict, to_come: frozenset[str]):
+    """The fixed labels and factors of one tie, narrowed as its pass
+    sequence narrowed them, on the crossings in ``to_come`` alone; a factor
+    left with one alternative moves into the fixed labels."""
+    kept = {tok: label for tok, label in fixed.items() if tok in to_come}
+    carried = []
+    for f, factor in enumerate(factors):
+        toks, alts = factor
+        keep = [i for i, tok in enumerate(toks) if tok in to_come]
+        if not keep:
+            continue
+        if len(keep) == len(toks):
+            if f not in narrowed:
+                carried.append(factor)
+                continue
+            alts = set(narrowed[f])
+        else:
+            toks = tuple(toks[i] for i in keep)
+            alts = {tuple(alt[i] for i in keep) for alt in narrowed.get(f, alts)}
+        if len(alts) > 1:
+            carried.append((toks, tuple(sorted(alts))))
+        else:
+            kept.update(zip(toks, *alts))
+    return kept, carried
+
+
+def _next_state(kept: dict[str, int], carried: list, fresh_toks: tuple[str, ...], fresh_alts):
+    """The state of the carried labels and factors with the alternatives
+    ``fresh_alts`` for the new crossings ``fresh_toks``: one more factor, or
+    fixed labels when there is one alternative (or none, for an empty
+    component)."""
+    if len(fresh_alts) > 1:
+        carried.append((fresh_toks, tuple(sorted(fresh_alts))))
+    else:
+        kept.update(zip(fresh_toks, *fresh_alts))
+    return kept, carried
+
+
+def _pass_counts(d: Diagram) -> tuple[int, ...]:
+    """The number of passes of each component: equal on diagrams with
+    equal canonical keys, so diagrams where it differs need no key to tell
+    their keys apart."""
+    return tuple(len(comp.passes) for comp in d.components)
 
 
 def canonical_form(d: Diagram) -> Diagram:

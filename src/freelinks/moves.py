@@ -42,6 +42,7 @@ from .diagram import (
     ComponentCode,
     Diagram,
     ParseError,
+    _pass_counts,
     require_valid,
 )
 
@@ -66,6 +67,8 @@ DELETION_KINDS = ("R1_delete", "R2_delete", "R3")
 ALL_KINDS = ("R1_delete", "R1_insert", "R2_delete", "R2_insert", "R3")
 # states one run of a bounded equivalence search keeps, on both sides together
 MAX_NODES = 50000
+# the entry of a bounded equivalence search's start before it is keyed
+_ROOT = object()
 # the change each move kind makes to the crossing count of the pair it touches
 _COUNT_CHANGE = {"R1_delete": -1, "R1_insert": 1, "R2_delete": -2, "R2_insert": 2}
 # component pair (i, j), i <= j -> the number of crossings between them
@@ -692,6 +695,12 @@ def bounded_equivalence_search(
     run that drops no move and runs out of diagrams on one side ends the
     search, since no run of any limit can differ.
 
+    Equal keys have equal per-component pass counts, so ``a`` is keyed
+    only when a diagram with its pass counts meets it: ``b`` at the start,
+    or a neighbour, from either side, when it is tested against ``a``'s
+    side.  Until then ``a``'s side holds it under a root entry that no key
+    can equal.
+
     Returns a trace that replays from ``a`` to a diagram with ``b``'s
     canonical form on success, and ``unknown`` otherwise, with the
     :class:`SearchVerdict` reason: the search never claims inequivalence.
@@ -704,8 +713,10 @@ def bounded_equivalence_search(
         # only between pure-crossing-free diagrams is every restricted move
         # undone by a restricted move, which the search from b relies on
         raise MoveError("a search without pure crossings needs inputs without pure crossings")
-    source, target = a.key, b.key
-    if source == target:
+    # keying b validates it; a may never be keyed
+    require_valid(a)
+    target = b.key
+    if _pass_counts(a) == _pass_counts(b) and a.key == target:
         return SearchVerdict(True, WalkTrace(a, (), a), reason="found")
     # per side: the pair counts of the other side's end
     goals = (_pair_vector(b), _pair_vector(a))
@@ -715,7 +726,7 @@ def bounded_equivalence_search(
     max_size = max(a.crossing_count, b.crossing_count) + 2
 
     def run(limit: int) -> SearchVerdict | None:
-        return _search_run(a, b, (source, target), goals, limit, forbid_pure, max_size)
+        return _search_run(a, b, target, goals, limit, forbid_pure, max_size)
 
     # The answer is that of the runs with these limits in turn, up to the
     # first that does not run out of levels.  A run holds every state of the
@@ -740,13 +751,15 @@ def bounded_equivalence_search(
     return SearchVerdict(False, reason="depth")
 
 
-def _search_run(a, b, keys, goals, limit: int, forbid_pure: bool, max_size: int):
+def _search_run(a, b, target, goals, limit: int, forbid_pure: bool, max_size: int):
     """One run of the bidirectional search, pruned to sequences of at most
     ``limit`` moves; None when its levels run out without an answer."""
-    source, target = keys
-    # per side: canonical key -> (diagram, key it was reached from, move)
-    sides = ({source: (a, None, None)}, {target: (b, None, None)})
-    frontiers = [[source], [target]]
+    # per side: canonical key -> (diagram, key it was reached from, move);
+    # a is held under _ROOT, and under its key too once it is keyed
+    sides = ({_ROOT: (a, None, None)}, {target: (b, None, None)})
+    frontiers = [[_ROOT], [target]]
+    # a's pass counts until a is held under its key
+    start = _pass_counts(a)
     pruned = [False, False]
     nodes = 0
     for level in range(limit):
@@ -765,12 +778,19 @@ def _search_run(a, b, keys, goals, limit: int, forbid_pure: bool, max_size: int)
                     continue
                 neighbor = apply_move(diag, site)
                 found = neighbor.key
+                if start is not None and _pass_counts(neighbor) == start:
+                    # it may be a, and is next tested against a's side
+                    sides[0][a.key] = sides[0][_ROOT]
+                    start = None
+                # no key is on both sides before they meet, so the meet is
+                # tested first
+                if found in other:
+                    seen[found] = (neighbor, key, site)
+                    trace = _joined_trace(a, sides, found, forbid_pure, max_size)
+                    return SearchVerdict(True, trace, reason="found")
                 if found in seen:
                     continue
                 seen[found] = (neighbor, key, site)
-                if found in other:
-                    trace = _joined_trace(a, sides, found, forbid_pure, max_size)
-                    return SearchVerdict(True, trace, reason="found")
                 nodes += 1
                 if nodes >= MAX_NODES:
                     return SearchVerdict(False, reason="cap")

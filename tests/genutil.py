@@ -29,6 +29,7 @@ from freelinks.diagram import (
     Violation,
     canonical_key,
     cut_link,
+    require_valid,
 )
 from freelinks.invariant import _require_good, _require_tangle, fingerprint
 from freelinks.moves import (
@@ -286,7 +287,7 @@ def plant_triangle(rng: random.Random, d: Diagram) -> Diagram:
     )
 
 
-# -- naive canonical form -------------------------------------------------------
+# -- naive and reference canonical keys -------------------------------------------
 
 
 def naive_canonical_key(d: Diagram):
@@ -318,6 +319,128 @@ def naive_canonical_key(d: Diagram):
         if best is None or key < best:
             best = key
     return (d.kind, tuple((c.closed, rel) for c, rel in zip(d.components, best)))
+
+
+def reference_canonical_key(d: Diagram) -> tuple:
+    """The canonical key with every crossing label in a factor, even one
+    with a single alternative, and every component's ties merged: the
+    reference for :func:`canonical_key`, which holds determined labels
+    outside the factor product."""
+    require_valid(d)
+
+    # ahead[c]: the crossings of the components after component c
+    ahead: list[frozenset[str]] = []
+    later: frozenset[str] = frozenset()
+    for comp in reversed(d.components):
+        ahead.append(later)
+        later = later | frozenset(comp.passes)
+    ahead.reverse()
+
+    # A state is a set of labelings: the product of its factors.  A factor is
+    # (crossings, alternatives), each alternative a tuple of their labels.
+    # Each earlier crossing still to come lies in one factor of every state.
+    states: list[tuple] = [()]
+    nxt = 1
+    earlier: set[str] = set()
+    key_parts: list[tuple[bool, tuple[int, ...]]] = []
+    for comp, to_come in zip(d.components, ahead):
+        passes = comp.passes
+        length = len(passes)
+        fresh_toks = tuple(sorted(tok for tok in set(passes) - earlier if tok in to_come))
+        # ties: (factors, narrowed, the alternatives for fresh_toks)
+        if comp.closed and earlier.isdisjoint(passes) and len(set(passes)) == length:
+            labels = tuple(range(nxt, nxt + length))
+            best = list(labels)
+            where = [passes.index(tok) for tok in fresh_toks]
+            # the labels of the pass at p in the rotations and the reversals
+            # from r = 0, 1, ...: nxt + (p - r) mod L and nxt + (r - p) mod L
+            alts = {
+                *zip(*(labels[p::-1] + labels[:p:-1] for p in where)),
+                *zip(*(labels[-p:] + labels[:-p] for p in where)),
+            }
+            ties = [(factors, {}, alts) for factors in states]
+        else:
+            # per state, each earlier crossing's factor and index, and its
+            # least label over that factor's alternatives
+            owners, firsts = [], []
+            for factors in states:
+                owner, first = {}, {}
+                for f, (toks, alts) in enumerate(factors):
+                    for i, (tok, label) in enumerate(zip(toks, map(min, zip(*alts)))):
+                        owner[tok] = f, i
+                        first[tok] = label
+                owners.append(owner)
+                firsts.append(first)
+            # the least first code over every state and rotation/reversal
+            shared = earlier.intersection(passes)
+            least = min((first[tok] for first in firsts for tok in shared), default=nxt)
+            reverse = passes[::-1]
+            best = None
+            for factors, owner, first in zip(states, owners, firsts):
+                if comp.closed:
+                    variants = set()
+                    for p, tok in enumerate(passes):
+                        if first.get(tok, nxt) == least:
+                            q = length - 1 - p
+                            variants.add(passes[p:] + passes[:p])
+                            variants.add(reverse[q:] + reverse[:q])
+                else:
+                    variants = (passes,)
+                for variant in variants:
+                    narrowed: dict[int, list[tuple[int, ...]]] = {}
+                    new: dict[str, int] = {}
+                    fresh = nxt
+                    rel = []
+                    # 0 while rel ties best's prefix, -1 once it is below it
+                    order = -1 if best is None else 0
+                    for tok in variant:
+                        place = owner.get(tok)
+                        if place is None:
+                            code = new.get(tok)
+                            if code is None:
+                                code = new[tok] = fresh
+                                fresh += 1
+                        else:
+                            f, i = place
+                            alts = narrowed.get(f)
+                            if alts is None:
+                                alts, code = factors[f][1], first[tok]
+                            else:
+                                code = min(alt[i] for alt in alts)
+                            narrowed[f] = [alt for alt in alts if alt[i] == code]
+                        if not order:
+                            bound = best[len(rel)]
+                            if code > bound:
+                                break
+                            if code < bound:
+                                order = -1
+                        rel.append(code)
+                    else:
+                        if order:
+                            best = rel
+                            ties = []
+                        ties.append((factors, narrowed, (tuple(new[tok] for tok in fresh_toks),)))
+        assert best is not None
+        key_parts.append((comp.closed, tuple(best)))
+        nxt = max([nxt - 1, *best]) + 1
+
+        # Ties that carry the same factors differ only in the labels of this
+        # component's new crossings, which then form one more factor.
+        earlier.update(passes)
+        merged: dict[tuple, set[tuple[int, ...]]] = {}
+        for factors, narrowed, fresh_alts in ties:
+            carried = []
+            for f, (toks, alts) in enumerate(factors):
+                keep = [i for i, tok in enumerate(toks) if tok in to_come]
+                if keep:
+                    alts = {tuple(alt[i] for i in keep) for alt in narrowed.get(f, alts)}
+                    carried.append((tuple(toks[i] for i in keep), tuple(sorted(alts))))
+            merged.setdefault(tuple(sorted(carried)), set()).update(fresh_alts)
+        states = [
+            carried + (((fresh_toks, tuple(sorted(alts))),) if fresh_toks else ())
+            for carried, alts in merged.items()
+        ]
+    return (d.kind, tuple(key_parts))
 
 
 # -- brute-force word oracles ----------------------------------------------------

@@ -385,6 +385,14 @@ class TestForcedCurve:
         assert bracket(knot).summands == frozenset({canonical_form(CIRCLE)})
 
 
+    def test_knot_past_the_cap_is_one_circle(self):
+        # 21 interlaced chords form one block: nothing is traced, so the cap
+        # of 20 does not apply
+        names = " ".join(f"p{k}" for k in range(21))
+        knot = parse_diagram(f"link n=1\ncomponent 1 closed: {names} {names}")
+        assert bracket(knot).summands == frozenset({canonical_form(CIRCLE)})
+
+
 class TestBracket:
     def test_pure_free_is_singleton(self, sample_tangle):
         value = bracket(sample_tangle)
@@ -450,8 +458,14 @@ class TestBracket:
         assert several >= 3
 
     def test_expansion_cap(self):
-        passes = tuple(f"p{k}" for k in range(6) for _ in (0, 1))
-        d = Diagram("link", (ComponentCode(True, passes),))
+        # six kinks in two blocks split by the two passes of m1 and m2, so
+        # the component's states are traced
+        kinks = [f"p{k} p{k}" for k in range(6)]
+        d = parse_diagram(
+            "link n=2\n"
+            f"component 1 closed: {' '.join(kinks[:3])} m1 {' '.join(kinks[3:])} m2\n"
+            "component 2 closed: m1 m2"
+        )
         with pytest.raises(BracketError, match="cap"):
             bracket(d, max_pure=5)
         bracket(d, max_pure=6)

@@ -214,11 +214,20 @@ class TestBracket:
 
     @pytest.mark.parametrize("subcommand", ["bracket", "compare"])
     def test_pure_crossing_cap_exits_3(self, tmp_path, subcommand):
-        # a knot with 21 interlaced pure crossings, one more than the cap
-        names = " ".join(f"p{k}" for k in range(21))
-        knot = tmp_path / "pure21.link"
-        knot.write_text(f"link n=1\ncomponent 1 closed: {names} {names}\n")
-        files = (str(knot), KINK)[: 2 if subcommand == "compare" else 1]
+        # 21 pure crossings, one more than the cap, on a component whose two
+        # mixed passes split them into two blocks, so that its states are
+        # traced; compare reaches the bracket against a pure-free link with
+        # the same parity table
+        first = " ".join(f"p{k}" for k in range(11))
+        second = " ".join(f"p{k}" for k in range(11, 21))
+        link = tmp_path / "pure21.link"
+        link.write_text(
+            f"link n=2\ncomponent 1 closed: {first} {first} m1 {second} {second} m2\n"
+            "component 2 closed: m1 m2\n"
+        )
+        free = tmp_path / "free.link"
+        free.write_text("link n=2\ncomponent 1 closed: m1 m2\ncomponent 2 closed: m1 m2\n")
+        files = (str(link), str(free))[: 2 if subcommand == "compare" else 1]
         code, out, err = invoke_process(subcommand, *files)
         assert code == 3
         assert out == ""
@@ -363,6 +372,42 @@ class TestCompare:
         code, out, _ = invoke(capsys, "compare", TRIANGLE, TRIANGLE_MOVED)
         assert (code, out.splitlines()[:2]) == (0, ["equal", "trace:"])
         assert [sum(d is x for d in keyed) for x in loaded] == [1, 1]
+
+    def test_second_move_pair_keys_only_the_end(self, capsys, monkeypatch, tmp_path):
+        import freelinks.cli
+        import freelinks.diagram
+
+        loaded, keyed = [], []
+        load, key = freelinks.cli._load, freelinks.diagram.canonical_key
+        monkeypatch.setattr(freelinks.cli, "_load", lambda path: loaded.append(load(path)) or loaded[-1])
+        monkeypatch.setattr(freelinks.diagram, "canonical_key", lambda d: keyed.append(d) or key(d))
+        # A is B with a bigon x y ... y x on components 1 and 2, so their
+        # pass counts differ: the command keys B, and A never
+        bigon = [
+            "x y c1 b1 c2 a1 c3 a2 b2 c4",
+            "c1 c2 c3 c4 d1 d2 e1 y x e2",
+            "a1 a2 d1 d2",
+            "b1 b2 e1 e2",
+        ]
+        code, out, _ = invoke(capsys, "compare", write_link(tmp_path / "a.link", bigon), FOUR)
+        lines = out.splitlines()
+        assert (code, lines[:2], len(lines)) == (0, ["equal", "trace:"], 3)
+        assert lines[2].startswith("R2_delete x y ")
+        assert [sum(d is x for d in keyed) for x in loaded] == [0, 1]
+
+    def test_renamed_copy_is_equal_without_a_trace(self, capsys, tmp_path):
+        # equal pass counts, so the inputs are keyed and the keys match
+        comps = [
+            "c1 b1 c2 a1 c3 a2 b2 c4",
+            "c1 c2 c3 c4 d1 d2 e1 e2",
+            "a1 a2 d1 d2",
+            "b1 b2 e1 e2",
+        ]
+        renamed = [" ".join(f"r{tok}" for tok in c.split()[1:] + c.split()[:1]) for c in comps]
+        code, out, _ = invoke(
+            capsys, "compare", FOUR, write_link(tmp_path / "renamed.link", renamed)
+        )
+        assert (code, out) == (0, "equal\n")
 
     def test_fingerprint_certificates(self, capsys, tmp_path):
         # pure-free pairs in good condition with equal parity tables, told

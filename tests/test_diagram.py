@@ -20,6 +20,7 @@ from freelinks.diagram import (
     serialize_diagram,
 )
 from freelinks.diagram import _diagram_from_key
+from freelinks.moves import _expand, apply_move
 
 from genutil import (
     fuzz_walk_diagrams,
@@ -29,6 +30,7 @@ from genutil import (
     random_mixed_diagram,
     random_pure_diagram,
     random_sparse_link,
+    reference_canonical_key,
     reference_crossing_occurrences,
     reference_is_good_condition,
     reference_pair_counts,
@@ -438,6 +440,55 @@ class TestCanonicalKeyOracle:
             )
             assert canonical_key(d) == naive_canonical_key(d), d
             assert canonical_key(scramble(rng, d)) == canonical_key(d), d
+
+
+class TestCanonicalKeyReference:
+    """The key with fixed labels outside the factor product against the key
+    that keeps every label in a factor, on diagrams too large for
+    :func:`naive_canonical_key`."""
+
+    @staticmethod
+    def inputs(rng: random.Random, count: int) -> list[Diagram]:
+        # 4-5 components and 16-24 crossings, links and tangles, mixed and
+        # in good condition, then sparse links and pure-crossing diagrams
+        large = []
+        for trial in range(count):
+            kind = ("link", "tangle")[trial % 2]
+            n = rng.randint(4, 5)
+            if trial % 4 < 2:
+                d = random_mixed_diagram(rng, n, rng.randint(16, 24), kind)
+            else:
+                d = random_good_diagram(rng, n, 24, kind)
+                while d.crossing_count < 16:
+                    d = random_good_diagram(rng, n, 24, kind)
+            large.append(d)
+        small = [random_sparse_link(rng) for _ in range(count // 2)]
+        small += [
+            random_pure_diagram(rng, rng.randint(2, 4), rng.choice(("link", "tangle")))
+            for _ in range(count // 2)
+        ]
+        return large + small
+
+    def test_matches_reference_and_its_scrambles(self):
+        rng = random.Random(97)
+        for d in self.inputs(rng, 120):
+            key = reference_canonical_key(d)
+            assert canonical_key(d) == key, d
+            for _ in range(2):
+                assert canonical_key(scramble(rng, d)) == key, d
+
+    def test_matches_reference_on_every_neighbour(self):
+        # every site of the slate that compare's search expands, without
+        # pure crossings on inputs that have none, on 20 of the inputs
+        rng = random.Random(101)
+        checked = 0
+        for d in self.inputs(rng, 10):
+            slate = _expand(d, forbid_pure=not d.pure, max_size=d.crossing_count + 2)
+            for site in slate:
+                neighbor = apply_move(d, site)
+                assert canonical_key(neighbor) == reference_canonical_key(neighbor), (d, site)
+                checked += 1
+        assert checked > 1000
 
 
 class TestCutLink:

@@ -4,8 +4,16 @@ from itertools import product
 
 import pytest
 
+import freelinks.diagram
 from freelinks import moves
-from freelinks.diagram import ParseError, canonical_key, parse_diagram
+from freelinks.diagram import (
+    ComponentCode,
+    Diagram,
+    DiagramError,
+    ParseError,
+    canonical_key,
+    parse_diagram,
+)
 from freelinks.moves import (
     MoveError,
     MoveSite,
@@ -839,6 +847,56 @@ class TestSearchBound:
                 bounded += verdict.reason == "bound"
                 assert verdict.reason in ("bound", "depth", "exhausted")
         assert found >= 20 and bounded >= 5, (found, bounded)
+
+    def test_invalid_start_is_refused_unkeyed(self):
+        # y occurs once; the pass counts differ, so the start is never keyed,
+        # and the bound answers before any move
+        a = Diagram("link", (ComponentCode(True, ("x", "x", "y")),))
+        with pytest.raises(DiagramError, match="crossing y"):
+            bounded_equivalence_search(a, parse_diagram("link n=1\ncomponent 1 closed:"), 0)
+
+    def test_start_with_a_neighbour_of_its_own_key(self, monkeypatch):
+        # a start with third-move sites, one giving it again up to renaming,
+        # rotation and reversal, and an end that another and a second move
+        # reach, so that a run expands the third moves: the
+        # search keys the start when the first diagram with its pass counts
+        # meets its side, and answers as the search that keys it first
+        keyed = []
+        key = freelinks.diagram.canonical_key
+        monkeypatch.setattr(freelinks.diagram, "canonical_key", lambda d: keyed.append(d) or key(d))
+        rng = random.Random(67)
+        pairs = lazy = 0
+        while pairs < 24:
+            d = plant_triangle(rng, random_good_diagram(rng, 3, rng.choice((0, 2, 4)), "link"))
+            thirds = [apply_move(d, s) for s in enumerate_moves(d, kinds=("R3",))]
+            others = [x for x in thirds if x.key != d.key]
+            if len(others) == len(thirds) or not others:
+                continue
+            forbid = not d.pure and pairs % 4 < 2
+            moved = rng.choice(others)
+            seconds = [
+                site
+                for site in move_candidates(moved, forbid_pure=forbid, max_size=moved.crossing_count + 2)
+                if site.kind == "R2_insert"
+            ]
+            end = scramble(rng, apply_move(moved, rng.choice(seconds)))
+            for a, b in ((d, end), (end, d)):
+                # fresh copies, with no key cached
+                a, b = Diagram(a.kind, a.components), Diagram(b.kind, b.components)
+                expected = reference_bidirectional_search(a, b, 2, forbid_pure=forbid)
+                keyed.clear()
+                verdict = bounded_equivalence_search(a, b, 2, forbid_pure=forbid)
+                assert (verdict.equivalent, verdict.trace, verdict.reason) == (
+                    expected.equivalent,
+                    expected.trace,
+                    expected.reason,
+                ), (a, b, forbid)
+                # never by the check at the start: the pass counts differ
+                starts = sum(x is a for x in keyed)
+                assert starts <= 1
+                lazy += starts
+                pairs += 1
+        assert lazy >= 16, lazy
 
     def test_larger_depth_never_loses_an_answer(self, monkeypatch):
         # with this cap, a single run of limit d + 1 reaches the cap on six
