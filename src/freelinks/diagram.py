@@ -15,7 +15,8 @@ operations elsewhere in the package).
 Data derived from a diagram is computed once per diagram, cached on the
 frozen :class:`Diagram` and read as its fields, never changed:
 ``violations`` (empty when the diagram is valid), ``occurrences``, ``pure``,
-``pair_counts``, ``parity`` (the good-condition table) and ``key``.
+``pair_counts`` (the crossing count of each component pair, pure pairs
+(i, i) included), ``parity`` (the good-condition table) and ``key``.
 Operations that need a valid diagram call the one guard
 :func:`require_valid`; the command line validates each input once, when it
 loads the file.
@@ -88,8 +89,9 @@ class Diagram:
     ``occurrences`` lists each crossing's passes in scan order, by
     component and then by position, so a mixed crossing's lesser component
     comes first, which ``pair_counts`` relies on; ``pure`` and
-    ``pair_counts`` read ``occurrences``, and ``parity`` reads
-    ``pair_counts``.
+    ``pair_counts`` read ``occurrences``, and ``parity`` reads the mixed
+    pairs (i, j), i < j, of ``pair_counts``, which also counts each pure
+    pair (i, i).
     """
 
     kind: str  # "tangle" or "link"
@@ -165,15 +167,15 @@ class Diagram:
 
     @cached_property
     def pair_counts(self) -> dict[tuple[int, int], int]:
-        """The number of crossings joining each mixed pair (i, j), i < j."""
+        """The number of crossings joining each pair (i, j), i <= j: a pure
+        pair (i, i) counts component i's pure crossings."""
         n = self.n
-        counts = {(i, j): 0 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        counts = {(i, j): 0 for i in range(1, n + 1) for j in range(i, n + 1)}
         for places in self.occurrences.values():
             if len(places) == 2:
                 # scan order puts the lesser component first
                 (i, _), (j, _) = places
-                if i != j:
-                    counts[i, j] += 1
+                counts[i, j] += 1
         return counts
 
     @cached_property
@@ -185,7 +187,7 @@ class Diagram:
     def parity(self) -> dict[tuple[int, int], int]:
         """The good-condition parity table: each mixed pair's count mod 2.
         The diagram is in good condition when every entry is 0."""
-        return {pair: count % 2 for pair, count in self.pair_counts.items()}
+        return {(i, j): count % 2 for (i, j), count in self.pair_counts.items() if i != j}
 
 
 @dataclass(frozen=True)
@@ -535,13 +537,12 @@ def _carried(fixed: dict[str, int], factors: list, narrowed: dict, to_come: froz
         if not keep:
             continue
         if len(keep) == len(toks):
-            if f not in narrowed:
-                carried.append(factor)
-                continue
-            alts = set(narrowed[f])
-        else:
-            toks = tuple(toks[i] for i in keep)
-            alts = {tuple(alt[i] for i in keep) for alt in narrowed.get(f, alts)}
+            # a component narrows only the factors of the crossings it
+            # reads, which are then not to come, so this one is unnarrowed
+            carried.append(factor)
+            continue
+        toks = tuple(toks[i] for i in keep)
+        alts = {tuple(alt[i] for i in keep) for alt in narrowed.get(f, alts)}
         if len(alts) > 1:
             carried.append((toks, tuple(sorted(alts))))
         else:

@@ -71,7 +71,8 @@ MAX_NODES = 50000
 _ROOT = object()
 # the change each move kind makes to the crossing count of the pair it touches
 _COUNT_CHANGE = {"R1_delete": -1, "R1_insert": 1, "R2_delete": -2, "R2_insert": 2}
-# component pair (i, j), i <= j -> the number of crossings between them
+# component pair (i, j), i <= j -> the number of crossings between them, as
+# in Diagram.pair_counts
 PairCounts = dict[tuple[int, int], int]
 # move kind -> (crossing names, pairs or slots) of a site and of a trace line
 _TRACE_FIELDS = {
@@ -376,6 +377,8 @@ def inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
     it, or at its component's new end when its slot is wrapped.  A second
     move's names are those of its sorted first pair.
     """
+    # refuses every site that does not apply, two wrapped pairs or slots
+    # on one component among them
     apply_move(d, m)
     locs = _locations(m)
     if m.kind == "R3":
@@ -388,8 +391,6 @@ def inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
             end = len(_component(d.components, ci).passes) + 1
             if same:
                 _, q, other_wrapped = locs[1 - k]
-                if wrapped and other_wrapped:
-                    raise MoveError("at most one wrapped insertion per component")
                 end += 2
                 # the other pair went in left of this one if it wrapped, or
                 # if its slot is less, or equal and first
@@ -410,8 +411,6 @@ def inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
         ends.append((ci, p, comp.closed and p == len(comp.passes) - 1, letters))
     if same:
         (_, pa, wa, _), (_, pb, wb, _) = ends
-        if wa and wb:
-            raise MoveError("two wrapped pairs on one component cannot be disjoint")
         if wa or (not wb and pa > pb):
             ends.reverse()
     slots = []
@@ -514,15 +513,16 @@ def _expand(
     """The sites of the :func:`_slate` layout of ``d`` in slate order, each
     built only when it is reached.
 
-    Given ``goal``, every site whose result has a move lower bound above
-    ``budget`` to the diagram with pair counts ``goal`` is dropped unbuilt,
-    and None is yielded in its place.  The sites of a stretch of a run of
-    second-move insertions whose second slots lie on one component all
-    change the same component pair, so such a stretch is tested, and
-    dropped, as one.
+    Given ``goal``, the :attr:`Diagram.pair_counts` of the diagram searched
+    for, every site whose result has a move lower bound above ``budget`` to
+    that diagram is dropped unbuilt, and None is yielded in its place.  The
+    bound reads ``d.pair_counts`` and ``goal``, cached fields that it never
+    changes.  The sites of a stretch of a run of second-move insertions
+    whose second slots lie on one component all change the same component
+    pair, so such a stretch is tested, and dropped, as one.
     """
     sites, names, first, slots, starts = _slate(d, forbid_pure=forbid_pure, max_size=max_size)
-    here = _pair_vector(d) if goal is not None else {}
+    here = {} if goal is None else d.pair_counts
     # one move raises the bound by at most one, so a slack of 1 drops nothing
     slack = 1 if goal is None else budget - _distance(here, goal)
 
@@ -618,24 +618,12 @@ def move_lower_bound(x: Diagram, y: Diagram) -> int:
     A move changes the crossing count of at most one component pair: a first
     move that of a pure pair (i, i) by 1, a second move that of one pair by
     2, and a third move none.  So the bound is the sum over the pairs, mixed
-    and pure, of ``ceil(|n(x) - n(y)| / 2)``.  It holds with and without
+    and pure, of ``ceil(|n(x) - n(y)| / 2)``, read from each diagram's
+    :attr:`Diagram.pair_counts`.  It holds with and without
     ``forbid_pure``: between diagrams without pure crossings the pure pairs
     add nothing.
     """
-    return _distance(_pair_vector(x), _pair_vector(y))
-
-
-def _pair_vector(d: Diagram) -> PairCounts:
-    """The crossing count of each mixed pair (i, j), i < j, and of each pure
-    pair (i, i), read from :attr:`Diagram.pair_counts`."""
-    counts = dict(d.pair_counts)
-    mixed = [0] * (d.n + 1)
-    for (i, j), count in d.pair_counts.items():
-        mixed[i] += count
-        mixed[j] += count
-    for c, comp in enumerate(d.components, start=1):
-        counts[c, c] = (len(comp.passes) - mixed[c]) // 2
-    return counts
+    return _distance(x.pair_counts, y.pair_counts)
 
 
 def _half(gap: int) -> int:
@@ -719,7 +707,7 @@ def bounded_equivalence_search(
     if _pass_counts(a) == _pass_counts(b) and a.key == target:
         return SearchVerdict(True, WalkTrace(a, (), a), reason="found")
     # per side: the pair counts of the other side's end
-    goals = (_pair_vector(b), _pair_vector(a))
+    goals = (b.pair_counts, a.pair_counts)
     least = _distance(*goals)
     if least > depth:
         return SearchVerdict(False, reason="bound")

@@ -126,9 +126,9 @@ def reference_is_good_condition(d: Diagram) -> tuple[bool, dict[tuple[int, int],
 
 
 def reference_pair_counts(d: Diagram) -> dict[tuple[int, int], int]:
-    counts = {(i, j): 0 for i in range(1, d.n + 1) for j in range(i + 1, d.n + 1)}
+    counts = {(i, j): 0 for i in range(1, d.n + 1) for j in range(i, d.n + 1)}
     for places in reference_crossing_occurrences(d).values():
-        if len(places) == 2 and places[0][0] != places[1][0]:
+        if len(places) == 2:
             i, j = places[0][0], places[1][0]
             counts[min(i, j), max(i, j)] += 1
     return counts

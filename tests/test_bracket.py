@@ -496,6 +496,13 @@ class TestBracketEqual:
         with pytest.raises(BracketError, match="component counts"):
             bracket_equal(bracket(sample_tangle), one, 1)
 
+    def test_mismatched_kinds(self):
+        link = bracket(parse_diagram("link n=1\ncomponent 1 closed: x x"))
+        tangle = bracket(parse_diagram("tangle n=1\ncomponent 1 open: x x"))
+        with pytest.raises(BracketError) as err:
+            bracket_equal(link, tangle, 1)
+        assert str(err.value) == "mismatched kinds: link vs tangle"
+
     def test_single_move_invariance(self):
         rng = random.Random(67)
         for _ in range(25):

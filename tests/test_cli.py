@@ -185,6 +185,20 @@ class TestInvariant:
         code, _, _ = invoke(capsys, "invariant", SAMPLE, "--pair", "1,2", "--bogus")
         assert code == 2
 
+    def test_malformed_basepoints_exit_2(self, capsys):
+        code, out, err = invoke(
+            capsys, "invariant", FOUR, "--pair", "1,2", "--basepoints", "1-0"
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: argument --basepoints: expected basepoints like '1:0,2:3', got '1-0'\n"
+        )
+        assert "Traceback" not in err
+
+    def test_along_outside_the_pair_exits_3(self, capsys):
+        code, out, err = invoke(capsys, "invariant", SAMPLE, "--pair", "1,2", "--along", "3")
+        assert (code, out, err) == (3, "", "error: --along must be one of the pair, got 3\n")
+
 
 class TestBracket:
     def test_kink_output(self, capsys):
@@ -590,6 +604,59 @@ class TestFuzz:
         )
         assert (code, out) == (1, "FAIL replay mismatch\n")
         assert calls["n"] == 2
+
+    # per check, a diagram made from one of the walk's that fails that check alone
+    FAULTS = {
+        # a crossing left with one pass
+        "validity": lambda d: Diagram(
+            d.kind, (ComponentCode(False, d.components[0].passes[1:]), *d.components[1:])
+        ),
+        # the same passes, closed
+        "component-count": lambda d: Diagram(
+            "link", tuple(ComponentCode(True, c.passes) for c in d.components)
+        ),
+        # one more crossing between components 1 and 2
+        "parity-table": lambda d: Diagram(
+            d.kind,
+            (
+                ComponentCode(False, d.components[0].passes + ("f1",)),
+                ComponentCode(False, d.components[1].passes + ("f1",)),
+                *d.components[2:],
+            ),
+        ),
+        # a kink on component 1
+        "pure-crossing": lambda d: Diagram(
+            d.kind, (ComponentCode(False, d.components[0].passes + ("f1", "f1")), *d.components[1:])
+        ),
+    }
+
+    @pytest.mark.parametrize("check", list(FAULTS))
+    def test_faulty_step_fails_its_check(self, capsys, monkeypatch, check):
+        # the walk and the replay both hand over the same faulty diagram at
+        # step 3, which must surface as FAIL plus the three moves
+        step, walk, faulty = 3, cli._walk, {}
+
+        def rigged(*args, **kwargs):
+            for k, (site, current) in enumerate(walk(*args, **kwargs), start=1):
+                if k == step:
+                    current = faulty["diagram"] = self.FAULTS[check](current)
+                yield site, current
+
+        calls = {"n": 0}
+
+        def replaying(d, site):
+            calls["n"] += 1
+            return faulty["diagram"] if calls["n"] == step else apply_move(d, site)
+
+        monkeypatch.setattr(cli, "_walk", rigged)
+        monkeypatch.setattr(cli, "apply_move", replaying)
+        code, out, _ = invoke(
+            capsys, "fuzz", SAMPLE, "--steps", "5", "--seed", "7", "--forbid-pure"
+        )
+        walked = random_walk(parse_diagram(Path(SAMPLE).read_text()), step, 7, forbid_pure=True)
+        assert len(walked.moves) == step
+        assert (code, out) == (1, f"FAIL step={step} check={check}\n" + serialize_trace(walked))
+        assert calls["n"] == step
 
     def test_each_step_indexes_one_diagram(self, capsys, monkeypatch):
         # the checks read the walk's own diagrams: one occurrences index per

@@ -94,6 +94,25 @@ class TestParse:
             d = random_any_diagram(rng, 8)
             assert parse_diagram(serialize_diagram(d)) == d
 
+    def test_refuses_non_utf8_bytes(self):
+        with pytest.raises(ParseError) as err:
+            parse_diagram(b"link n=1\n\n\xff")
+        assert str(err.value) == "input is not UTF-8 (invalid start byte at byte 10) (line 3)"
+        assert (err.value.line, err.value.column) == (3, None)
+
+    @pytest.mark.parametrize("text", ["", b"", "# a comment\n\n   \n"])
+    def test_refuses_empty_input(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_diagram(text)
+        assert str(err.value) == (
+            "empty input: expected 'tangle n=<N>' or 'link n=<N>' header (line 1, column 1)"
+        )
+
+    def test_refuses_component_index_out_of_range(self):
+        with pytest.raises(ParseError) as err:
+            parse_diagram("tangle n=1\ncomponent 2 open:")
+        assert str(err.value) == "component index 2 out of range 1..1 (line 2, column 1)"
+
 
 class TestValidate:
     def test_sample_valid(self, sample_tangle):
@@ -510,6 +529,20 @@ class TestCutLink:
     def test_bad_component(self, sample_closure):
         with pytest.raises(DiagramError, match="out of range"):
             cut_link(sample_closure, [Basepoint(1, 0), Basepoint(2, 0), Basepoint(5, 0)])
+
+    def test_refuses_a_tangle(self, sample_tangle):
+        with pytest.raises(DiagramError, match="^cut_link expects a link$"):
+            cut_link(sample_tangle, [Basepoint(i, 0) for i in (1, 2, 3)])
+
+    def test_refuses_a_basepoint_count_other_than_n(self, sample_closure):
+        with pytest.raises(DiagramError) as err:
+            cut_link(sample_closure, [Basepoint(1, 0), Basepoint(2, 0)])
+        assert str(err.value) == "need exactly one basepoint per component, got 2 for n=3"
+
+    def test_refuses_two_basepoints_on_one_component(self, sample_closure):
+        with pytest.raises(DiagramError) as err:
+            cut_link(sample_closure, [Basepoint(1, 0), Basepoint(2, 0), Basepoint(1, 1)])
+        assert str(err.value) == "two basepoints on component 1"
 
     def test_bad_offset(self, sample_closure):
         with pytest.raises(DiagramError, match="offset"):

@@ -57,6 +57,12 @@ class TestLk:
         with pytest.raises(InvariantError, match="strands"):
             lk(sample_tangle, "a", 1)
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rejects_k_out_of_range(self, sample_tangle, k):
+        with pytest.raises(InvariantError) as err:
+            lk(sample_tangle, "a", k)
+        assert str(err.value) == f"component {k} out of range 1..3"
+
     def test_rejects_closed_component(self, sample_closure):
         with pytest.raises(InvariantError, match="closed"):
             lk(sample_closure, "a", 3)

@@ -80,6 +80,11 @@ class TestEnumerate:
         assert [s.kind for s in sites] == ["R3"]
         assert sites[0].names == ("x", "y", "z")
 
+    def test_unknown_kind_refused(self, triangle):
+        with pytest.raises(MoveError) as err:
+            enumerate_moves(triangle, kinds={"R3", "R4"})
+        assert str(err.value) == "unknown move kinds ['R4']"
+
     def test_reversed_order_bigon(self):
         d = parse_diagram("tangle n=2\ncomponent 1 open: p q\ncomponent 2 open: q p")
         assert [s.kind for s in enumerate_moves(d)] == ["R2_delete"]
@@ -214,6 +219,19 @@ class TestApply:
             apply_move(triangle, enumerate_moves(triangle)[0])
         )
 
+    def test_r3_overlapping_pairs_refused(self):
+        # xy, yz and zx form a triangle, but the first two share position 1
+        d = parse_diagram("tangle n=1\ncomponent 1 open: x y z x y z")
+        site = MoveSite("R3", names=("x", "y", "z"), pairs=((1, 0), (1, 1), (1, 2)))
+        with pytest.raises(MoveError) as err:
+            apply_move(d, site)
+        assert str(err.value) == "third-move pairs overlap"
+
+    def test_unknown_kind_refused(self, triangle):
+        with pytest.raises(MoveError) as err:
+            apply_move(triangle, MoveSite("R4", names=("x",), pairs=((1, 0),)))
+        assert str(err.value) == "unknown move kind 'R4'"
+
     def test_pattern_absent(self):
         d = parse_diagram("tangle n=1\ncomponent 1 open: x a x a")
         site = MoveSite("R1_delete", names=("x",), pairs=((1, 0),))
@@ -288,15 +306,32 @@ class TestInverses:
         assert checked > 500
 
     @pytest.mark.parametrize(
-        "site",
+        "text, site, message",
         [
-            MoveSite("R1_delete", names=("q",), pairs=((1, 5),)),
-            MoveSite("R2_insert", names=("v", "w"), slots=((1, 0, True), (1, 4, False))),
+            (None, MoveSite("R1_delete", names=("q",), pairs=((1, 5),)), "pair position 5"),
+            (
+                None,
+                MoveSite("R2_insert", names=("v", "w"), slots=((1, 0, True), (1, 4, False))),
+                "insertion position 4",
+            ),
+            # two wrapped sites on one component, refused by apply_move
+            # before inverse_site reads them
+            (
+                None,
+                MoveSite("R2_insert", names=("v", "w"), slots=((1, 0, True), (1, 0, True))),
+                "at most one wrapped insertion per component",
+            ),
+            (
+                "link n=2\ncomponent 1 closed: y a a x\ncomponent 2 closed: x y",
+                MoveSite("R2_delete", names=("x", "y"), pairs=((1, 3), (1, 3))),
+                "second-move pairs overlap",
+            ),
         ],
+        ids=["site0", "site1", "site2", "site3"],
     )
-    def test_refuses_a_site_that_does_not_apply(self, site):
-        d = parse_diagram((DATA / "kink.link").read_text())
-        with pytest.raises(MoveError) as applied:
+    def test_refuses_a_site_that_does_not_apply(self, text, site, message):
+        d = parse_diagram(text or (DATA / "kink.link").read_text())
+        with pytest.raises(MoveError, match=message) as applied:
             apply_move(d, site)
         with pytest.raises(MoveError) as inverted:
             inverse_site(d, site)
@@ -582,6 +617,13 @@ class TestBoundedSearch:
         assert verdict.equivalent
         assert len(verdict.trace.moves) == 1
 
+    def test_mismatched_kinds_refused(self):
+        link = parse_diagram("link n=1\ncomponent 1 closed: x x")
+        tangle = parse_diagram("tangle n=1\ncomponent 1 open: x x")
+        with pytest.raises(MoveError) as err:
+            bounded_equivalence_search(link, tangle, 2)
+        assert str(err.value) == "mismatched kinds: link vs tangle"
+
     def test_component_count_mismatch(self, sample_tangle, triangle):
         bad = parse_diagram("tangle n=1\ncomponent 1 open:")
         with pytest.raises(MoveError, match="component counts"):
@@ -696,7 +738,7 @@ class TestSearchBound:
                 if not forbid:
                     d = random_walk(d, 2, seed=rng.randrange(100)).final
                 goal = random_walk(d, 3, seed=rng.randrange(100), forbid_pure=forbid).final
-                here, there = moves._pair_vector(d), moves._pair_vector(goal)
+                here, there = d.pair_counts, goal.pair_counts
                 h = move_lower_bound(d, goal)
                 for site in move_candidates(d, forbid_pure=forbid, max_size=d.crossing_count + 2):
                     after = move_lower_bound(apply_move(d, site), goal)
@@ -709,7 +751,7 @@ class TestSearchBound:
         outcomes = set()
         for trial, d in enumerate(slate_diagrams(60, seed=61)):
             goal = random_walk(d, 4, seed=trial, max_size=d.crossing_count + 4).final
-            there = moves._pair_vector(goal)
+            there = goal.pair_counts
             h = move_lower_bound(d, goal)
             for forbid in (True, False):
                 for max_size in range(d.crossing_count, d.crossing_count + 3):

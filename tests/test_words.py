@@ -332,6 +332,25 @@ class TestCheckedBoundary:
         with pytest.raises(WordError):
             Word(CTX4, tuple(letters))
 
+    @pytest.mark.parametrize("mask", [(1,), (1, 0, 1)])
+    def test_mask_of_wrong_width_rejected(self, mask):
+        with pytest.raises(WordError) as err:
+            apply_mask(EXAMPLE, mask)
+        assert str(err.value) == f"mask {mask} has length {len(mask)}, expected 2"
+
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [
+            (2, 2, "the component pair must consist of two distinct components"),
+            (1, 4, "pair (1, 4) out of range 1..3"),
+            (0, 2, "pair (0, 2) out of range 1..3"),
+        ],
+    )
+    def test_context_refuses_a_bad_pair(self, i, j, message):
+        with pytest.raises(WordError) as err:
+            GroupContext(3, i, j)
+        assert str(err.value) == message
+
     def test_non_bit_mask_rejected(self):
         with pytest.raises(WordError, match="non-bit"):
             apply_mask(EXAMPLE, (0, 2))
