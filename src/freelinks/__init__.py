@@ -5,7 +5,8 @@ The package provides:
 * :mod:`freelinks.diagram` -- Gauss-code diagrams, parsing, validation,
   canonical forms, and cutting links into tangles;
 * :mod:`freelinks.moves` -- Reidemeister moves for free diagrams, random
-  walks, and bounded equivalence search;
+  walks, bounded equivalence search, and the descent that joins diagrams
+  without pure crossings;
 * :mod:`freelinks.bracket` -- splicing of pure crossings and the mod-2
   bracket, with a sound three-valued comparison;
 * :mod:`freelinks.words` -- words in free products of copies of Z2 with
@@ -68,6 +69,7 @@ from .moves import (
     bounded_equivalence_search,
     enumerate_moves,
     inverse_site,
+    join_by_descent,
     move_candidates,
     move_lower_bound,
     parse_trace,

@@ -42,6 +42,8 @@ from .moves import (
     _walk,
     apply_move,
     bounded_equivalence_search,
+    join_by_descent,
+    move_lower_bound,
     parse_trace,
     replay,
     serialize_trace,
@@ -197,6 +199,32 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    """Answer ``equal`` with a trace, ``distinct`` with a certificate, or
+    ``unknown``; the first of these stages that decides answers.
+
+    1. The parity tables of the mixed crossings, which no move changes
+       (``distinct``).
+    2. For inputs without pure crossings in good condition, the class words
+       (``distinct``).
+    3. The canonical keys (``equal``, with no trace).
+    4. For inputs without pure crossings, the descent of
+       :func:`join_by_descent` and the bounded search, both under restricted
+       moves, which answer only ``equal``.  With a move lower bound of 2 or
+       more the descent runs first and the search after it; with 0 or 1 the
+       search runs first, and the descent only if the search answers
+       ``unknown``.  By the paper's theorem, equivalent diagrams without
+       pure crossings are equivalent through diagrams without pure
+       crossings, so restricted moves lose no equivalence.
+    5. Otherwise the brackets (``distinct``), and, when they are equal, an
+       unrestricted search between the inputs (``equal``).
+
+    ``--depth`` bounds only the searches.  A descent's trace may be longer
+    than ``--depth``; replayed from A it still reaches B's canonical key, so
+    it is a proof all the same.  Different descent representatives prove
+    nothing, so the descent never answers ``distinct``; a third-move closure
+    that reaches :data:`~freelinks.moves.MAX_CLOSURE` states leaves the
+    answer to the search.
+    """
     a = _load(args.file_a)
     b = _load(args.file_b)
     if a.n != b.n or a.kind != b.kind:
@@ -237,12 +265,19 @@ def _cmd_compare(args) -> int:
         print("equal")
         return 0
 
-    # every search runs from file A, so that the trace replays from it
+    # every search and descent runs from file A, so that the trace replays
+    # from it
     if pure_free:
         # the brackets are {A} and {B}, whose class keys the parity and
-        # fingerprint stages have already matched, so only the search can
-        # decide
-        found = bounded_equivalence_search(a, b, args.depth, forbid_pure=True)
+        # fingerprint stages have already matched, so only the descent and
+        # the search can decide; inputs at most one move apart are cheapest
+        # to search, since the search's first run then expands A alone
+        descend_first = move_lower_bound(a, b) >= 2
+        trace = join_by_descent(a, b) if descend_first else None
+        if trace is None:
+            trace = bounded_equivalence_search(a, b, args.depth, forbid_pure=True).trace
+        if trace is None and not descend_first:
+            trace = join_by_descent(a, b)
     else:
         # the bracket is an invariant: its "distinct" is a verdict on the
         # diagrams, but equal brackets only say that a search may succeed
@@ -251,11 +286,13 @@ def _cmd_compare(args) -> int:
             print("distinct")
             print(f"certificate: {verdict.certificate}")
             return 1
-        found = bounded_equivalence_search(a, b, args.depth) if verdict.status == "equal" else None
-    if found is not None and found.equivalent:
+        trace = None
+        if verdict.status == "equal":
+            trace = bounded_equivalence_search(a, b, args.depth).trace
+    if trace is not None:
         print("equal")
         print("trace:")
-        sys.stdout.write(serialize_trace(found.trace))
+        sys.stdout.write(serialize_trace(trace))
         return 0
     print("unknown")
     return 0

@@ -26,12 +26,17 @@ lower bound rules out.  The bounded search and the joining of its trace
 read it lazily, :func:`move_candidates` lists all of it, and
 :func:`random_walk` draws one index into the layout and builds only that
 site.
+
+Between diagrams without pure crossings, :func:`join_by_descent` descends
+each input to a representative under restricted moves, which do not depend
+on a search depth, and joins the two when the representatives agree.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -57,6 +62,7 @@ __all__ = [
     "move_candidates",
     "random_walk",
     "bounded_equivalence_search",
+    "join_by_descent",
     "move_lower_bound",
     "serialize_trace",
     "parse_trace",
@@ -67,6 +73,9 @@ DELETION_KINDS = ("R1_delete", "R2_delete", "R3")
 ALL_KINDS = ("R1_delete", "R1_insert", "R2_delete", "R2_insert", "R3")
 # states one run of a bounded equivalence search keeps, on both sides together
 MAX_NODES = 50000
+# states one third-move closure of a descent keeps; a closure that reaches it
+# gives its input no representative
+MAX_CLOSURE = 20000
 # the entry of a bounded equivalence search's start before it is keyed
 _ROOT = object()
 # the change each move kind makes to the crossing count of the pair it touches
@@ -792,7 +801,8 @@ def _search_run(a, b, target, goals, limit: int, forbid_pure: bool, max_size: in
 
 
 def _joined_trace(a: Diagram, sides, meet, forbid_pure: bool, max_size: int) -> WalkTrace:
-    """The trace through the key ``meet`` that both sides of the search hold.
+    """The trace through the key ``meet`` that both sides hold: those of a
+    bounded search, or the two descents of :func:`join_by_descent`.
 
     The moves stored on ``a``'s side replay from ``a`` to its diagram of
     ``meet``.  The other side holds only a chain of keys toward ``b``, whose
@@ -809,7 +819,12 @@ def _joined_trace(a: Diagram, sides, meet, forbid_pure: bool, max_size: int) -> 
     current = ahead[meet][0]
     step = behind[meet][1]
     while step is not None:
-        for site in _expand(current, forbid_pure=forbid_pure, max_size=max_size):
+        # equal keys have equal pair counts, so every site whose result has
+        # other pair counts than the next diagram's is dropped unbuilt
+        goal = behind[step][0].pair_counts
+        for site in _expand(current, forbid_pure=forbid_pure, max_size=max_size, goal=goal):
+            if site is None:
+                continue
             neighbor = apply_move(current, site)
             if neighbor.key == step:
                 break
@@ -819,6 +834,139 @@ def _joined_trace(a: Diagram, sides, meet, forbid_pure: bool, max_size: int) -> 
         current = neighbor
         step = behind[step][1]
     return WalkTrace(a, tuple(moves), current)
+
+
+# -- descent --------------------------------------------------------------------
+
+
+def join_by_descent(a: Diagram, b: Diagram) -> WalkTrace | None:
+    """A trace from ``a`` to ``b`` through a representative that both reach
+    under restricted moves, or None; never a claim of inequivalence.
+
+    The moves are those between diagrams without pure crossings: second
+    moves on mixed crossings and third moves.  By the paper's theorem, two
+    equivalent diagrams without pure crossings are equivalent through
+    diagrams without pure crossings, so these moves can join any two
+    equivalent inputs; the descent below tries one way of doing so.  Each
+    input descends on its own:
+
+    * it deletes the first ``R2_delete`` site that :func:`enumerate_moves`
+      lists, under ``forbid_pure``, while there is one;
+    * it then explores the closure of that diagram under third moves, which
+      keep the crossing count, breadth-first and deduplicated by canonical
+      key, until a diagram with such a site appears, and deletes again from
+      there;
+    * when the closure runs out, the least key in it is the input's
+      representative.  A closure that reaches :data:`MAX_CLOSURE` states
+      gives no representative, and the answer is None.
+
+    Equal representatives give the trace: ``a``'s moves down to its
+    representative, then ``b``'s in reverse, joined by
+    :func:`_joined_trace` as the two sides of a search that meet at the
+    shared key.  No depth bounds it, so it may be longer than any search
+    depth; it replays from ``a`` to a diagram with ``b``'s canonical key.
+    Different representatives prove nothing, since for three or more
+    components the descent is not known to reach one representative per
+    class, and the answer is then None.  Raises :class:`MoveError` unless
+    both inputs are free of pure crossings and of one kind and size.
+    """
+    if a.n != b.n or a.kind != b.kind:
+        raise MoveError(f"cannot join a {a.kind} n={a.n} and a {b.kind} n={b.n}")
+    if a.pure or b.pure:
+        raise MoveError("a descent needs inputs without pure crossings")
+    ends = []
+    for d in (a, b):
+        end = _descend(d)
+        if end is None:
+            return None
+        ends.append(end)
+    (meet, ahead), (other, behind) = ends
+    if meet != other:
+        return None
+    size = max(a.crossing_count, b.crossing_count)
+    return _joined_trace(a, (ahead, _keyed(behind, meet)), meet, True, size)
+
+
+def _descend(d: Diagram) -> tuple[tuple, dict] | None:
+    """The representative key of ``d`` under the :func:`join_by_descent`
+    descent and the diagrams it reached, as the side of a search: entry ->
+    (diagram, entry it was reached from, move), with ``d`` reached from
+    None; None when a closure reaches :data:`MAX_CLOSURE` states.
+
+    The input, and each diagram a deletion reaches, is held under a
+    placeholder and never keyed when it has a second-move deletion itself:
+    the descent leaves it at once and, with fewer crossings ever after,
+    never meets it again.  Every other diagram is held under its canonical
+    key.
+    """
+    deletions = _deletions(d)
+    key = object() if deletions else d.key
+    reached = {key: (d, None, None)}
+    while True:
+        while deletions:
+            site = deletions[0]
+            d = apply_move(d, site)
+            deletions = _deletions(d)
+            entry = object() if deletions else d.key
+            reached[entry] = (d, key, site)
+            key = entry
+        end = _closure(reached, key)
+        if end is None:
+            return None
+        key, deletions = end
+        if not deletions:
+            return key, reached
+        d = reached[key][0]
+
+
+def _deletions(d: Diagram) -> list[MoveSite]:
+    """The second-move deletions of ``d`` that leave no pure crossing."""
+    return enumerate_moves(d, kinds=("R2_delete",), forbid_pure=True)
+
+
+def _closure(reached: dict, key) -> tuple | None:
+    """The closure under third moves of the diagram that ``reached`` holds
+    under ``key``, explored breadth-first; each diagram is added to
+    ``reached`` as it is first met.
+
+    Returns the key and the :func:`_deletions` of the first diagram met
+    with a second-move deletion, ``(least key, [])`` when the closure runs
+    out first, and None when it reaches :data:`MAX_CLOSURE` states.  Its
+    keys have fewer crossings than those reached before it, so ``reached``
+    dedups it as the closure alone would.
+    """
+    closure = [key]
+    queue = deque(closure)
+    while queue:
+        here = queue.popleft()
+        diag = reached[here][0]
+        for site in enumerate_moves(diag, kinds=("R3",), forbid_pure=True):
+            neighbor = apply_move(diag, site)
+            found = neighbor.key
+            if found in reached:
+                continue
+            reached[found] = (neighbor, here, site)
+            deletions = _deletions(neighbor)
+            if deletions:
+                return found, deletions
+            closure.append(found)
+            if len(closure) >= MAX_CLOSURE:
+                return None
+            queue.append(found)
+    return min(closure), []
+
+
+def _keyed(side: dict, meet) -> dict:
+    """The chain of :func:`_descend` entries from ``meet`` back to the
+    start, each diagram held under its canonical key, as
+    :func:`_joined_trace` reads the side toward ``b``."""
+    chain = []
+    entry = meet
+    while entry is not None:
+        diag, entry, site = side[entry]
+        chain.append((diag, site))
+    keys = [diag.key for diag, _ in chain] + [None]
+    return {keys[k]: (diag, keys[k + 1], site) for k, (diag, site) in enumerate(chain)}
 
 
 # -- trace serialization ------------------------------------------------------

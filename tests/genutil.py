@@ -35,6 +35,7 @@ from freelinks.invariant import _require_good, _require_tangle, fingerprint
 from freelinks.moves import (
     ALL_KINDS,
     DELETION_KINDS,
+    MAX_CLOSURE,
     MoveError,
     MoveSite,
     SearchVerdict,
@@ -46,6 +47,7 @@ from freelinks.moves import (
     _walk,
     apply_move,
     bounded_equivalence_search,
+    join_by_descent,
     move_candidates,
     serialize_trace,
 )
@@ -860,15 +862,20 @@ def reference_bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
 
 def reference_compare(a: Diagram, b: Diagram, depth: int) -> tuple[int, str]:
     """The ``compare`` ladder that also compared the brackets of pure-free
-    inputs the search could not join, kept as a reference for
-    ``cli._cmd_compare``: parity tables, fingerprints, canonical keys, one
-    search between pure-free inputs, then ``bracket_equal`` (at depth 0
+    inputs the search and the descent could not join, kept as a reference
+    for ``cli._cmd_compare``: parity tables, fingerprints, canonical keys,
+    then between pure-free inputs the descent and one search, the descent
+    first when the inputs are at least two moves apart and otherwise only
+    if the search answers ``unknown``, then ``bracket_equal`` (at depth 0
     after that search).  Equal brackets give ``equal`` only with the trace
     of an unrestricted search that joins the inputs, and ``unknown``
     otherwise.  Returns the exit code and the text on stdout."""
 
     def odd_pairs(table):
         return ", ".join(f"({i},{j})" for (i, j), bit in sorted(table.items()) if bit) or "none"
+
+    def joined(trace):
+        return 0, "equal\ntrace:\n" + serialize_trace(trace)
 
     if a.parity != b.parity:
         return 1, (
@@ -888,9 +895,14 @@ def reference_compare(a: Diagram, b: Diagram, depth: int) -> tuple[int, str]:
     if canonical_key(a) == canonical_key(b):
         return 0, "equal\n"
     if pure_free:
+        far = reference_move_lower_bound(a, b) >= 2
+        if far and (trace := join_by_descent(a, b)) is not None:
+            return joined(trace)
         found = bounded_equivalence_search(a, b, depth, forbid_pure=True)
         if found.equivalent:
-            return 0, "equal\ntrace:\n" + serialize_trace(found.trace)
+            return joined(found.trace)
+        if not far and (trace := join_by_descent(a, b)) is not None:
+            return joined(trace)
         depth = 0
     verdict = bracket_equal(bracket(a), bracket(b), depth)
     if verdict.status == "distinct":
@@ -898,7 +910,7 @@ def reference_compare(a: Diagram, b: Diagram, depth: int) -> tuple[int, str]:
     if verdict.status == "equal":
         found = bounded_equivalence_search(a, b, depth)
         if found.equivalent:
-            return 0, "equal\ntrace:\n" + serialize_trace(found.trace)
+            return joined(found.trace)
     return 0, "unknown\n"
 
 
@@ -991,6 +1003,51 @@ def reference_bidirectional_search(
                 grown.append(found)
         frontiers[grow] = grown
     return SearchVerdict(False, None, reason="depth")
+
+
+def reference_descent(d: Diagram, cap: int = MAX_CLOSURE):
+    """The representative key of the descent of ``moves.join_by_descent``
+    from ``d``, without pure crossings, built on the reference move
+    enumeration and application and the naive key alone; None when a
+    third-move closure holds ``cap`` states.
+
+    The first second-move deletion is applied while there is one; then the
+    diagrams reached by third moves are listed breadth-first, each once by
+    naive key, until one has a second-move deletion, from which the
+    deletions resume.  When the list runs out, its least key is the
+    representative.
+    """
+
+    def deletions(x: Diagram) -> list[MoveSite]:
+        return reference_enumerate_moves(x, kinds=("R2_delete",), forbid_pure=True)
+
+    current = d
+    while True:
+        sites = deletions(current)
+        if sites:
+            current = reference_apply_move(current, sites[0])
+            continue
+        closure = [current]
+        seen = {naive_canonical_key(current)}
+        resume = None
+        k = 0
+        while resume is None and k < len(closure):
+            for site in reference_enumerate_moves(closure[k], kinds=("R3",), forbid_pure=True):
+                neighbor = reference_apply_move(closure[k], site)
+                key = naive_canonical_key(neighbor)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if deletions(neighbor):
+                    resume = neighbor
+                    break
+                closure.append(neighbor)
+                if len(closure) >= cap:
+                    return None
+            k += 1
+        if resume is None:
+            return min(naive_canonical_key(x) for x in closure)
+        current = resume
 
 
 def reference_move_lower_bound(x: Diagram, y: Diagram) -> int:

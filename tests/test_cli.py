@@ -71,6 +71,23 @@ def write_link(path, components) -> str:
     return str(path)
 
 
+def tangle(components) -> Diagram:
+    return Diagram("tangle", tuple(ComponentCode(False, tuple(c.split())) for c in components))
+
+
+def write_tangle(path, components) -> str:
+    path.write_text(serialize_diagram(tangle(components)))
+    return str(path)
+
+
+# two 3-component tangles without pure crossings, no move apart by the lower
+# bound, with the same parity table and class words but different exact
+# tangle words: the descent deletes A's one bigon and finds no move on B, so
+# their representatives differ, and no search of depth 4 joins them
+UNJOINED_A = ["c4 c2 c1 c3", "c5 c6 c8 c7", "c1 c8 c3 c5 c4 c2 c7 c6"]
+UNJOINED_B = ["c2 c3 c1 c4", "c6 c7 c8 c5", "c6 c8 c1 c5 c3 c7 c2 c4"]
+
+
 class TestValidate:
     def test_valid_summary_line(self, capsys):
         code, out, _ = invoke(capsys, "validate", SAMPLE)
@@ -285,6 +302,16 @@ def compare_inputs(rng: random.Random, shape: int) -> tuple[Diagram, Diagram]:
     return x, walk.final
 
 
+def unjoined_inputs(rng: random.Random) -> tuple[Diagram, Diagram]:
+    """The tangles ``UNJOINED_A`` and ``UNJOINED_B`` under fresh names, in
+    either order, the first moved by a restricted walk of 0 to 3 steps."""
+    x, y = (scramble(rng, tangle(components)) for components in (UNJOINED_A, UNJOINED_B))
+    if rng.random() < 0.5:
+        x, y = y, x
+    walk = random_walk(x, rng.randint(0, 3), rng.randrange(10**6), forbid_pure=True)
+    return walk.final, y
+
+
 class TestCompare:
     def test_distinct_with_certificate(self, capsys):
         code, out, _ = invoke(capsys, "compare", SAMPLE, TRIVIAL)
@@ -333,34 +360,100 @@ class TestCompare:
         import freelinks.cli
         import freelinks.moves
 
-        # two unlinks: two bigons on pair (2,3) and one on (1,3), against two
-        # on (1,2); their fingerprints agree, and they are 5 moves apart
-        a = write_link(tmp_path / "a.link", ["e f", "a b c d", "a b c d e f"])
-        b = write_link(tmp_path / "b.link", ["a b c d", "a b c d", ""])
-        depths = []
+        # no move lower bound: the search runs first, then the descent
+        a = write_tangle(tmp_path / "a.tangle", UNJOINED_A)
+        b = write_tangle(tmp_path / "b.tangle", UNJOINED_B)
+        calls = []
 
         def counted(a, b, depth, **kwargs):
-            depths.append(depth)
+            calls.append(("search", depth))
             return freelinks.moves.bounded_equivalence_search(a, b, depth, **kwargs)
+
+        def descent(a, b):
+            calls.append(("descent",))
+            return freelinks.moves.join_by_descent(a, b)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the brackets of pure-free inputs decide nothing")
 
         monkeypatch.setattr(freelinks.cli, "bounded_equivalence_search", counted)
+        monkeypatch.setattr(freelinks.cli, "join_by_descent", descent)
         monkeypatch.setattr(freelinks.cli, "bracket", forbidden)
         monkeypatch.setattr(freelinks.cli, "bracket_equal", forbidden)
         code, out, _ = invoke(capsys, "compare", a, b)
-        assert depths == [4]
+        assert calls == [("search", 4), ("descent",)]
         assert (code, out) == (0, "unknown\n")
+
+    def test_far_inputs_are_joined_by_descent_alone(self, capsys, tmp_path, monkeypatch):
+        import freelinks.cli
+
+        # two unlinks: two bigons on pair (2,3) and one on (1,3), against two
+        # on (1,2); their fingerprints agree, and they are 5 moves apart, one
+        # more than the search's depth
+        a = write_link(tmp_path / "a.link", ["e f", "a b c d", "a b c d e f"])
+        b = write_link(tmp_path / "b.link", ["a b c d", "a b c d", ""])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the descent decides first")
+
+        monkeypatch.setattr(freelinks.cli, "bounded_equivalence_search", forbidden)
+        monkeypatch.setattr(freelinks.cli, "bracket", forbidden)
+        monkeypatch.setattr(freelinks.cli, "bracket_equal", forbidden)
+        code, out, _ = invoke(capsys, "compare", a, b)
+        lines = out.splitlines()
+        assert (code, lines[:2]) == (0, ["equal", "trace:"])
+        # five moves, longer than --depth 4, and still a proof
+        moves = parse_trace("".join(line + "\n" for line in lines[2:]))
+        assert len(moves) == 5
+        replayed = replay(parse_diagram(Path(a).read_text()), moves)
+        assert replayed.key == parse_diagram(Path(b).read_text()).key
+
+    def test_descent_past_its_cap_falls_back_to_the_search(self, capsys, tmp_path, monkeypatch):
+        import freelinks.cli
+        import freelinks.moves
+
+        # the moved triangle with two bigons on pair (1,2), against the
+        # triangle: 2 moves apart by the bound, so the descent goes first,
+        # and its closure of the moved triangle holds two diagrams
+        a = write_tangle(tmp_path / "a.tangle", ["y x a b c d", "z x a b c d", "z y"])
+        ends = []
+
+        def descent(a, b):
+            ends.append(freelinks.moves.join_by_descent(a, b))
+            return ends[-1]
+
+        cap = freelinks.moves.MAX_CLOSURE
+        monkeypatch.setattr(freelinks.cli, "join_by_descent", descent)
+        monkeypatch.setattr(freelinks.moves, "MAX_CLOSURE", 2)
+        code, out, _ = invoke(capsys, "compare", a, TRIANGLE)
+        assert ends == [None]
+        lines = out.splitlines()
+        assert (code, lines[:2]) == (0, ["equal", "trace:"])
+        moves = parse_trace("".join(line + "\n" for line in lines[2:]))
+        assert [m.kind for m in moves] == ["R2_delete", "R2_delete", "R3"]
+        assert replay(parse_diagram(Path(a).read_text()), moves).key == parse_diagram(
+            Path(TRIANGLE).read_text()
+        ).key
+        # under the real cap, the descent joins them first
+        monkeypatch.setattr(freelinks.moves, "MAX_CLOSURE", cap)
+        code, out, _ = invoke(capsys, "compare", a, TRIANGLE)
+        assert ends[-1] is not None
+        assert (code, out.splitlines()[:2]) == (0, ["equal", "trace:"])
 
     def test_matches_reference_ladder(self, capsys, tmp_path):
         # the ladder that also compared the brackets of pure-free inputs the
-        # search could not join prints the same, on inputs that reach every
-        # stage: parity, fingerprint, key, search, and brackets
+        # search and the descent could not join prints the same, on inputs
+        # that reach every stage: parity, fingerprint, key, descent, search,
+        # and brackets
         rng = random.Random(29)
         unjoined = 0
-        for trial in range(240):
-            x, y = compare_inputs(rng, trial % 5)
+        for trial in range(252):
+            if trial < 240:
+                x, y = compare_inputs(rng, trial % 5)
+            else:
+                # the descent joins most pure-free pairs that the search
+                # does not; it cannot join these
+                x, y = unjoined_inputs(rng)
             depth = rng.randint(0, 1 if x.pure or y.pure else 2)
             a = tmp_path / f"a{trial}.{x.kind}"
             b = tmp_path / f"b{trial}.{x.kind}"
@@ -426,11 +519,6 @@ class TestCompare:
     def test_fingerprint_certificates(self, capsys, tmp_path):
         # pure-free pairs in good condition with equal parity tables, told
         # apart by the first differing word of their fingerprints
-        def write_tangle(path, components) -> str:
-            d = Diagram("tangle", tuple(ComponentCode(False, tuple(c.split())) for c in components))
-            path.write_text(serialize_diagram(d))
-            return str(path)
-
         cases = [
             (
                 write_tangle(

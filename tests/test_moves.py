@@ -22,6 +22,7 @@ from freelinks.moves import (
     bounded_equivalence_search,
     enumerate_moves,
     inverse_site,
+    join_by_descent,
     move_candidates,
     move_lower_bound,
     parse_trace,
@@ -35,9 +36,11 @@ from genutil import (
     plant_triangle,
     random_any_diagram,
     random_good_diagram,
+    random_mixed_diagram,
     random_pure_diagram,
     reference_apply_move,
     reference_bidirectional_search,
+    reference_descent,
     reference_enumerate_moves,
     reference_inverse_site,
     reference_move_lower_bound,
@@ -61,6 +64,7 @@ FAR_B = parse_diagram(
 # parity of their count, and the diagrams within the size bound are few
 APART_A = parse_diagram("link n=2\ncomponent 1 closed: a b c d\ncomponent 2 closed: a b c d")
 APART_B = parse_diagram("link n=2\ncomponent 1 closed: a\ncomponent 2 closed: a")
+KINK = parse_diagram("link n=1\ncomponent 1 closed: x x")
 
 
 class TestEnumerate:
@@ -951,6 +955,112 @@ class TestSearchBound:
                 for depth in range(1, 6)
             ]
             assert answers == sorted(answers), (a, b, forbid)
+
+
+def descent_inputs(rng: random.Random, count: int) -> list[Diagram]:
+    """``count`` random diagrams without pure crossings, 2-5 components,
+    tangles and links, half of them in good condition and some with a
+    planted third-move site, each followed by the end of a restricted walk
+    from it."""
+    out = []
+    while len(out) < count:
+        kind = rng.choice(("tangle", "link"))
+        n = rng.randint(2, 5)
+        # closed components multiply the naive key's product, so links are
+        # kept smaller than tangles
+        most = 12 if kind == "tangle" else 8
+        if rng.random() < 0.5:
+            d = random_good_diagram(rng, n, most, kind)
+        else:
+            d = random_mixed_diagram(rng, n, rng.randint(2, most - 2), kind)
+        if n >= 3 and rng.random() < 0.5:
+            planted = plant_triangle(rng, d)
+            if not planted.pure:
+                d = planted
+        walk = random_walk(
+            d,
+            rng.randint(1, 6),
+            rng.randrange(10**6),
+            forbid_pure=True,
+            max_size=d.crossing_count + 4,
+        )
+        out += [d, walk.final]
+    return out
+
+
+class TestDescent:
+    def test_representative_matches_reference(self):
+        inputs = descent_inputs(random.Random(41), 240)
+        closures = 0
+        for d in inputs:
+            end = moves._descend(d)
+            assert end is not None
+            assert end[0] == reference_descent(d), d
+            closures += any(site and site.kind == "R3" for _, _, site in end[1].values())
+        # the third-move closures are exercised, not only the deletions
+        assert closures >= 20
+
+    def test_equal_traces_replay_to_the_other_key(self):
+        rng = random.Random(43)
+        joined = 0
+        inputs = descent_inputs(rng, 160)
+        for a, b in zip(inputs[::2], inputs[1::2]):
+            b = scramble(rng, b)
+            trace = join_by_descent(a, b)
+            if trace is None:
+                continue
+            joined += 1
+            assert trace.initial is a
+            assert replay(a, trace.moves).key == b.key == trace.final.key
+            assert replay(a, parse_trace(serialize_trace(trace))).key == b.key
+        assert joined >= 75
+
+    def test_far_unlinks_are_joined(self):
+        # five moves apart, and no search of depth 4 joins them
+        trace = join_by_descent(FAR_A, FAR_B)
+        assert [m.kind for m in trace.moves] == ["R2_delete"] * 3 + ["R2_insert"] * 2
+        # each deletion is the first that enumerate_moves lists
+        current = FAR_A
+        for site in trace.moves[:3]:
+            assert site == enumerate_moves(current, kinds=("R2_delete",), forbid_pure=True)[0]
+            current = apply_move(current, site)
+        assert replay(FAR_A, trace.moves).key == FAR_B.key
+        assert not bounded_equivalence_search(FAR_A, FAR_B, 4, forbid_pure=True).equivalent
+
+    def test_different_representatives_join_nothing(self):
+        # their exact tangle words differ, so they are not equivalent; the
+        # descent deletes A's one bigon and finds no move on B
+        a = parse_diagram(
+            "tangle n=3\ncomponent 1 open: c4 c2 c1 c3\ncomponent 2 open: c5 c6 c8 c7\n"
+            "component 3 open: c1 c8 c3 c5 c4 c2 c7 c6"
+        )
+        b = parse_diagram(
+            "tangle n=3\ncomponent 1 open: c2 c3 c1 c4\ncomponent 2 open: c6 c7 c8 c5\n"
+            "component 3 open: c6 c8 c1 c5 c3 c7 c2 c4"
+        )
+        assert moves._descend(a)[0] != moves._descend(b)[0]
+        assert join_by_descent(a, b) is None
+
+    def test_cap_gives_no_representative(self, monkeypatch, triangle):
+        # the triangle has a third move and no bigon, so its closure holds
+        # two diagrams
+        assert moves._descend(triangle)[0] == reference_descent(triangle)
+        monkeypatch.setattr(moves, "MAX_CLOSURE", 2)
+        assert moves._descend(triangle) is None
+        assert reference_descent(triangle, cap=2) is None
+        moved = apply_move(triangle, enumerate_moves(triangle, kinds=("R3",))[0])
+        assert join_by_descent(triangle, moved) is None
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (FAR_A, APART_A, "cannot join"),
+            (KINK, parse_diagram("link n=1\ncomponent 1 closed:"), "without pure crossings"),
+        ],
+    )
+    def test_refuses_inputs_it_cannot_join(self, a, b, message):
+        with pytest.raises(MoveError, match=message):
+            join_by_descent(a, b)
 
 
 class TestTraceFormat:
