@@ -18,8 +18,10 @@ frozen :class:`Diagram` and read as its fields, never changed:
 ``pair_counts`` (the crossing count of each component pair, pure pairs
 (i, i) included), ``parity`` (the good-condition table) and ``key``.
 Operations that need a valid diagram call the one guard
-:func:`require_valid`; the command line validates each input once, when it
-loads the file.
+:func:`require_valid`.  :func:`parse_diagram` checks the names and counts
+the passes of its input as it reads them, and the diagram it returns
+already holds its ``violations``, so the command line's validation of each
+loaded file computes nothing again.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ class Diagram:
     """An enumerated free link or tangle diagram as unsigned Gauss codes.
 
     Each index field is built in one traversal of the passes and cached.
-    ``violations`` counts the names and checks each distinct name once;
+    ``violations`` counts the names and tests the characters of all
+    distinct names at once, unless :func:`parse_diagram` has stored it;
     ``occurrences`` lists each crossing's passes in scan order, by
     component and then by position, so a mixed crossing's lesser component
     comes first, which ``pair_counts`` relies on; ``pure`` and
@@ -113,8 +116,9 @@ class Diagram:
     def violations(self) -> tuple[Violation, ...]:
         """The broken diagram invariants.  Names are counted without
         :attr:`occurrences`, which most diagrams met in a search never need,
-        and each distinct name is checked once; only when one fails are the
-        passes listed again, to report each pass of it in place."""
+        and all distinct names are checked by one test of their characters;
+        only when it fails is each name checked, and the passes listed
+        again, to report each pass of a bad name in place."""
         violations: list[Violation] = []
         if self.kind not in ("tangle", "link"):
             violations.append(Violation("kind", "header", f"unknown kind {self.kind!r}"))
@@ -122,22 +126,10 @@ class Diagram:
         counts: Counter[str] = Counter()
         for comp in self.components:
             counts.update(comp.passes)
-        bad = {name for name in counts if TOKEN_RE.match(name) is None}
-        for ci, comp in enumerate(self.components, start=1):
-            if self.kind == "tangle" and comp.closed:
-                violations.append(
-                    Violation("kind", f"component {ci}", "closed component in a tangle")
-                )
-            elif self.kind == "link" and not comp.closed:
-                violations.append(
-                    Violation("kind", f"component {ci}", "open component in a link")
-                )
-            if bad:
-                for tok in comp.passes:
-                    if tok in bad:
-                        violations.append(
-                            Violation("token", f"component {ci}", f"unserializable name {tok!r}")
-                        )
+        bad = set()
+        if not _plain_names(counts):
+            bad = {name for name in counts if TOKEN_RE.match(name) is None}
+        violations += _component_violations(self.kind, self.components, bad)
 
         for name in sorted(name for name, count in counts.items() if count != 2):
             violations.append(
@@ -233,6 +225,12 @@ def parse_diagram(text: str | bytes) -> Diagram:
     ``#`` starts a comment; blank lines are skipped.  Raises :class:`ParseError`
     on bytes that are not UTF-8, on malformed syntax, on a crossing that does
     not occur exactly twice, and on duplicate or missing component indices.
+
+    A component line's names are checked by one test of their characters,
+    and its names are scanned one by one only to place a bad one at its
+    column.  The passes are counted once.  Only the kind rules can then
+    still fail, and the diagram keeps their result as its
+    :attr:`Diagram.violations`, so validating it computes nothing again.
     """
     if isinstance(text, bytes):
         try:
@@ -241,16 +239,17 @@ def parse_diagram(text: str | bytes) -> Diagram:
             line = text.count(b"\n", 0, e.start) + 1
             raise ParseError(f"input is not UTF-8 ({e.reason} at byte {e.start})", line)
 
-    lines: list[tuple[int, str]] = []
+    # (line number, line without comment and blanks, raw line)
+    lines: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
-            lines.append((lineno, stripped))
+            lines.append((lineno, stripped, raw))
 
     if not lines:
         raise ParseError("empty input: expected 'tangle n=<N>' or 'link n=<N>' header", 1, 1)
 
-    headerno, header = lines[0]
+    headerno, header, _ = lines[0]
     m = HEADER_RE.match(header)
     if m is None:
         raise ParseError("expected 'tangle n=<N>' or 'link n=<N>'", headerno, 1)
@@ -266,7 +265,7 @@ def parse_diagram(text: str | bytes) -> Diagram:
         )
 
     entries: dict[int, ComponentCode] = {}
-    for lineno, line in body:
+    for lineno, line, raw in body:
         m = COMPONENT_RE.match(line)
         if m is None:
             raise ParseError("expected 'component <i> open:|closed: <tokens>'", lineno, 1)
@@ -278,26 +277,42 @@ def parse_diagram(text: str | bytes) -> Diagram:
         if index in entries:
             raise ParseError(f"duplicate component index {index}", lineno, 1)
         tokens = rest.split()
-        for tok in tokens:
-            if TOKEN_RE.match(tok) is None:
-                col = line.index(tok) + 1
-                raise ParseError(f"invalid crossing name {tok!r}", lineno, col)
+        if not _plain_names(tokens):
+            code = raw.split("#", 1)[0]
+            raise _bad_name(tokens, raw, len(code) - len(code.lstrip()) + m.start(3), lineno)
         entries[index] = ComponentCode(closed, tuple(tokens))
 
     missing = [i for i in range(1, n + 1) if i not in entries]
     if missing:
         raise ParseError(f"missing component lines for indices {missing}", headerno, 1)
 
-    diagram = Diagram(kind, tuple(entries[i] for i in range(1, n + 1)))
-
-    counts = Counter(name for comp in diagram.components for name in comp.passes)
+    components = tuple(entries[i] for i in range(1, n + 1))
+    counts: Counter[str] = Counter()
+    for comp in components:
+        counts.update(comp.passes)
     bad = sorted(name for name, c in counts.items() if c != 2)
     if bad:
         raise ParseError(
             "crossings must occur exactly twice; offenders: " + " ".join(bad),
             headerno,
         )
+    diagram = Diagram(kind, components)
+    # where cached_property keeps it: names and counts are checked above
+    diagram.__dict__["violations"] = tuple(_component_violations(kind, components))
     return diagram
+
+
+def _bad_name(tokens: list[str], raw: str, pos: int, lineno: int) -> ParseError:
+    """The error for the first of ``tokens`` that :data:`TOKEN_RE` refuses,
+    at its column in the line ``raw``, whose text from ``pos`` on the
+    tokens were split from."""
+    for tok in tokens:
+        # only blanks lie between two tokens, so the next match is this one
+        pos = raw.index(tok, pos)
+        if TOKEN_RE.match(tok) is None:
+            return ParseError(f"invalid crossing name {tok!r}", lineno, pos + 1)
+        pos += len(tok)
+    raise AssertionError("every name is valid")
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -319,6 +334,33 @@ def require_valid(d: Diagram, source: str = "") -> Diagram:
         where = f" in {source}" if source else ""
         raise DiagramError(f"invalid diagram{where}: " + "; ".join(str(v) for v in d.violations))
     return d
+
+
+def _plain_names(names) -> bool:
+    """Whether :data:`TOKEN_RE` accepts each of ``names``, tested at once:
+    the character class it repeats accepts a concatenation of nonempty
+    names exactly when it accepts each of them."""
+    joined = "".join(names)
+    return "" not in names and (not joined or TOKEN_RE.match(joined) is not None)
+
+
+def _component_violations(kind: str, components, bad=()) -> list[Violation]:
+    """The kind rule of each component, a closed one in a tangle or an open
+    one in a link, each followed by the passes of that component whose
+    names are in ``bad``."""
+    violations = []
+    for ci, comp in enumerate(components, start=1):
+        if kind == "tangle" and comp.closed:
+            violations.append(Violation("kind", f"component {ci}", "closed component in a tangle"))
+        elif kind == "link" and not comp.closed:
+            violations.append(Violation("kind", f"component {ci}", "open component in a link"))
+        if bad:
+            for tok in comp.passes:
+                if tok in bad:
+                    violations.append(
+                        Violation("token", f"component {ci}", f"unserializable name {tok!r}")
+                    )
+    return violations
 
 
 def crossing_type(d: Diagram, c: str) -> CrossingType:

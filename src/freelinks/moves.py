@@ -22,7 +22,10 @@ infinite families, of which a finite slate is used.  ``_slate`` alone holds
 the rules for the slate's insertions and lays it out without building them.
 ``_expand`` is the one expansion of that layout: a generator that builds
 each site only when it is reached, and drops, unbuilt, the sites a move
-lower bound rules out.  The bounded search and the joining of its trace
+lower bound rules out.  It decides from the pair counts alone, per move
+kind and per component pair, what the bound can keep, and neither
+enumerates a kind nor visits the slots of a block of insertions that it
+cannot keep.  The bounded search and the joining of its trace
 read it lazily, :func:`move_candidates` lists all of it, and
 :func:`random_walk` draws one index into the layout and builds only that
 site.
@@ -458,7 +461,7 @@ def _fresh_names(d: Diagram) -> tuple[str, str]:
     return next(fresh), next(fresh)
 
 
-def _slate(d: Diagram, *, forbid_pure: bool, max_size: int) -> _Slate:
+def _slate(d: Diagram, *, forbid_pure: bool, max_size: int, kinds=ALL_KINDS) -> _Slate:
     """The layout of the :func:`move_candidates` slate of ``d``, with no
     insertion site built; the only code that applies the insertion rules.
 
@@ -472,21 +475,25 @@ def _slate(d: Diagram, *, forbid_pure: bool, max_size: int) -> _Slate:
     ``forbid_pure`` no site's result has a pure crossing: there is no
     first-move insertion, each run starts past its slot's component, and a
     diagram with pure crossings gets no insertion at all, since an
-    insertion keeps them (see :func:`enumerate_moves`).
+    insertion keeps them (see :func:`enumerate_moves`).  Only the sites of
+    the move kinds ``kinds`` are laid out: all of them by default.
     """
-    sites = enumerate_moves(d, forbid_pure=forbid_pure)
+    sites = enumerate_moves(d, kinds=kinds, forbid_pure=forbid_pure)
     count = d.crossing_count
+    # whether the insertions of each kind fit in max_size
+    ones = "R1_insert" in kinds and not forbid_pure and count + 1 <= max_size
+    twos = "R2_insert" in kinds and count + 2 <= max_size and not (forbid_pure and d.pure)
     # the slots, and per slot the index just past its component's slots;
-    # built only when some insertion fits in max_size
+    # built only when some insertion fits
     slots: list[tuple[int, int, bool]] = []
     ends: list[int] = []
-    if count + (2 if forbid_pure else 1) <= max_size and not (forbid_pure and d.pure):
+    if ones or twos:
         for ci, comp in enumerate(d.components, start=1):
             k = max(len(comp.passes), 1) if comp.closed else len(comp.passes) + 1
             slots += [(ci, pos, False) for pos in range(k)]
             ends += [len(slots)] * k
-    first = [] if forbid_pure else slots
-    if count + 2 > max_size:
+    first = slots if ones else []
+    if not twos:
         starts = []
     elif forbid_pure:
         starts = ends
@@ -524,39 +531,78 @@ def _expand(
 
     Given ``goal``, the :attr:`Diagram.pair_counts` of the diagram searched
     for, every site whose result has a move lower bound above ``budget`` to
-    that diagram is dropped unbuilt, and None is yielded in its place.  The
-    bound reads ``d.pair_counts`` and ``goal``, cached fields that it never
-    changes.  The sites of a stretch of a run of second-move insertions
-    whose second slots lie on one component all change the same component
-    pair, so such a stretch is tested, and dropped, as one.
+    that diagram is dropped unbuilt, and None is yielded, at least once, in
+    place of the dropped sites.  The bound reads ``d.pair_counts`` and
+    ``goal``, cached fields that it never changes, and what it keeps is
+    decided per move kind and per component pair before any site is built:
+
+    * a move kind that no site can be kept of is neither enumerated nor
+      laid out.  When nothing else is dropped, the kinds left out are laid
+      out at the end, only to tell whether to yield None, so that a search
+      that runs out of diagrams knows whether it dropped one;
+    * the insertions of a component pair that the bound drops, a block of
+      second-move insertions with their first slot on one component and
+      their second on one component, or the first-move insertions of one
+      component, are skipped as one, without visiting their slots.
     """
-    sites, names, first, slots, starts = _slate(d, forbid_pure=forbid_pure, max_size=max_size)
     here = {} if goal is None else d.pair_counts
     # one move raises the bound by at most one, so a slack of 1 drops nothing
     slack = 1 if goal is None else budget - _distance(here, goal)
 
-    def over(pair: tuple[int, int], change: int) -> bool:
-        return slack < 1 and _pair_step(here, goal, pair, change) > slack
+    def keeps(pair: tuple[int, int], change: int) -> bool:
+        return slack >= 1 or _pair_step(here, goal, pair, change) <= slack
 
+    kinds = ALL_KINDS
+    if slack < 1:
+        # the kinds that may keep a site: a third move keeps every pair
+        # count, and the others change one pair's count, a first move's a
+        # pure pair's, by as much as that pair can take
+        kinds = {"R3"} if slack >= 0 else set()
+        for kind, change in _COUNT_CHANGE.items():
+            pairs = [(i, j) for i, j in here if i == j] if kind.startswith("R1") else here
+            if any(here[pair] + change >= 0 and keeps(pair, change) for pair in pairs):
+                kinds.add(kind)
+    sites, names, first, slots, starts = _slate(
+        d, forbid_pure=forbid_pure, max_size=max_size, kinds=kinds
+    )
+    dropped = False
     for site in sites:
-        yield None if slack < 1 and _bound_step(here, goal, site) > slack else site
-    for slot in first:
-        if over((slot[0], slot[0]), 1):
+        if slack < 1 and _bound_step(here, goal, site) > slack:
+            dropped = True
             yield None
         else:
-            yield MoveSite("R1_insert", names=names[:1], slots=(slot,))
-    ends = {ci: b + 1 for b, (ci, _, _) in enumerate(slots)}
-    for slot, start in zip(slots, starts):
-        while start < len(slots):
-            other = slots[start][0]
-            stop = ends[other]
-            if over((slot[0], other), 2):
-                yield None
-            else:
-                for second in slots[start:stop]:
+            yield site
+    # per component with slots, the index of its first slot and the index
+    # just past its last; the first-move slots are all slots or none
+    bounds: dict[int, list[int]] = {}
+    for b, (ci, _, _) in enumerate(slots):
+        bounds.setdefault(ci, [b, b])[1] = b + 1
+    for ci, (lo, hi) in bounds.items() if first else ():
+        if keeps((ci, ci), 1):
+            for slot in first[lo:hi]:
+                yield MoveSite("R1_insert", names=names[:1], slots=(slot,))
+        else:
+            dropped = True
+            yield None
+    for ci, (lo, hi) in bounds.items() if starts else ():
+        # the components that the runs from ci's slots reach, and those
+        # whose block the bound keeps
+        reach = [cj for cj, (_, end) in bounds.items() if end > starts[lo]]
+        kept = [cj for cj in reach if keeps((ci, cj), 2)]
+        if len(kept) < len(reach):
+            dropped = True
+            yield None
+        for slot, start in zip(slots[lo:hi], starts[lo:hi]) if kept else ():
+            for cj in kept:
+                begin, end = bounds[cj]
+                for second in slots[max(start, begin) : end]:
                     yield MoveSite("R2_insert", names=names, slots=(slot, second), same_order=True)
                     yield MoveSite("R2_insert", names=names, slots=(slot, second), same_order=False)
-            start = stop
+    if slack < 1 and not dropped:
+        # the kinds left out may have had a site, and it was dropped
+        skipped = set(ALL_KINDS) - kinds
+        if skipped and _slate(d, forbid_pure=forbid_pure, max_size=max_size, kinds=skipped).size:
+            yield None
 
 
 def _site_at(slate: _Slate, k: int) -> MoveSite:

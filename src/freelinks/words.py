@@ -248,16 +248,21 @@ def _least_class(core: list[int], undirected: bool) -> tuple[int, ...]:
     ``core``, itself given as letter indices (see :func:`canonical_class_word`).
 
     On letter indices a mask is an XOR, and the order is the tuple order.
-    An anchored mask is a letter of the word, and the least rotation of its
-    image starts at the letters it anchors.
+    Each rotation is tried once per direction, masked by its own first
+    letter, its anchored mask: that covers every rotation that starts at a
+    letter its mask turns into letter 0.
     """
     core = _strip(core)
-    if len(core) < 3:
+    length = len(core)
+    if length < 3:
         # a cyclically reduced word of at most two letters has one anchored
         # image, in either direction
         return tuple(x ^ core[0] for x in core)
-    cores = (core, core[::-1]) if undirected else (core,)
-    return min(_least_rotation([x ^ m for x in c]) for c in cores for m in set(core))
+    rotations = []
+    for c in (core, core[::-1]) if undirected else (core,):
+        twice = c + c
+        rotations += (twice[p : p + length] for p in range(length))
+    return min(tuple(map(r[0].__xor__, r)) for r in rotations)
 
 
 def _index_letter(x: int, width: int) -> Letter:

@@ -102,6 +102,26 @@ def reference_validate(d: Diagram) -> list[Violation]:
     return violations
 
 
+def reference_name_error(raw: str) -> tuple[str, int] | None:
+    """The first name on the component line ``raw`` that ``TOKEN_RE``
+    refuses, with its 1-based column in ``raw``, found by a scan of the
+    characters after the line's first colon, up to its comment; None when
+    every name passes."""
+    code = raw.split("#", 1)[0]
+    col = code.index(":") + 1
+    while col < len(code):
+        if code[col].isspace():
+            col += 1
+            continue
+        end = col
+        while end < len(code) and not code[end].isspace():
+            end += 1
+        if TOKEN_RE.match(code[col:end]) is None:
+            return code[col:end], col + 1
+        col = end
+    return None
+
+
 def reference_crossing_occurrences(d: Diagram) -> dict[str, list[tuple[int, int]]]:
     occ: dict[str, list[tuple[int, int]]] = {}
     for ci, comp in enumerate(d.components, start=1):

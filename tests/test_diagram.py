@@ -33,6 +33,7 @@ from genutil import (
     reference_canonical_key,
     reference_crossing_occurrences,
     reference_is_good_condition,
+    reference_name_error,
     reference_pair_counts,
     reference_pure_crossings,
     reference_validate,
@@ -88,6 +89,48 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column is not None
 
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            # counted in the raw line, not from its first non-blank
+            ("    component 1 open: a a b!", 27),
+            # the token's own place, not an earlier one with the same text
+            ("component 1 open: a a :", 23),
+        ],
+    )
+    def test_bad_token_column_is_its_own_in_the_raw_line(self, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_diagram("tangle n=1\n" + line)
+        assert (err.value.line, err.value.column) == (2, column)
+
+    def test_name_check_matches_the_per_token_scan(self):
+        # names that only look like word characters, and separators that
+        # str.split splits at too
+        pool = ["a", "b_1", "_", "Z9", "é", "٣", "a-b", ":", "b!", "x\u200by"]
+        blanks = [" ", "\t", "\u00a0", "  ", " \t\u00a0"]
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(400):
+            names = rng.sample(pool, rng.randint(1, 4))
+            tokens = names * 2
+            rng.shuffle(tokens)
+            line = (
+                rng.choice(["", " ", "\t", "\u00a0 "])
+                + "component 1 open:"
+                + "".join(rng.choice(blanks) + tok for tok in tokens)
+                + rng.choice(["", " ", " # a: b!"])
+            )
+            expected = reference_name_error(line)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert parse_diagram("tangle n=1\n" + line).components[0].passes == tuple(tokens)
+                continue
+            with pytest.raises(ParseError) as err:
+                parse_diagram("tangle n=1\n" + line)
+            name, column = expected
+            assert str(err.value) == f"invalid crossing name {name!r} (line 2, column {column})"
+        assert outcomes == {True, False}
+
     def test_roundtrip_random(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -132,6 +175,41 @@ class TestValidate:
         for _ in range(30):
             d = random_any_diagram(rng, 9)
             assert sum(len(c) for c in d.components) == 2 * d.crossing_count
+
+
+class TestParsedViolations:
+    """The diagram that ``parse_diagram`` returns already holds its
+    violations, and they are those the reference computes."""
+
+    def test_stored_on_valid_texts(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            d = parse_diagram(serialize_diagram(random_any_diagram(rng, 10)))
+            assert "violations" in vars(d)
+            assert d.violations == () and reference_validate(d) == []
+
+    def test_stored_on_texts_of_the_wrong_openness(self):
+        # a closed component in a tangle, or an open one in a link
+        rng = random.Random(37)
+        for _ in range(100):
+            lines = serialize_diagram(random_any_diagram(rng, 10)).splitlines()
+            for k in rng.sample(range(1, len(lines)), rng.randint(1, len(lines) - 1)):
+                old, new = (" open:", " closed:") if " open:" in lines[k] else (" closed:", " open:")
+                lines[k] = lines[k].replace(old, new)
+            d = parse_diagram("\n".join(lines))
+            assert "violations" in vars(d)
+            assert d.violations and list(d.violations) == reference_validate(d)
+            assert d.violations == Diagram(d.kind, d.components).violations
+            with pytest.raises(DiagramError, match="invalid diagram"):
+                require_valid(d)
+
+    @pytest.mark.parametrize("bad", ["", "a b", "x\n", "é", "٣", "a-b"])
+    def test_name_check_of_built_diagrams(self, bad):
+        for names in ((bad,), (bad, "a"), ("_", bad, "b9")):
+            d = Diagram("link", (ComponentCode(True, names * 2),))
+            assert list(d.violations) == reference_validate(d)
+            assert [v.rule for v in d.violations] == ["token"] * 2
+        assert Diagram("tangle", (ComponentCode(False, ("_", "a", "_", "a")),)).violations == ()
 
 
 class TestCrossingQueries:

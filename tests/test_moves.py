@@ -773,6 +773,37 @@ class TestSearchBound:
                         outcomes.add((bool(kept), len(kept) < len(bounds)))
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
+    def test_one_move_run_lists_and_builds_only_what_the_bound_keeps(
+        self, monkeypatch, four_component_link
+    ):
+        # the four-component link with a bigon x y ... y x on components 1
+        # and 2: from it, the run of limit 1 can keep only a second-move
+        # deletion, so it asks for no third-move site and builds no insertion
+        bigon = parse_diagram(
+            "link n=4\n"
+            "component 1 closed: x y c1 b1 c2 a1 c3 a2 b2 c4\n"
+            "component 2 closed: c1 c2 c3 c4 d1 d2 e1 y x e2\n"
+            "component 3 closed: a1 a2 d1 d2\n"
+            "component 4 closed: b1 b2 e1 e2\n"
+        )
+        asked, built = [], []
+        enumerate_, site = moves.enumerate_moves, moves.MoveSite
+
+        def listing(d, **kw):
+            asked.append(kw.get("kinds"))
+            return enumerate_(d, **kw)
+
+        def building(kind, **kw):
+            built.append(kind)
+            return site(kind, **kw)
+
+        monkeypatch.setattr(moves, "enumerate_moves", listing)
+        monkeypatch.setattr(moves, "MoveSite", building)
+        verdict = bounded_equivalence_search(bigon, four_component_link, 1, forbid_pure=True)
+        assert verdict.reason == "found" and len(verdict.trace.moves) == 1
+        assert asked and all(kinds is not None and "R3" not in kinds for kinds in asked)
+        assert "R2_insert" not in built
+
     def test_reason_bound_answers_before_any_move(self, monkeypatch):
         def no_moves(*args, **kwargs):
             raise AssertionError("the search expanded a diagram")
