@@ -4,15 +4,17 @@ Subcommands: ``validate``, ``invariant``, ``bracket``, ``compare``,
 ``fuzz``, ``orbit``, ``replay``.  Exit codes: 0 success (results on
 stdout), 1 a comparison or fuzz check found the inputs distinct or a
 failure, 2 usage or parse errors, 3 precondition failures (for example a
-diagram out of good condition).  Every input diagram is validated once, when
-it is loaded; only ``validate`` reads an invalid one.  Output is
-deterministic for fixed inputs and seed; diagnostics go to stderr.
+diagram out of good condition), 141 standard output closed by its reader.
+Every input diagram is validated once, when it is loaded; only
+``validate`` reads an invalid one.  Output is deterministic for fixed
+inputs and seed; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from .diagram import (
     Diagram,
     DiagramError,
     ParseError,
-    _pass_counts,
+    _isomorphic,
     parse_diagram,
     require_valid,
     serialize_diagram,
@@ -206,7 +208,9 @@ def _cmd_compare(args) -> int:
        (``distinct``).
     2. For inputs without pure crossings in good condition, the class words
        (``distinct``).
-    3. The canonical keys (``equal``, with no trace).
+    3. The same diagram up to renaming crossings and rotating or reversing
+       closed components, tested directly, so that neither input is keyed
+       (``equal``, with no trace).
     4. For inputs without pure crossings, the descent of
        :func:`join_by_descent` and the bounded search, both under restricted
        moves, which answer only ``equal``.  With a move lower bound of 2 or
@@ -259,9 +263,9 @@ def _cmd_compare(args) -> int:
             )
             return 1
 
-    # equal keys have equal pass counts, and the search keys A only when a
-    # diagram with its pass counts meets it
-    if _pass_counts(a) == _pass_counts(b) and a.key == b.key:
+    # the same diagram up to renaming, rotation and reversal, decided
+    # without keying either input
+    if _isomorphic(a, b):
         print("equal")
         return 0
 
@@ -374,7 +378,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output: send what is left to the null
+        # device, so that the flush at exit fails no more, and exit as a
+        # shell reports a writer the pipe stopped (128 + SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

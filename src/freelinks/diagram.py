@@ -611,6 +611,91 @@ def _pass_counts(d: Diagram) -> tuple[int, ...]:
     return tuple(len(comp.passes) for comp in d.components)
 
 
+def _isomorphic(x: Diagram, y: Diagram) -> bool:
+    """Whether ``x.key == y.key``, decided without building either key;
+    both are validated as :func:`canonical_key` validates them.
+
+    Each group of components joined by crossings is matched on its own, in
+    breadth-first order: ``y``'s component in the rotations and reversals
+    whose partners (the component of each crossing's other pass) are
+    ``x``'s, a later one only where it meets an earlier one as ``x``'s does.
+    """
+    require_valid(x)
+    require_valid(y)
+    # valid diagrams of one kind have all components closed or all open
+    if x.kind != y.kind or _pass_counts(x) != _pass_counts(y):
+        return False
+    xc, yc = x.components, y.components
+    xp, yp = _partners(xc), _partners(yc)
+
+    def variants(level: int) -> list:
+        # y's component order[level] in the rotations and reversals whose
+        # partners are x's; past the first level, only those that put the
+        # image of its crossing at anchors[level] where x has it
+        ci, p = order[level], anchors[level]
+        passes, want = yc[ci].passes, xp[ci]
+        tries = {passes: None} if yp[ci] == want else {}
+        for seq, line in ((passes, yp[ci]), (passes[::-1], yp[ci][::-1])) if yc[ci].closed else ():
+            doubled = line * 2
+            r = doubled.find(want)
+            while 0 <= r < len(seq):
+                tries[seq[r:] + seq[:r]] = None
+                r = doubled.find(want, r + 1)
+        return [seq for seq in tries if not level or seq[p] == image[xc[ci].passes[p]]]
+
+    placed: set[int] = set()
+    for root in range(len(xc)):
+        if root in placed:
+            continue
+        placed.add(root)
+        # breadth first, each later component with the position of its
+        # first pass whose crossing the component that reached it passes
+        order, anchors = [root], [0]
+        for ci in order:
+            joined = sorted(set(map(ord, xp[ci])) - placed)
+            placed.update(joined)
+            order += joined
+            anchors += [xp[cj].find(chr(ci)) for cj in joined]
+        # y's name for each of x's names read so far; once the group is
+        # whole, that is one to one, since every name has two passes
+        image: dict[str, str] = {}
+        # depth first, without recursion: per level, the variants left to
+        # try and the names that the variant in use added to image
+        stack = [(iter(variants(0)), ())]
+        while stack:
+            left, added = stack.pop()
+            for name in added:
+                del image[name]
+            seq = next(left, None)
+            if seq is None:
+                continue
+            level = len(stack)
+            passes = xc[order[level]].passes
+            # every pass reads one name, the one read before if its name was
+            # met on an earlier component
+            pairing = dict(zip(passes, seq))
+            if tuple(map(image.get, passes, map(pairing.__getitem__, passes))) != seq:
+                stack.append((left, ()))
+                continue
+            stack.append((left, set(pairing).difference(image)))
+            image.update(pairing)
+            if level + 1 == len(order):
+                break
+            stack.append((iter(variants(level + 1)), ()))
+        else:
+            return False
+    return True
+
+
+def _partners(comps) -> list[str]:
+    """Per component, each pass's partner as the character of its index."""
+    home: dict[str, int] = {}
+    for ci, comp in enumerate(comps):
+        for name in comp.passes:
+            home[name] = home.get(name, 0) ^ ci
+    return ["".join([chr(home[tok] ^ ci) for tok in comp.passes]) for ci, comp in enumerate(comps)]
+
+
 def canonical_form(d: Diagram) -> Diagram:
     """The canonical representative of d under renaming/rotation/reversal.
 

@@ -50,6 +50,7 @@ from .diagram import (
     ComponentCode,
     Diagram,
     ParseError,
+    _isomorphic,
     _pass_counts,
     require_valid,
 )
@@ -79,8 +80,6 @@ MAX_NODES = 50000
 # states one third-move closure of a descent keeps; a closure that reaches it
 # gives its input no representative
 MAX_CLOSURE = 20000
-# the entry of a bounded equivalence search's start before it is keyed
-_ROOT = object()
 # the change each move kind makes to the crossing count of the pair it touches
 _COUNT_CHANGE = {"R1_delete": -1, "R1_insert": 1, "R2_delete": -2, "R2_insert": 2}
 # component pair (i, j), i <= j -> the number of crossings between them, as
@@ -738,11 +737,9 @@ def bounded_equivalence_search(
     run that drops no move and runs out of diagrams on one side ends the
     search, since no run of any limit can differ.
 
-    Equal keys have equal per-component pass counts, so ``a`` is keyed
-    only when a diagram with its pass counts meets it: ``b`` at the start,
-    or a neighbour, from either side, when it is tested against ``a``'s
-    side.  Until then ``a``'s side holds it under a root entry that no key
-    can equal.
+    Neither input is keyed: the start tests them by
+    :func:`~freelinks.diagram._isomorphic`, as equal keys would, and each
+    run holds them under placeholders (see :func:`_search_run`).
 
     Returns a trace that replays from ``a`` to a diagram with ``b``'s
     canonical form on success, and ``unknown`` otherwise, with the
@@ -756,10 +753,8 @@ def bounded_equivalence_search(
         # only between pure-crossing-free diagrams is every restricted move
         # undone by a restricted move, which the search from b relies on
         raise MoveError("a search without pure crossings needs inputs without pure crossings")
-    # keying b validates it; a may never be keyed
-    require_valid(a)
-    target = b.key
-    if _pass_counts(a) == _pass_counts(b) and a.key == target:
+    # validates both
+    if _isomorphic(a, b):
         return SearchVerdict(True, WalkTrace(a, (), a), reason="found")
     # per side: the pair counts of the other side's end
     goals = (b.pair_counts, a.pair_counts)
@@ -769,7 +764,7 @@ def bounded_equivalence_search(
     max_size = max(a.crossing_count, b.crossing_count) + 2
 
     def run(limit: int) -> SearchVerdict | None:
-        return _search_run(a, b, target, goals, limit, forbid_pure, max_size)
+        return _search_run(a, b, goals, limit, forbid_pure, max_size)
 
     # The answer is that of the runs with these limits in turn, up to the
     # first that does not run out of levels.  A run holds every state of the
@@ -794,15 +789,19 @@ def bounded_equivalence_search(
     return SearchVerdict(False, reason="depth")
 
 
-def _search_run(a, b, target, goals, limit: int, forbid_pure: bool, max_size: int):
+def _search_run(a, b, goals, limit: int, forbid_pure: bool, max_size: int):
     """One run of the bidirectional search, pruned to sequences of at most
-    ``limit`` moves; None when its levels run out without an answer."""
-    # per side: canonical key -> (diagram, key it was reached from, move);
-    # a is held under _ROOT, and under its key too once it is keyed
-    sides = ({_ROOT: (a, None, None)}, {target: (b, None, None)})
-    frontiers = [[_ROOT], [target]]
-    # a's pass counts until a is held under its key
-    start = _pass_counts(a)
+    ``limit`` moves; None when its levels run out without an answer.
+
+    Each side maps its end's index, which no key equals, and the key of
+    every other diagram it holds to (diagram, entry reached from, move).  A
+    neighbour is tested against each end with its pass counts, the other
+    end first, and keyed only when it is neither.
+    """
+    ends = (a, b)
+    counts = (_pass_counts(a), _pass_counts(b))
+    sides = ({0: (a, None, None)}, {1: (b, None, None)})
+    frontiers = [[0], [1]]
     pruned = [False, False]
     nodes = 0
     for level in range(limit):
@@ -811,8 +810,8 @@ def _search_run(a, b, target, goals, limit: int, forbid_pure: bool, max_size: in
         # what the bound may leave a neighbour level // 2 + 1 moves from its end
         budget = limit - (level // 2 + 1)
         grown = []
-        for key in frontiers[grow]:
-            diag = seen[key][0]
+        for entry in frontiers[grow]:
+            diag = seen[entry][0]
             for site in _expand(
                 diag, forbid_pure=forbid_pure, max_size=max_size, goal=goals[grow], budget=budget
             ):
@@ -820,20 +819,22 @@ def _search_run(a, b, target, goals, limit: int, forbid_pure: bool, max_size: in
                     pruned[grow] = True
                     continue
                 neighbor = apply_move(diag, site)
-                found = neighbor.key
-                if start is not None and _pass_counts(neighbor) == start:
-                    # it may be a, and is next tested against a's side
-                    sides[0][a.key] = sides[0][_ROOT]
-                    start = None
-                # no key is on both sides before they meet, so the meet is
+                shape = _pass_counts(neighbor)
+                if shape == counts[1 - grow] and _isomorphic(neighbor, ends[1 - grow]):
+                    found = 1 - grow
+                elif shape == counts[grow] and _isomorphic(neighbor, ends[grow]):
+                    continue
+                else:
+                    found = neighbor.key
+                # no entry is on both sides before they meet, so the meet is
                 # tested first
                 if found in other:
-                    seen[found] = (neighbor, key, site)
+                    seen[found] = (neighbor, entry, site)
                     trace = _joined_trace(a, sides, found, forbid_pure, max_size)
                     return SearchVerdict(True, trace, reason="found")
                 if found in seen:
                     continue
-                seen[found] = (neighbor, key, site)
+                seen[found] = (neighbor, entry, site)
                 nodes += 1
                 if nodes >= MAX_NODES:
                     return SearchVerdict(False, reason="cap")
@@ -847,19 +848,21 @@ def _search_run(a, b, target, goals, limit: int, forbid_pure: bool, max_size: in
 
 
 def _joined_trace(a: Diagram, sides, meet, forbid_pure: bool, max_size: int) -> WalkTrace:
-    """The trace through the key ``meet`` that both sides hold: those of a
+    """The trace through the entry ``meet`` that both sides hold: those of a
     bounded search, or the two descents of :func:`join_by_descent`.
 
     The moves stored on ``a``'s side replay from ``a`` to its diagram of
-    ``meet``.  The other side holds only a chain of keys toward ``b``, whose
-    diagrams are named and rotated independently, so each step takes the
-    first candidate move whose result has the next key of the chain.
+    ``meet``.  The other side holds only a chain of diagrams toward ``b``,
+    named and rotated independently, so each step takes the first candidate
+    move whose result is the chain's next diagram up to renaming, rotation
+    and reversal, by :func:`~freelinks.diagram._isomorphic`; no diagram is
+    keyed.
     """
     ahead, behind = sides
     moves: list[MoveSite] = []
-    key = meet
-    while ahead[key][1] is not None:
-        _, key, site = ahead[key]
+    entry = meet
+    while ahead[entry][1] is not None:
+        _, entry, site = ahead[entry]
         moves.append(site)
     moves.reverse()
     current = ahead[meet][0]
@@ -867,12 +870,13 @@ def _joined_trace(a: Diagram, sides, meet, forbid_pure: bool, max_size: int) -> 
     while step is not None:
         # equal keys have equal pair counts, so every site whose result has
         # other pair counts than the next diagram's is dropped unbuilt
-        goal = behind[step][0].pair_counts
+        target = behind[step][0]
+        goal = target.pair_counts
         for site in _expand(current, forbid_pure=forbid_pure, max_size=max_size, goal=goal):
             if site is None:
                 continue
             neighbor = apply_move(current, site)
-            if neighbor.key == step:
+            if _isomorphic(neighbor, target):
                 break
         else:
             raise MoveError("no candidate move reaches the next diagram toward the target")
@@ -930,7 +934,7 @@ def join_by_descent(a: Diagram, b: Diagram) -> WalkTrace | None:
     if meet != other:
         return None
     size = max(a.crossing_count, b.crossing_count)
-    return _joined_trace(a, (ahead, _keyed(behind, meet)), meet, True, size)
+    return _joined_trace(a, (ahead, behind), meet, True, size)
 
 
 def _descend(d: Diagram) -> tuple[tuple, dict] | None:
@@ -1000,19 +1004,6 @@ def _closure(reached: dict, key) -> tuple | None:
                 return None
             queue.append(found)
     return min(closure), []
-
-
-def _keyed(side: dict, meet) -> dict:
-    """The chain of :func:`_descend` entries from ``meet`` back to the
-    start, each diagram held under its canonical key, as
-    :func:`_joined_trace` reads the side toward ``b``."""
-    chain = []
-    entry = meet
-    while entry is not None:
-        diag, entry, site = side[entry]
-        chain.append((diag, site))
-    keys = [diag.key for diag, _ in chain] + [None]
-    return {keys[k]: (diag, keys[k + 1], site) for k, (diag, site) in enumerate(chain)}
 
 
 # -- trace serialization ------------------------------------------------------

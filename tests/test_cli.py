@@ -475,10 +475,11 @@ class TestCompare:
         load, key = freelinks.cli._load, freelinks.diagram.canonical_key
         monkeypatch.setattr(freelinks.cli, "_load", lambda path: loaded.append(load(path)) or loaded[-1])
         monkeypatch.setattr(freelinks.diagram, "canonical_key", lambda d: keyed.append(d) or key(d))
-        # one third move apart: the command keys both inputs, then searches
+        # one third move apart: the command tests the inputs against each
+        # other, then searches, and keys neither
         code, out, _ = invoke(capsys, "compare", TRIANGLE, TRIANGLE_MOVED)
         assert (code, out.splitlines()[:2]) == (0, ["equal", "trace:"])
-        assert [sum(d is x for d in keyed) for x in loaded] == [1, 1]
+        assert [sum(d is x for d in keyed) for x in loaded] == [0, 0]
 
     def test_second_move_pair_keys_only_the_end(self, capsys, monkeypatch, tmp_path):
         import freelinks.cli
@@ -489,7 +490,8 @@ class TestCompare:
         monkeypatch.setattr(freelinks.cli, "_load", lambda path: loaded.append(load(path)) or loaded[-1])
         monkeypatch.setattr(freelinks.diagram, "canonical_key", lambda d: keyed.append(d) or key(d))
         # A is B with a bigon x y ... y x on components 1 and 2, so their
-        # pass counts differ: the command keys B, and A never
+        # pass counts differ: the neighbour that deletes it is tested
+        # against B, and neither input is keyed
         bigon = [
             "x y c1 b1 c2 a1 c3 a2 b2 c4",
             "c1 c2 c3 c4 d1 d2 e1 y x e2",
@@ -500,7 +502,7 @@ class TestCompare:
         lines = out.splitlines()
         assert (code, lines[:2], len(lines)) == (0, ["equal", "trace:"], 3)
         assert lines[2].startswith("R2_delete x y ")
-        assert [sum(d is x for d in keyed) for x in loaded] == [0, 1]
+        assert [sum(d is x for d in keyed) for x in loaded] == [0, 0]
 
     def test_renamed_copy_is_equal_without_a_trace(self, capsys, tmp_path):
         # equal pass counts, so the inputs are keyed and the keys match
@@ -918,6 +920,43 @@ class TestInvalidInput:
         code, out, err = invoke(capsys, *(arg.format(bad=bad) for arg in argv))
         assert (code, out) == (3, "")
         assert f"invalid diagram in {bad}" in err
+
+
+class TestClosedPipe:
+    """A reader that closes standard output early gets exit 141 and no
+    message, whether the write fails at exit or inside a subcommand."""
+
+    @staticmethod
+    def run_into_closed_pipe(*argv):
+        src = str(DATA.parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        read, write = os.pipe()
+        # closed before the child writes, so its first write fails
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "freelinks", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+        finally:
+            os.close(write)
+        return proc.returncode, proc.stderr
+
+    def test_short_output(self):
+        assert self.run_into_closed_pipe("validate", FOUR) == (141, b"")
+
+    def test_output_longer_than_a_pipe_buffer(self, tmp_path):
+        # about 84 KiB of output, so that the write fails inside the
+        # subcommand rather than at the flush before exit
+        names = [f"crossing_{k:04d}" for k in range(3000)]
+        big = tmp_path / "big.link"
+        big.write_text(f"link n=1\ncomponent 1 closed: {' '.join(names + names)}\n")
+        trace = tmp_path / "empty.trace"
+        trace.write_text("")
+        assert len(big.read_text()) > 64 * 1024
+        assert self.run_into_closed_pipe("replay", str(big), str(trace)) == (141, b"")
 
 
 class TestDeterminism:

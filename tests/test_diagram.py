@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,8 @@ from freelinks.diagram import (
     require_valid,
     serialize_diagram,
 )
-from freelinks.diagram import _diagram_from_key
-from freelinks.moves import _expand, apply_move
+from freelinks.diagram import _diagram_from_key, _isomorphic
+from freelinks.moves import _expand, apply_move, move_candidates
 
 from genutil import (
     fuzz_walk_diagrams,
@@ -586,6 +587,150 @@ class TestCanonicalKeyReference:
                 assert canonical_key(neighbor) == reference_canonical_key(neighbor), (d, site)
                 checked += 1
         assert checked > 1000
+
+
+def link(*components: str) -> Diagram:
+    return Diagram("link", tuple(ComponentCode(True, tuple(c.split())) for c in components))
+
+
+def tangle(*components: str) -> Diagram:
+    return Diagram("tangle", tuple(ComponentCode(False, tuple(c.split())) for c in components))
+
+
+def reshuffled(rng: random.Random, d: Diagram) -> Diagram:
+    """``d`` with all its passes dealt out again at random, each component
+    keeping its length: a valid diagram of the same shape, seldom the same
+    diagram."""
+    passes = [name for comp in d.components for name in comp.passes]
+    rng.shuffle(passes)
+    comps = []
+    for comp in d.components:
+        comps.append(ComponentCode(comp.closed, tuple(passes[: len(comp)])))
+        del passes[: len(comp)]
+    return Diagram(d.kind, tuple(comps))
+
+
+class TestIsomorphic:
+    """The direct test of "same diagram" against equal canonical keys."""
+
+    @staticmethod
+    def agrees(x: Diagram, y: Diagram) -> bool:
+        same = _isomorphic(x, y)
+        assert same == (x.key == y.key), (x, y)
+        assert _isomorphic(y, x) == same, (x, y)
+        return same
+
+    def test_matches_key_equality(self):
+        # any, pure, mixed, good and sparse diagrams, links and tangles,
+        # against a scrambled copy, a copy dealt out again and every slate
+        # neighbour; each neighbour also against a scrambled copy of itself
+        # and against the last neighbour with its pass counts, which is
+        # often a different diagram of the same shape
+        rng = random.Random(131)
+        same = differ = 0
+        for trial in range(20):
+            kind = ("link", "tangle")[trial % 2]
+            n = rng.randint(2, 3)
+            d = (
+                lambda: random_any_diagram(rng, 6, kind),
+                lambda: random_pure_diagram(rng, n, kind),
+                lambda: random_mixed_diagram(rng, n, rng.randint(0, 8), kind),
+                lambda: random_good_diagram(rng, n, 8, kind),
+                lambda: random_sparse_link(rng),
+            )[trial % 5]()
+            pairs = [(d, scramble(rng, d)), (d, reshuffled(rng, d))]
+            last = {}
+            for site in move_candidates(d, max_size=d.crossing_count + 2):
+                neighbor = apply_move(d, site)
+                shape = tuple(len(c) for c in neighbor.components)
+                pairs += [(d, neighbor), (neighbor, scramble(rng, neighbor))]
+                pairs.append((last.setdefault(shape, neighbor), neighbor))
+                last[shape] = neighbor
+            for x, y in pairs:
+                if self.agrees(x, y):
+                    same += 1
+                elif [len(c) for c in x.components] == [len(c) for c in y.components]:
+                    differ += 1
+        assert same >= 4000 and differ >= 3000, (same, differ)
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(137)
+        for _ in range(300):
+            d = random_any_diagram(rng, 8)
+            for other in (scramble(rng, d), reshuffled(rng, d), scramble(rng, reshuffled(rng, d))):
+                same = _isomorphic(d, other)
+                assert same == (naive_canonical_key(d) == naive_canonical_key(other)), (d, other)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=small_diagrams(pure=True), seed=st.integers(0, 2**32))
+    def test_matches_naive_oracle_on_small_diagrams(self, d, seed):
+        rng = random.Random(seed)
+        for other in (scramble(rng, d), reshuffled(rng, d)):
+            assert _isomorphic(d, other) == (naive_canonical_key(d) == naive_canonical_key(other))
+
+    @pytest.mark.parametrize(
+        "x, y, same",
+        [
+            (link("", ""), link("", ""), True),
+            (link("", "a a"), link("a a", ""), False),
+            (link("a", "a"), link("b", "b"), True),
+            (link("a b", "a b"), link("x y", "y x"), True),
+            (link("a a", "b b"), link("a b", "a b"), False),
+            (link("a a b c b c"), link("b c b c a a"), True),
+            (tangle("a a b c b c"), tangle("b c b c a a"), False),
+            (tangle("a a b b"), tangle("x x y y"), True),
+            (tangle("a b", "a b"), link("a b", "a b"), False),
+            (link("a b c", "a b c"), link("a b c", "c b a"), True),
+            (link("a b c d", "a b c d"), link("a b c d", "a b d c"), False),
+            (link("a b", "a c", "b c"), link("a c", "a b", "b c"), True),
+        ],
+    )
+    def test_edge_cases(self, x, y, same):
+        assert _isomorphic(x, y) == same
+        assert self.agrees(x, y) == same
+
+    def test_invalid_input_raises(self):
+        valid, odd = link("a a"), link("a a b")
+        for x, y in ((odd, valid), (valid, odd), (odd, odd)):
+            with pytest.raises(DiagramError, match="crossing b"):
+                _isomorphic(x, y)
+        # the other checks come after validation
+        with pytest.raises(DiagramError):
+            _isomorphic(link("a"), tangle("a a"))
+
+    def test_disjoint_symmetric_kinks_stay_cheap(self):
+        # six unlinked components of six kinks each, whose rotations by two
+        # passes all agree, the last one differing: matched one at a time,
+        # not over the product of all their rotations
+        kinks = [" ".join(f"k{c}_{k} k{c}_{k}" for k in range(6)) for c in range(6)]
+        other = kinks[:-1] + ["k5_0 k5_1 k5_0 k5_1 " + " ".join(f"k5_{k} k5_{k}" for k in range(2, 6))]
+        x, y = link(*kinks), link(*other)
+        start = time.perf_counter()
+        assert not _isomorphic(x, y)
+        assert _isomorphic(x, scramble(random.Random(139), x))
+        assert time.perf_counter() - start < 0.5
+
+
+    def test_a_long_group_stays_linear(self):
+        # 2,000 components in one group, each passing a crossing with the
+        # next one and a kink: more levels than the interpreter's recursion
+        # limit.  The copy whose middle component reads its kink across the
+        # crossing is another diagram, told apart at the last level
+        n = 2000
+
+        def chain(odd):
+            return link(
+                *(
+                    f"x{i} a{i} x{(i + 1) % n} a{i}" if i == odd else f"x{i} a{i} a{i} x{(i + 1) % n}"
+                    for i in range(n)
+                )
+            )
+
+        d = chain(None)
+        start = time.perf_counter()
+        assert _isomorphic(d, scramble(random.Random(149), d))
+        assert not _isomorphic(d, chain(n // 2))
+        assert time.perf_counter() - start < 2
 
 
 class TestCutLink:
