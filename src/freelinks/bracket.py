@@ -66,6 +66,7 @@ from .diagram import (
 )
 from .invariant import _class_words, fingerprint, render_fingerprint
 from .moves import bounded_equivalence_search
+from .words import _least_rotation
 
 __all__ = [
     "Bracket",
@@ -314,10 +315,11 @@ def _one_curve_codes(rows: list[int]) -> list[int]:
 
 
 def _least_curve(curve: ComponentCode) -> ComponentCode:
-    """A closed curve at its least rotation or reversal; others unchanged."""
-    if curve.closed and curve.passes:
-        seqs = (curve.passes, curve.passes[::-1])
-        curve = ComponentCode(True, min(seq[r:] + seq[:r] for seq in seqs for r in range(len(seq))))
+    """A closed curve at the lesser of the least rotations of its passes and
+    of their reversal; an open curve unchanged."""
+    if curve.closed:
+        passes = curve.passes
+        curve = ComponentCode(True, min(_least_rotation(passes), _least_rotation(passes[::-1])))
     return curve
 
 

@@ -4,7 +4,10 @@ Subcommands: ``validate``, ``invariant``, ``bracket``, ``compare``,
 ``fuzz``, ``orbit``, ``replay``.  Exit codes: 0 success (results on
 stdout), 1 a comparison or fuzz check found the inputs distinct or a
 failure, 2 usage or parse errors, 3 precondition failures (for example a
-diagram out of good condition), 141 standard output closed by its reader.
+diagram out of good condition), 141 standard output closed by its reader,
+whatever the buffering: under ``python -u`` or ``PYTHONUNBUFFERED`` a
+buffered writer is put under standard output, so that every byte is written
+or the closed pipe is reported.
 Every input diagram is validated once, when it is loaded; only
 ``validate`` reads an invalid one.  Output is deterministic for fixed
 inputs and seed; diagnostics go to stderr.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import sys
 from pathlib import Path
@@ -208,19 +212,23 @@ def _cmd_compare(args) -> int:
        (``distinct``).
     2. For inputs without pure crossings in good condition, the class words
        (``distinct``).
-    3. The same diagram up to renaming crossings and rotating or reversing
-       closed components, tested directly, so that neither input is keyed
-       (``equal``, with no trace).
-    4. For inputs without pure crossings, the descent of
+    3. For inputs without pure crossings, the descent of
        :func:`join_by_descent` and the bounded search, both under restricted
        moves, which answer only ``equal``.  With a move lower bound of 2 or
        more the descent runs first and the search after it; with 0 or 1 the
        search runs first, and the descent only if the search answers
-       ``unknown``.  By the paper's theorem, equivalent diagrams without
-       pure crossings are equivalent through diagrams without pure
-       crossings, so restricted moves lose no equivalence.
-    5. Otherwise the brackets (``distinct``), and, when they are equal, an
-       unrestricted search between the inputs (``equal``).
+       ``unknown``.  The search starts by testing the inputs for the same
+       diagram up to renaming crossings and rotating or reversing closed
+       components, without keying either, so that such inputs, whose bound
+       is 0, get ``equal`` with no trace.  By the paper's theorem,
+       equivalent diagrams without pure crossings are equivalent through
+       diagrams without pure crossings, so restricted moves lose no
+       equivalence.
+    4. Otherwise the same test for the same diagram first (``equal``, with
+       no trace), before any bracket is expanded, so that such inputs never
+       meet the bracket's cap on pure crossings; then the brackets
+       (``distinct``), and, when they are equal, an unrestricted search
+       between the inputs (``equal``).
 
     ``--depth`` bounds only the searches.  A descent's trace may be longer
     than ``--depth``; replayed from A it still reaches B's canonical key, so
@@ -263,25 +271,25 @@ def _cmd_compare(args) -> int:
             )
             return 1
 
-    # the same diagram up to renaming, rotation and reversal, decided
-    # without keying either input
-    if _isomorphic(a, b):
-        print("equal")
-        return 0
-
     # every search and descent runs from file A, so that the trace replays
     # from it
     if pure_free:
         # the brackets are {A} and {B}, whose class keys the parity and
         # fingerprint stages have already matched, so only the descent and
         # the search can decide; inputs at most one move apart are cheapest
-        # to search, since the search's first run then expands A alone
+        # to search, since the search's first run then expands A alone, and
+        # the search's start tests the inputs for the same diagram
         descend_first = move_lower_bound(a, b) >= 2
         trace = join_by_descent(a, b) if descend_first else None
         if trace is None:
             trace = bounded_equivalence_search(a, b, args.depth, forbid_pure=True).trace
         if trace is None and not descend_first:
             trace = join_by_descent(a, b)
+    elif _isomorphic(a, b):
+        # the same diagram up to renaming, rotation and reversal, decided
+        # without keying or bracketing either input
+        print("equal")
+        return 0
     else:
         # the bracket is an invariant: its "distinct" is a verdict on the
         # diagrams, but equal brackets only say that a search may succeed
@@ -295,8 +303,9 @@ def _cmd_compare(args) -> int:
             trace = bounded_equivalence_search(a, b, args.depth).trace
     if trace is not None:
         print("equal")
-        print("trace:")
-        sys.stdout.write(serialize_trace(trace))
+        if trace.moves:
+            print("trace:")
+            sys.stdout.write(serialize_trace(trace))
         return 0
     print("unknown")
     return 0
@@ -378,6 +387,18 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # unbuffered (python -u or PYTHONUNBUFFERED): the text layer writes
+        # to the raw file itself and drops the rest of a partial write, so a
+        # buffered writer goes between, which writes every byte or raises
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(out.buffer),
+            out.encoding,
+            out.errors,
+            line_buffering=out.line_buffering,
+            write_through=True,
+        )
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

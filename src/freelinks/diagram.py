@@ -224,7 +224,8 @@ def parse_diagram(text: str | bytes) -> Diagram:
     ``component <i> open: <tok> ...`` or ``component <i> closed: <tok> ...``.
     ``#`` starts a comment; blank lines are skipped.  Raises :class:`ParseError`
     on bytes that are not UTF-8, on malformed syntax, on a crossing that does
-    not occur exactly twice, and on duplicate or missing component indices.
+    not occur exactly twice, and on component indices out of range or
+    repeated.
 
     A component line's names are checked by one test of their characters,
     and its names are scanned one by one only to place a bad one at its
@@ -282,10 +283,7 @@ def parse_diagram(text: str | bytes) -> Diagram:
             raise _bad_name(tokens, raw, len(code) - len(code.lstrip()) + m.start(3), lineno)
         entries[index] = ComponentCode(closed, tuple(tokens))
 
-    missing = [i for i in range(1, n + 1) if i not in entries]
-    if missing:
-        raise ParseError(f"missing component lines for indices {missing}", headerno, 1)
-
+    # n lines, each with its own index in 1..n: every index is present
     components = tuple(entries[i] for i in range(1, n + 1))
     counts: Counter[str] = Counter()
     for comp in components:
@@ -425,17 +423,14 @@ def canonical_key(d: Diagram) -> tuple:
       1 of every link without pure crossings, and every component unlinked
       from all earlier ones.
 
+    A crossing is still to come when a later component passes it: a new
+    one unless the component scanned passes it twice, one that a state
+    carries unless that component passes it.  Nothing looks ahead, so the
+    bookkeeping is linear in the number of components.
+
     Computed afresh on each call; :attr:`Diagram.key` keeps it once computed.
     """
     require_valid(d)
-
-    # ahead[c]: the crossings of the components after component c
-    ahead: list[frozenset[str]] = []
-    later: frozenset[str] = frozenset()
-    for comp in reversed(d.components):
-        ahead.append(later)
-        later = later | frozenset(comp.passes)
-    ahead.reverse()
 
     # A state is (fixed, factors): a label per determined crossing, and
     # factors (crossings, alternatives), each alternative a tuple of their
@@ -445,12 +440,14 @@ def canonical_key(d: Diagram) -> tuple:
     nxt = 1
     earlier: set[str] = set()
     key_parts: list[tuple[bool, tuple[int, ...]]] = []
-    for comp, to_come in zip(d.components, ahead):
+    for ci, comp in enumerate(d.components, start=1):
         passes = comp.passes
         length = len(passes)
-        fresh_toks = tuple(sorted(tok for tok in set(passes) - earlier if tok in to_come))
+        read = set(passes)
+        once = read if len(read) == length else {tok for tok, c in Counter(passes).items() if c == 1}
+        fresh_toks = tuple(sorted(once - earlier))
         # ties: (fixed, factors, narrowed, the alternatives for fresh_toks)
-        if comp.closed and earlier.isdisjoint(passes) and len(set(passes)) == length:
+        if comp.closed and earlier.isdisjoint(read) and len(read) == length:
             labels = tuple(range(nxt, nxt + length))
             best = list(labels)
             where = [passes.index(tok) for tok in fresh_toks]
@@ -538,13 +535,13 @@ def canonical_key(d: Diagram) -> tuple:
         key_parts.append((comp.closed, tuple(best)))
         nxt = max([nxt - 1, *best]) + 1
 
-        earlier.update(passes)
-        if not to_come:
+        earlier.update(read)
+        if ci == d.n:
             # no tie carries anything on
             states = [({}, [])]
         elif len(ties) == 1:
             fixed, factors, narrowed, fresh_alts = ties[0]
-            kept, carried = _carried(fixed, factors, narrowed, to_come)
+            kept, carried = _carried(fixed, factors, narrowed, read)
             states = [_next_state(kept, carried, fresh_toks, fresh_alts)]
         else:
             # Ties that carry the same fixed labels and factors differ only in
@@ -552,7 +549,7 @@ def canonical_key(d: Diagram) -> tuple:
             # one more factor.
             merged: dict[tuple, tuple] = {}
             for fixed, factors, narrowed, fresh_alts in ties:
-                kept, carried = _carried(fixed, factors, narrowed, to_come)
+                kept, carried = _carried(fixed, factors, narrowed, read)
                 carried.sort()
                 group = (frozenset(kept.items()), tuple(carried))
                 entry = merged.get(group)
@@ -567,15 +564,16 @@ def canonical_key(d: Diagram) -> tuple:
     return (d.kind, tuple(key_parts))
 
 
-def _carried(fixed: dict[str, int], factors: list, narrowed: dict, to_come: frozenset[str]):
+def _carried(fixed: dict[str, int], factors: list, narrowed: dict, read: set[str]):
     """The fixed labels and factors of one tie, narrowed as its pass
-    sequence narrowed them, on the crossings in ``to_come`` alone; a factor
-    left with one alternative moves into the fixed labels."""
-    kept = {tok: label for tok, label in fixed.items() if tok in to_come}
+    sequence narrowed them, on the crossings still to come alone: those its
+    component did not ``read``; a factor left with one alternative moves
+    into the fixed labels."""
+    kept = {tok: label for tok, label in fixed.items() if tok not in read}
     carried = []
     for f, factor in enumerate(factors):
         toks, alts = factor
-        keep = [i for i, tok in enumerate(toks) if tok in to_come]
+        keep = [i for i, tok in enumerate(toks) if tok not in read]
         if not keep:
             continue
         if len(keep) == len(toks):

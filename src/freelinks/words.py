@@ -147,9 +147,11 @@ def _strip(core):
     return core[lo:hi]
 
 
-def _least_rotation(core: list[int]) -> tuple[int, ...]:
-    """The least rotation of the letter indices ``core``; it starts at a
-    least letter, so only those rotations are tried."""
+def _least_rotation(core: list | tuple) -> tuple:
+    """The least rotation of ``core``, a list or tuple of any mutually
+    comparable items: letter indices here, crossing names for the curves of
+    a bracket.  It starts at a least item, so only those rotations are
+    tried."""
     if not core:
         return ()
     low = min(core)

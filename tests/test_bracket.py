@@ -27,6 +27,7 @@ _splice_components = _bracket_module._splice_components
 _splice_table = _bracket_module._splice_table
 _interlacement_rows = _bracket_module._interlacement_rows
 _one_curve_codes = _bracket_module._one_curve_codes
+_least_curve = _bracket_module._least_curve
 
 from genutil import (
     brute_bracket_keys,
@@ -173,6 +174,33 @@ class TestExpansion:
         rest = {("B", "A"), ("B", "B")}
         assert len(rest & one_component) == 1
         assert all(c.passes == () for key in one_component for c in results[key])
+
+
+class TestLeastCurve:
+    """A closed curve at the least of all its rotations in both directions,
+    found from the least rotation of each direction."""
+
+    @staticmethod
+    def every_rotation(passes: tuple[str, ...]) -> tuple[str, ...]:
+        seqs = (passes, passes[::-1])
+        return min((seq[r:] + seq[:r] for seq in seqs for r in range(len(seq))), default=())
+
+    def test_closed_curves(self):
+        rng = random.Random(173)
+        curves = [(), ("a",), ("a", "a"), ("b", "a", "b", "a"), ("a", "b", "a", "c", "a", "b")]
+        for _ in range(300):
+            # few names, so that names repeat and least names tie
+            names = [f"c{k}" for k in range(rng.randint(1, 4))]
+            curves.append(tuple(rng.choice(names) for _ in range(rng.randint(0, 12))))
+        for passes in curves:
+            least = _least_curve(ComponentCode(True, passes))
+            assert least == ComponentCode(True, self.every_rotation(passes)), passes
+
+    def test_open_curves_are_unchanged(self):
+        rng = random.Random(179)
+        for length in range(8):
+            curve = ComponentCode(False, tuple(rng.choice("abc") for _ in range(length)))
+            assert _least_curve(curve) == curve
 
 
 def random_component(rng, pure_count, mixed_count):

@@ -518,6 +518,41 @@ class TestCompare:
         )
         assert (code, out) == (0, "equal\n")
 
+    def test_pure_free_inputs_are_tested_for_the_same_diagram_once(self, capsys, monkeypatch):
+        import freelinks.cli
+        import freelinks.diagram
+        import freelinks.moves
+
+        loaded, tested = [], []
+        load, isomorphic = freelinks.cli._load, freelinks.diagram._isomorphic
+
+        def counted(x, y):
+            tested.append((x, y))
+            return isomorphic(x, y)
+
+        monkeypatch.setattr(freelinks.cli, "_load", lambda path: loaded.append(load(path)) or loaded[-1])
+        monkeypatch.setattr(freelinks.cli, "_isomorphic", counted)
+        monkeypatch.setattr(freelinks.moves, "_isomorphic", counted)
+        # one third move apart and free of pure crossings: only the search's
+        # start tests the inputs against each other
+        code, out, _ = invoke(capsys, "compare", TRIANGLE, TRIANGLE_MOVED)
+        assert (code, out.splitlines()[:2]) == (0, ["equal", "trace:"])
+        a, b = loaded
+        assert sum(x is a and y is b for x, y in tested) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scrambled_copy_prints_equal_alone(self, capsys, tmp_path, seed):
+        # with and without pure crossings: the search's start, or the test
+        # before the brackets, answers with no trace
+        rng = random.Random(seed)
+        d = random_pure_diagram(rng, 3, "link") if seed % 2 else random_good_diagram(rng, 3, 6, "link")
+        a = tmp_path / "a.link"
+        b = tmp_path / "b.link"
+        a.write_text(serialize_diagram(d))
+        b.write_text(serialize_diagram(scramble(rng, d)))
+        code, out, _ = invoke(capsys, "compare", str(a), str(b))
+        assert (code, out) == (0, "equal\n")
+
     def test_fingerprint_certificates(self, capsys, tmp_path):
         # pure-free pairs in good condition with equal parity tables, told
         # apart by the first differing word of their fingerprints
@@ -924,12 +959,34 @@ class TestInvalidInput:
 
 class TestClosedPipe:
     """A reader that closes standard output early gets exit 141 and no
-    message, whether the write fails at exit or inside a subcommand."""
+    message, whether the write fails at exit or inside a subcommand, and
+    whether standard output is buffered or not."""
 
     @staticmethod
-    def run_into_closed_pipe(*argv):
+    def child_env(unbuffered: bool | None = None) -> dict[str, str]:
+        """This process's environment with the sources on the path, and
+        ``PYTHONUNBUFFERED`` set to 1, unset, or as inherited (None)."""
         src = str(DATA.parent.parent / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        if unbuffered is not None:
+            env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    @staticmethod
+    def big_replay(tmp_path) -> tuple[str, str, str]:
+        """A replay of an empty trace that prints about 600 KB."""
+        names = [f"crossing_{k:05d}" for k in range(20000)]
+        big = tmp_path / "big.link"
+        big.write_text(f"link n=1\ncomponent 1 closed: {' '.join(names + names)}\n")
+        trace = tmp_path / "empty.trace"
+        trace.write_text("")
+        return "replay", str(big), str(trace)
+
+    @classmethod
+    def run_into_closed_pipe(cls, *argv):
         read, write = os.pipe()
         # closed before the child writes, so its first write fails
         os.close(read)
@@ -938,7 +995,7 @@ class TestClosedPipe:
                 [sys.executable, "-m", "freelinks", *argv],
                 stdout=write,
                 stderr=subprocess.PIPE,
-                env={**os.environ, "PYTHONPATH": path},
+                env=cls.child_env(),
             )
         finally:
             os.close(write)
@@ -957,6 +1014,32 @@ class TestClosedPipe:
         trace.write_text("")
         assert len(big.read_text()) > 64 * 1024
         assert self.run_into_closed_pipe("replay", str(big), str(trace)) == (141, b"")
+
+    def test_unbuffered_output_into_a_pipe_closed_after_one_byte(self, tmp_path):
+        # unbuffered, the text layer writes to the raw file, which takes
+        # what the pipe holds of the one large write; the rest must still
+        # be written, and so fail, rather than be dropped with exit 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "freelinks", *self.big_replay(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.child_env(True),
+        )
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (141, b"")
+
+    def test_unbuffered_output_is_whole(self, tmp_path):
+        argv = [sys.executable, "-m", "freelinks", *self.big_replay(tmp_path)]
+        runs = [
+            subprocess.run(argv, capture_output=True, env=self.child_env(unbuffered))
+            for unbuffered in (False, True)
+        ]
+        assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, b"")] * 2
+        assert len(runs[0].stdout) > 600_000
+        assert runs[1].stdout == runs[0].stdout
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -587,6 +588,76 @@ class TestCanonicalKeyReference:
                 assert canonical_key(neighbor) == reference_canonical_key(neighbor), (d, site)
                 checked += 1
         assert checked > 1000
+
+
+class TestCanonicalKeyStillToCome:
+    """The key decides which crossings are still to come from the component
+    it scans, with no set of later crossings per component: against both
+    references on the inputs where that decision matters, and in memory
+    linear in the number of components."""
+
+    @staticmethod
+    def both_references(d: Diagram) -> None:
+        key = canonical_key(d)
+        assert key == reference_canonical_key(d), d
+        assert key == naive_canonical_key(d), d
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_chains(self, n):
+        # component i passes x_i and x_(i+1): closed, the last one passes
+        # x_0 again; open, the chain ends on one more component
+        rng = random.Random(n)
+        closed = link(*(f"x{i} x{(i + 1) % n}" for i in range(n)))
+        open_chain = tangle("x0", *(f"x{i} x{i + 1}" for i in range(n - 2)), f"x{n - 2}")
+        for d in (closed, open_chain, scramble(rng, closed)):
+            self.both_references(d)
+
+    def test_empty_last_components(self):
+        # the components after the last crossing carry nothing on, as the
+        # last component does not
+        rng = random.Random(163)
+        for trial in range(120):
+            d = random_any_diagram(rng, 6, ("link", "tangle")[trial % 2])
+            closed = d.kind == "link"
+            empty = (ComponentCode(closed, ()),) * rng.randint(1, 2)
+            self.both_references(Diagram(d.kind, d.components + empty))
+            self.both_references(Diagram(d.kind, empty[:1] + d.components + empty))
+
+    def test_pure_crossings_between_shared_ones(self):
+        # each component passes one or two pure crossings, placed among its
+        # mixed passes, so a crossing a component reads twice lies between
+        # crossings it shares with earlier and later components
+        rng = random.Random(167)
+        for trial in range(100):
+            kind = ("link", "tangle")[trial % 2]
+            n = rng.randint(2, 3)
+            comps: list[list[str]] = [[] for _ in range(n)]
+            for k in range(rng.randint(n - 1, 3)):
+                i, j = rng.sample(range(n), 2)
+                comps[i].append(f"m{k}")
+                comps[j].append(f"m{k}")
+            for ci, passes in enumerate(comps):
+                for k in range(rng.randint(1, 2)):
+                    for _ in range(2):
+                        passes.insert(rng.randint(0, len(passes)), f"p{ci}_{k}")
+            d = Diagram(kind, tuple(ComponentCode(kind == "link", tuple(p)) for p in comps))
+            self.both_references(d)
+
+    def test_long_chain_is_keyed_in_linear_memory(self):
+        # a closed chain of 2,000 components: a set of the later crossings
+        # per component would hold about 4 million names
+        n = 2000
+        d = link(*(f"x{i} x{(i + 1) % n}" for i in range(n)))
+        require_valid(d)
+        tracemalloc.start()
+        try:
+            key = canonical_key(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert key[1][0] == (True, (1, 2))
+        assert key[1][-1] == (True, (2, n))
 
 
 def link(*components: str) -> Diagram:
