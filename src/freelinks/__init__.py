@@ -70,7 +70,6 @@ from .moves import (
     enumerate_moves,
     inverse_site,
     join_by_descent,
-    move_candidates,
     move_lower_bound,
     parse_trace,
     random_walk,

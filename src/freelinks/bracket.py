@@ -442,8 +442,9 @@ def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
     distinctness, and the certificate is the least rendered fingerprint of
     such a group, or else its parity table.  Stage 3 sorts each group into
     classes: one :func:`bounded_equivalence_search` of at most ``depth``
-    pure-crossing-free moves runs for each pair of its summands not yet in
-    one class, and each class found equivalent merges.  Such a search keeps
+    moves runs for each pair of its summands not yet in one class, and each
+    class found equivalent merges.  Summands have no pure crossings, so each
+    search keeps to restricted moves.  Such a search keeps
     the key, so summands of different groups are never joined.  Values are
     mod 2, so a class of even size cancels; when every class does, the
     answer is equal, and otherwise unknown.
@@ -481,9 +482,7 @@ def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
 
         for u, v in combinations(range(len(group)), 2):
             ru, rv = find(u), find(v)
-            if ru != rv and bounded_equivalence_search(
-                group[u], group[v], depth, forbid_pure=True
-            ).equivalent:
+            if ru != rv and bounded_equivalence_search(group[u], group[v], depth).equivalent:
                 root[rv] = ru
         if any(size % 2 for size in Counter(find(u) for u in range(len(group))).values()):
             return Verdict("unknown")

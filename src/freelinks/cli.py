@@ -213,8 +213,9 @@ def _cmd_compare(args) -> int:
     2. For inputs without pure crossings in good condition, the class words
        (``distinct``).
     3. For inputs without pure crossings, the descent of
-       :func:`join_by_descent` and the bounded search, both under restricted
-       moves, which answer only ``equal``.  With a move lower bound of 2 or
+       :func:`join_by_descent` and the bounded search, which answer only
+       ``equal``.  Both keep to restricted moves: the descent always, the
+       search because neither input has a pure crossing.  With a move lower bound of 2 or
        more the descent runs first and the search after it; with 0 or 1 the
        search runs first, and the descent only if the search answers
        ``unknown``.  The search starts by testing the inputs for the same
@@ -227,8 +228,8 @@ def _cmd_compare(args) -> int:
     4. Otherwise the same test for the same diagram first (``equal``, with
        no trace), before any bracket is expanded, so that such inputs never
        meet the bracket's cap on pure crossings; then the brackets
-       (``distinct``), and, when they are equal, an unrestricted search
-       between the inputs (``equal``).
+       (``distinct``), and, when they are equal, a search between the
+       inputs (``equal``), unrestricted since an input has pure crossings.
 
     ``--depth`` bounds only the searches.  A descent's trace may be longer
     than ``--depth``; replayed from A it still reaches B's canonical key, so
@@ -282,7 +283,7 @@ def _cmd_compare(args) -> int:
         descend_first = move_lower_bound(a, b) >= 2
         trace = join_by_descent(a, b) if descend_first else None
         if trace is None:
-            trace = bounded_equivalence_search(a, b, args.depth, forbid_pure=True).trace
+            trace = bounded_equivalence_search(a, b, args.depth).trace
         if trace is None and not descend_first:
             trace = join_by_descent(a, b)
     elif _isomorphic(a, b):

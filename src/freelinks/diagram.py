@@ -16,7 +16,8 @@ Data derived from a diagram is computed once per diagram, cached on the
 frozen :class:`Diagram` and read as its fields, never changed:
 ``violations`` (empty when the diagram is valid), ``occurrences``, ``pure``,
 ``pair_counts`` (the crossing count of each component pair, pure pairs
-(i, i) included), ``parity`` (the good-condition table) and ``key``.
+(i, i) included), ``parity`` (the good-condition table), ``pass_counts``
+and ``partners`` (which ``_isomorphic`` reads) and ``key``.
 Operations that need a valid diagram call the one guard
 :func:`require_valid`.  :func:`parse_diagram` checks the names and counts
 the passes of its input as it reads them, and the diagram it returns
@@ -94,7 +95,8 @@ class Diagram:
     comes first, which ``pair_counts`` relies on; ``pure`` and
     ``pair_counts`` read ``occurrences``, and ``parity`` reads the mixed
     pairs (i, j), i < j, of ``pair_counts``, which also counts each pure
-    pair (i, i).
+    pair (i, i).  ``pass_counts`` and ``partners``, the shape that
+    :func:`_isomorphic` matches, read the passes alone.
     """
 
     kind: str  # "tangle" or "link"
@@ -180,6 +182,26 @@ class Diagram:
         """The good-condition parity table: each mixed pair's count mod 2.
         The diagram is in good condition when every entry is 0."""
         return {(i, j): count % 2 for (i, j), count in self.pair_counts.items() if i != j}
+
+    @cached_property
+    def pass_counts(self) -> tuple[int, ...]:
+        """The number of passes of each component: equal on diagrams with
+        equal keys, so diagrams where it differs need no key to tell their
+        keys apart."""
+        return tuple(len(comp.passes) for comp in self.components)
+
+    @cached_property
+    def partners(self) -> tuple[str, ...]:
+        """Per component, each pass's partner, the component of its
+        crossing's other pass, as the character of its 0-based index."""
+        home: dict[str, int] = {}
+        for ci, comp in enumerate(self.components):
+            for name in comp.passes:
+                home[name] = home.get(name, 0) ^ ci
+        return tuple(
+            "".join([chr(home[tok] ^ ci) for tok in comp.passes])
+            for ci, comp in enumerate(self.components)
+        )
 
 
 @dataclass(frozen=True)
@@ -602,29 +624,24 @@ def _next_state(kept: dict[str, int], carried: list, fresh_toks: tuple[str, ...]
     return kept, carried
 
 
-def _pass_counts(d: Diagram) -> tuple[int, ...]:
-    """The number of passes of each component: equal on diagrams with
-    equal canonical keys, so diagrams where it differs need no key to tell
-    their keys apart."""
-    return tuple(len(comp.passes) for comp in d.components)
-
-
 def _isomorphic(x: Diagram, y: Diagram) -> bool:
     """Whether ``x.key == y.key``, decided without building either key;
-    both are validated as :func:`canonical_key` validates them.
+    both are validated as :func:`canonical_key` validates them.  Callers
+    make no pre-test of their own.
 
-    Each group of components joined by crossings is matched on its own, in
-    breadth-first order: ``y``'s component in the rotations and reversals
-    whose partners (the component of each crossing's other pass) are
-    ``x``'s, a later one only where it meets an earlier one as ``x``'s does.
+    Different kinds or :attr:`Diagram.pass_counts` answer False at once.
+    Otherwise each group of components joined by crossings is matched on
+    its own, in breadth-first order: ``y``'s component in the rotations and
+    reversals whose :attr:`Diagram.partners` are ``x``'s, a later one only
+    where it meets an earlier one as ``x``'s does.
     """
     require_valid(x)
     require_valid(y)
     # valid diagrams of one kind have all components closed or all open
-    if x.kind != y.kind or _pass_counts(x) != _pass_counts(y):
+    if x.kind != y.kind or x.pass_counts != y.pass_counts:
         return False
     xc, yc = x.components, y.components
-    xp, yp = _partners(xc), _partners(yc)
+    xp, yp = x.partners, y.partners
 
     def variants(level: int) -> list:
         # y's component order[level] in the rotations and reversals whose
@@ -683,15 +700,6 @@ def _isomorphic(x: Diagram, y: Diagram) -> bool:
         else:
             return False
     return True
-
-
-def _partners(comps) -> list[str]:
-    """Per component, each pass's partner as the character of its index."""
-    home: dict[str, int] = {}
-    for ci, comp in enumerate(comps):
-        for name in comp.passes:
-            home[name] = home.get(name, 0) ^ ci
-    return ["".join([chr(home[tok] ^ ci) for tok in comp.passes]) for ci, comp in enumerate(comps)]
 
 
 def canonical_form(d: Diagram) -> Diagram:

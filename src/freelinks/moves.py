@@ -26,9 +26,12 @@ lower bound rules out.  It decides from the pair counts alone, per move
 kind and per component pair, what the bound can keep, and neither
 enumerates a kind nor visits the slots of a block of insertions that it
 cannot keep.  The bounded search and the joining of its trace
-read it lazily, :func:`move_candidates` lists all of it, and
-:func:`random_walk` draws one index into the layout and builds only that
-site.
+read it lazily, and :func:`random_walk` draws one index into the layout
+and builds only that site.
+
+The bounded search keeps to restricted moves, those that make no pure
+crossing, exactly when neither input has a pure crossing; by the paper's
+theorem that loses no equivalence.
 
 Between diagrams without pure crossings, :func:`join_by_descent` descends
 each input to a representative under restricted moves, which do not depend
@@ -51,7 +54,6 @@ from .diagram import (
     Diagram,
     ParseError,
     _isomorphic,
-    _pass_counts,
     require_valid,
 )
 
@@ -63,7 +65,6 @@ __all__ = [
     "enumerate_moves",
     "apply_move",
     "inverse_site",
-    "move_candidates",
     "random_walk",
     "bounded_equivalence_search",
     "join_by_descent",
@@ -163,7 +164,7 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
     """All applicable deletion and third-move sites of the requested kinds.
 
     Insertions are infinite families and are not enumerated (see
-    :func:`move_candidates`).  Under ``forbid_pure`` no first-move site is
+    :func:`_slate`).  Under ``forbid_pure`` no first-move site is
     kept and every kept site's result has no pure crossing.  Deletions and
     third moves keep every other crossing on its two components, so that
     keeps every site of a diagram without pure crossings and, of a diagram
@@ -439,7 +440,7 @@ def inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
 
 
 class _Slate(NamedTuple):
-    """The layout of a :func:`move_candidates` slate; see :func:`_slate`."""
+    """The layout of the slate of a diagram; see :func:`_slate`."""
 
     sites: list[MoveSite]
     names: tuple[str, ...]
@@ -461,8 +462,9 @@ def _fresh_names(d: Diagram) -> tuple[str, str]:
 
 
 def _slate(d: Diagram, *, forbid_pure: bool, max_size: int, kinds=ALL_KINDS) -> _Slate:
-    """The layout of the :func:`move_candidates` slate of ``d``, with no
-    insertion site built; the only code that applies the insertion rules.
+    """The layout of the slate of ``d``, its deletions and third-move sites
+    and a finite set of insertions, with no insertion site built; the only
+    code that applies the insertion rules.
 
     The slate is the :func:`enumerate_moves` sites, then a first-move
     insertion of ``names[0]`` at each of ``first``, then, per slot
@@ -501,22 +503,6 @@ def _slate(d: Diagram, *, forbid_pure: bool, max_size: int, kinds=ALL_KINDS) -> 
     return _Slate(sites, _fresh_names(d) if slots else (), first, slots, starts)
 
 
-def move_candidates(
-    d: Diagram,
-    *,
-    forbid_pure: bool = False,
-    max_size: int,
-) -> list[MoveSite]:
-    """Deletions and third-move sites plus a finite slate of insertions.
-
-    Lists the one expansion of the :func:`_slate` layout, which the bounded
-    search and the joining of its trace read lazily instead.  ``_slate``
-    alone holds the rules for insertions: none past ``max_size`` crossings,
-    and under ``forbid_pure`` none whose result has a pure crossing.
-    """
-    return list(_expand(d, forbid_pure=forbid_pure, max_size=max_size))
-
-
 def _expand(
     d: Diagram,
     *,
@@ -526,7 +512,8 @@ def _expand(
     budget: int = 0,
 ) -> Iterator[MoveSite | None]:
     """The sites of the :func:`_slate` layout of ``d`` in slate order, each
-    built only when it is reached.
+    built only when it is reached; without ``goal``, every site, so that
+    its ``list`` is the whole slate.
 
     Given ``goal``, the :attr:`Diagram.pair_counts` of the diagram searched
     for, every site whose result has a move lower bound above ``budget`` to
@@ -632,8 +619,8 @@ def random_walk(
     forbid_pure: bool = False,
     max_size: int | None = None,
 ) -> WalkTrace:
-    """Apply ``steps`` moves, each drawn uniformly from the
-    :func:`move_candidates` slate; deterministic per seed.
+    """Apply ``steps`` moves, each drawn uniformly from the :func:`_slate`
+    layout; deterministic per seed.
 
     Each step reads the :func:`_slate` layout, draws one index into it and
     builds only the site at that index, so the walk is the one that drawing
@@ -673,9 +660,8 @@ def move_lower_bound(x: Diagram, y: Diagram) -> int:
     move that of a pure pair (i, i) by 1, a second move that of one pair by
     2, and a third move none.  So the bound is the sum over the pairs, mixed
     and pure, of ``ceil(|n(x) - n(y)| / 2)``, read from each diagram's
-    :attr:`Diagram.pair_counts`.  It holds with and without
-    ``forbid_pure``: between diagrams without pure crossings the pure pairs
-    add nothing.
+    :attr:`Diagram.pair_counts`.  It holds for restricted moves too:
+    between diagrams without pure crossings the pure pairs add nothing.
     """
     return _distance(x.pair_counts, y.pair_counts)
 
@@ -705,13 +691,7 @@ def _pair_step(here: PairCounts, goal: PairCounts, pair: tuple[int, int], change
     return _half(gap + change) - _half(gap)
 
 
-def bounded_equivalence_search(
-    a: Diagram,
-    b: Diagram,
-    depth: int,
-    *,
-    forbid_pure: bool = False,
-) -> SearchVerdict:
+def bounded_equivalence_search(a: Diagram, b: Diagram, depth: int) -> SearchVerdict:
     """Search for a sequence of at most ``depth`` moves from ``a`` to ``b``.
 
     A breadth-first search grows from both ends, one whole level at a time,
@@ -720,8 +700,15 @@ def bounded_equivalence_search(
     invertible, so a level grown from ``b`` holds the diagrams one move
     further back toward it.  States are deduplicated by canonical form;
     insertions are bounded by the larger input's crossing count plus a slack
-    of 2.  Under ``forbid_pure`` no diagram on the way has a pure crossing,
-    and :class:`MoveError` is raised unless both inputs have none.
+    of 2.
+
+    The moves come from the inputs.  When neither has a pure crossing, the
+    search keeps to restricted moves, and no diagram on the way has a pure
+    crossing: by the paper's theorem, two equivalent diagrams without pure
+    crossings are equivalent through diagrams without pure crossings, so
+    this loses no equivalence, only perhaps a shorter trace.  Between such
+    diagrams every restricted move is undone by a restricted move, which the
+    search from ``b`` relies on.  Otherwise every move is searched.
 
     The search is pruned by :func:`move_lower_bound` h.  If ``h(a, b) >
     depth`` it answers at once, without a move.  Otherwise a run with limit
@@ -749,13 +736,10 @@ def bounded_equivalence_search(
         raise MoveError(f"mismatched component counts: {a.n} vs {b.n}")
     if a.kind != b.kind:
         raise MoveError(f"mismatched kinds: {a.kind} vs {b.kind}")
-    if forbid_pure and (a.pure or b.pure):
-        # only between pure-crossing-free diagrams is every restricted move
-        # undone by a restricted move, which the search from b relies on
-        raise MoveError("a search without pure crossings needs inputs without pure crossings")
     # validates both
     if _isomorphic(a, b):
         return SearchVerdict(True, WalkTrace(a, (), a), reason="found")
+    forbid_pure = not a.pure and not b.pure
     # per side: the pair counts of the other side's end
     goals = (b.pair_counts, a.pair_counts)
     least = _distance(*goals)
@@ -795,11 +779,10 @@ def _search_run(a, b, goals, limit: int, forbid_pure: bool, max_size: int):
 
     Each side maps its end's index, which no key equals, and the key of
     every other diagram it holds to (diagram, entry reached from, move).  A
-    neighbour is tested against each end with its pass counts, the other
+    neighbour is tested against each end by :func:`_isomorphic`, the other
     end first, and keyed only when it is neither.
     """
     ends = (a, b)
-    counts = (_pass_counts(a), _pass_counts(b))
     sides = ({0: (a, None, None)}, {1: (b, None, None)})
     frontiers = [[0], [1]]
     pruned = [False, False]
@@ -819,10 +802,9 @@ def _search_run(a, b, goals, limit: int, forbid_pure: bool, max_size: int):
                     pruned[grow] = True
                     continue
                 neighbor = apply_move(diag, site)
-                shape = _pass_counts(neighbor)
-                if shape == counts[1 - grow] and _isomorphic(neighbor, ends[1 - grow]):
+                if _isomorphic(neighbor, ends[1 - grow]):
                     found = 1 - grow
-                elif shape == counts[grow] and _isomorphic(neighbor, ends[grow]):
+                elif _isomorphic(neighbor, ends[grow]):
                     continue
                 else:
                     found = neighbor.key

@@ -42,13 +42,13 @@ from freelinks.moves import (
     WalkTrace,
     _check_fresh,
     _disjoint,
+    _expand,
     _joined_trace,
     _pair_positions,
     _walk,
     apply_move,
     bounded_equivalence_search,
     join_by_descent,
-    move_candidates,
     serialize_trace,
 )
 from freelinks.words import (
@@ -858,9 +858,7 @@ def reference_bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
 
     for u, v in combinations(range(len(every)), 2):
         ru, rv = find(u), find(v)
-        if ru != rv and bounded_equivalence_search(
-            every[u], every[v], depth, forbid_pure=True
-        ).equivalent:
+        if ru != rv and bounded_equivalence_search(every[u], every[v], depth).equivalent:
             root[rv] = ru
     sizes = Counter(find(u) for u in range(len(every)))
     rest = [every[r] for r, size in sizes.items() if size % 2]
@@ -918,7 +916,7 @@ def reference_compare(a: Diagram, b: Diagram, depth: int) -> tuple[int, str]:
         far = reference_move_lower_bound(a, b) >= 2
         if far and (trace := join_by_descent(a, b)) is not None:
             return joined(trace)
-        found = bounded_equivalence_search(a, b, depth, forbid_pure=True)
+        found = bounded_equivalence_search(a, b, depth)
         if found.equivalent:
             return joined(found.trace)
         if not far and (trace := join_by_descent(a, b)) is not None:
@@ -935,6 +933,12 @@ def reference_compare(a: Diagram, b: Diagram, depth: int) -> tuple[int, str]:
 
 
 # -- reference equivalence search -------------------------------------------------
+
+
+def whole_slate(d: Diagram, *, forbid_pure: bool = False, max_size: int) -> list[MoveSite]:
+    """Every site of the ``moves._slate`` layout of ``d``, built in slate
+    order by ``moves._expand`` with no goal to prune by."""
+    return list(_expand(d, forbid_pure=forbid_pure, max_size=max_size))
 
 
 def reference_search(
@@ -963,7 +967,7 @@ def reference_search(
         next_frontier = deque()
         while frontier:
             diag, trace = frontier.popleft()
-            for site in move_candidates(diag, forbid_pure=forbid_pure, max_size=max_size):
+            for site in whole_slate(diag, forbid_pure=forbid_pure, max_size=max_size):
                 neighbor = apply_move(diag, site)
                 key = canonical_key(neighbor)
                 if key in visited:
@@ -1008,7 +1012,7 @@ def reference_bidirectional_search(
         grown = []
         for key in frontiers[grow]:
             diag = seen[key][0]
-            for site in move_candidates(diag, forbid_pure=forbid_pure, max_size=max_size):
+            for site in whole_slate(diag, forbid_pure=forbid_pure, max_size=max_size):
                 neighbor = apply_move(diag, site)
                 found = canonical_key(neighbor)
                 if found in seen:
@@ -1097,16 +1101,15 @@ def reference_random_walk(
     forbid_pure: bool = False,
     max_size: int | None = None,
 ) -> WalkTrace:
-    """The walk that builds the whole ``move_candidates`` slate at each step
-    and draws one site from it, kept as a reference for
-    ``moves.random_walk``."""
+    """The walk that builds the :func:`whole_slate` at each step and draws
+    one site from it, kept as a reference for ``moves.random_walk``."""
     if max_size is None:
         max_size = d.crossing_count + 4
     rng = random.Random(seed)
     current = d
     applied: list[MoveSite] = []
     for _ in range(steps):
-        candidates = move_candidates(current, forbid_pure=forbid_pure, max_size=max_size)
+        candidates = whole_slate(current, forbid_pure=forbid_pure, max_size=max_size)
         if not candidates:
             break
         site = candidates[rng.randrange(len(candidates))]

@@ -15,7 +15,7 @@ from freelinks.diagram import (
     parse_diagram,
 )
 from freelinks.invariant import link_word, word_table
-from freelinks.moves import apply_move, move_candidates, random_walk
+from freelinks.moves import apply_move, random_walk
 from freelinks.words import (
     GroupContext,
     canonical_class_word,
@@ -31,6 +31,7 @@ from genutil import (
     random_any_diagram,
     random_good_diagram,
     random_word,
+    whole_slate,
     _reduce_letters,
 )
 
@@ -130,7 +131,7 @@ def test_criterion_4_bracket_invariance():
     distinct = 0
     while total < 100:
         d = random_any_diagram(rng, 8)
-        candidates = move_candidates(d, max_size=d.crossing_count + 2)
+        candidates = whole_slate(d, max_size=d.crossing_count + 2)
         if not candidates:
             continue
         site = candidates[rng.randrange(len(candidates))]

@@ -20,7 +20,7 @@ from freelinks.diagram import (
     canonical_key,
     parse_diagram,
 )
-from freelinks.moves import apply_move, move_candidates
+from freelinks.moves import apply_move
 
 _bracket_module = importlib.import_module("freelinks.bracket")
 _splice_components = _bracket_module._splice_components
@@ -39,6 +39,7 @@ from genutil import (
     reference_class_key,
     reference_splice_components,
     sequential_bracket_keys,
+    whole_slate,
 )
 
 CIRCLE = parse_diagram("link n=1\ncomponent 1 closed:")
@@ -535,7 +536,7 @@ class TestBracketEqual:
         rng = random.Random(67)
         for _ in range(25):
             d = random_any_diagram(rng, 6)
-            candidates = move_candidates(d, max_size=d.crossing_count + 2)
+            candidates = whole_slate(d, max_size=d.crossing_count + 2)
             if not candidates:
                 continue
             site = candidates[rng.randrange(len(candidates))]
@@ -553,7 +554,7 @@ class TestBracketEqual:
             pure = d.pure
             sites = [
                 s
-                for s in move_candidates(d, max_size=d.crossing_count + 2)
+                for s in whole_slate(d, max_size=d.crossing_count + 2)
                 if not (set(s.names) & pure)
                 and not (s.kind == "R1_insert")
                 and not (

@@ -863,6 +863,21 @@ class TestReplay:
         assert code == 0
         assert out == serialize_diagram(parse_diagram(Path(TRIANGLE_MOVED).read_text()))
 
+    def test_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        plain = tmp_path / "plain.trace"
+        plain.write_text("R1_insert w1 1:w\nR1_delete x 1:1\n")
+        commented = tmp_path / "commented.trace"
+        commented.write_text(
+            "# the kink, wrapped in a second one\n"
+            "R1_insert w1 1:w  # over the basepoint\n"
+            "\n"
+            "   \n"
+            "R1_delete x 1:1\n"
+        )
+        code, out, _ = invoke(capsys, "replay", KINK, str(plain))
+        assert (code, out) == (0, "link n=1\ncomponent 1 closed: w1 w1\n")
+        assert invoke(capsys, "replay", KINK, str(commented)) == (code, out, "")
+
     def test_stale_trace_exits_3(self, capsys, tmp_path):
         trace = tmp_path / "moves.trace"
         trace.write_text("R1_delete q 1:0\n")

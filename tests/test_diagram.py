@@ -22,7 +22,7 @@ from freelinks.diagram import (
     serialize_diagram,
 )
 from freelinks.diagram import _diagram_from_key, _isomorphic
-from freelinks.moves import _expand, apply_move, move_candidates
+from freelinks.moves import _expand, apply_move
 
 from genutil import (
     fuzz_walk_diagrams,
@@ -40,6 +40,7 @@ from genutil import (
     reference_pure_crossings,
     reference_validate,
     scramble,
+    whole_slate,
 )
 
 
@@ -711,7 +712,7 @@ class TestIsomorphic:
             )[trial % 5]()
             pairs = [(d, scramble(rng, d)), (d, reshuffled(rng, d))]
             last = {}
-            for site in move_candidates(d, max_size=d.crossing_count + 2):
+            for site in whole_slate(d, max_size=d.crossing_count + 2):
                 neighbor = apply_move(d, site)
                 shape = tuple(len(c) for c in neighbor.components)
                 pairs += [(d, neighbor), (neighbor, scramble(rng, neighbor))]

@@ -23,7 +23,6 @@ from freelinks.moves import (
     enumerate_moves,
     inverse_site,
     join_by_descent,
-    move_candidates,
     move_lower_bound,
     parse_trace,
     random_walk,
@@ -47,6 +46,7 @@ from genutil import (
     reference_random_walk,
     reference_search,
     scramble,
+    whole_slate,
 )
 
 # two codes of the 3-component unlink with move lower bound 5: two bigons
@@ -264,7 +264,7 @@ class TestApply:
         for _ in range(60):
             d = random_any_diagram(rng, 8)
             parity = d.parity
-            for site in move_candidates(d, max_size=d.crossing_count + 2):
+            for site in whole_slate(d, max_size=d.crossing_count + 2):
                 out = apply_move(d, site)
                 assert out.violations == ()
                 assert out.n == d.n
@@ -278,7 +278,7 @@ class TestInverses:
         rng = random.Random(7)
         for _ in range(80):
             d = random_any_diagram(rng, 8)
-            for site in move_candidates(d, max_size=d.crossing_count + 2):
+            for site in whole_slate(d, max_size=d.crossing_count + 2):
                 out = apply_move(d, site)
                 back = apply_move(out, inverse_site(d, site))
                 assert back == d, (site, d, out)
@@ -347,7 +347,7 @@ class TestInverses:
         undone = 0
         for _ in range(300):
             d = random_any_diagram(rng, 8)
-            slate = move_candidates(d, max_size=d.crossing_count + 2)
+            slate = whole_slate(d, max_size=d.crossing_count + 2)
             for _ in range(6):
                 site = _malformed_site(rng, d, rng.choice(slate))
                 try:
@@ -439,7 +439,7 @@ class TestReference:
         for _ in range(60):
             d = random_any_diagram(rng, 8)
             for forbid in (False, True):
-                for site in move_candidates(d, forbid_pure=forbid, max_size=d.crossing_count + 2):
+                for site in whole_slate(d, forbid_pure=forbid, max_size=d.crossing_count + 2):
                     for f, g in PAIRED:
                         assert _outcome(f, d, site) == _outcome(g, d, site), (d, site)
 
@@ -448,7 +448,7 @@ class TestReference:
         refused = 0
         for _ in range(400):
             d = random_any_diagram(rng, 8)
-            slate = move_candidates(d, max_size=d.crossing_count + 2)
+            slate = whole_slate(d, max_size=d.crossing_count + 2)
             for _ in range(8):
                 site = _malformed_site(rng, d, rng.choice(slate))
                 for f, g in PAIRED:
@@ -534,7 +534,7 @@ class TestRandomWalk:
         d = parse_diagram(
             "tangle n=2\ncomponent 1 open: p q a q p b\ncomponent 2 open: a b"
         )
-        sites = move_candidates(d, forbid_pure=True, max_size=10)
+        sites = whole_slate(d, forbid_pure=True, max_size=10)
         assert [(s.kind, s.names) for s in sites] == [("R2_delete", ("p", "q"))]
         assert not apply_move(d, sites[0]).pure
 
@@ -566,13 +566,13 @@ def slate_diagrams(count: int, seed: int):
 
 class TestSlate:
     """``random_walk`` builds the site it draws alone; these tie it to the
-    ``move_candidates`` slate and to the walk that builds the slate."""
+    whole slate that ``_expand`` builds and to the walk that builds it."""
 
     def test_site_at_each_index_matches_the_slate(self):
         for d in slate_diagrams(90, seed=41):
             for forbid in (True, False):
                 for max_size in range(d.crossing_count, d.crossing_count + 3):
-                    slate = move_candidates(d, forbid_pure=forbid, max_size=max_size)
+                    slate = whole_slate(d, forbid_pure=forbid, max_size=max_size)
                     layout = moves._slate(d, forbid_pure=forbid, max_size=max_size)
                     total = layout.size
                     assert total == len(slate), (d, forbid, max_size)
@@ -585,7 +585,7 @@ class TestSlate:
         def no_slate(*args, **kwargs):
             raise AssertionError("the walk built the whole slate")
 
-        monkeypatch.setattr(moves, "move_candidates", no_slate)
+        monkeypatch.setattr(moves, "_expand", no_slate)
         for trial, d in enumerate(slate_diagrams(30, seed=53)):
             walk = random_walk(d, 8, trial, forbid_pure=trial % 2 == 0)
             assert replay(d, walk.moves) == walk.final
@@ -617,7 +617,7 @@ class TestBoundedSearch:
     def test_triangle_r3_image(self, triangle):
         (site,) = enumerate_moves(triangle)
         image = apply_move(triangle, site)
-        verdict = bounded_equivalence_search(triangle, image, 1, forbid_pure=True)
+        verdict = bounded_equivalence_search(triangle, image, 1)
         assert verdict.equivalent
         assert len(verdict.trace.moves) == 1
 
@@ -634,7 +634,7 @@ class TestBoundedSearch:
             bounded_equivalence_search(sample_tangle, bad, 1)
 
     def test_unknown_within_depth(self, sample_tangle, trivial_tangle):
-        verdict = bounded_equivalence_search(sample_tangle, trivial_tangle, 1, forbid_pure=True)
+        verdict = bounded_equivalence_search(sample_tangle, trivial_tangle, 1)
         assert not verdict.equivalent
         assert verdict.trace is None
 
@@ -679,8 +679,8 @@ class TestBoundedSearch:
             moved = scramble(rng, walk.final)
             depth = rng.randint(1, 2)
             for a, b in ((d, moved), (moved, d)):
-                expected = reference_search(a, b, depth, forbid_pure=forbid)
-                verdict = bounded_equivalence_search(a, b, depth, forbid_pure=forbid)
+                expected = reference_search(a, b, depth, forbid_pure=not a.pure and not b.pure)
+                verdict = bounded_equivalence_search(a, b, depth)
                 assert verdict.equivalent == expected.equivalent, (a, b, depth, forbid)
                 if verdict.equivalent:
                     found += 1
@@ -688,15 +688,40 @@ class TestBoundedSearch:
                     assert canonical_key(replay(a, verdict.trace.moves)) == canonical_key(b)
         assert 100 <= found < 160
 
-    def test_forbid_pure_needs_pure_free_inputs(self, sample_tangle):
-        kinked = parse_diagram(
-            "tangle n=3\ncomponent 1 open: k k a b\n"
-            "component 2 open: a c\ncomponent 3 open: b c"
-        )
-        with pytest.raises(MoveError, match="without pure crossings"):
-            bounded_equivalence_search(sample_tangle, kinked, 2, forbid_pure=True)
-        with pytest.raises(MoveError, match="without pure crossings"):
-            bounded_equivalence_search(kinked, sample_tangle, 2, forbid_pure=True)
+    def test_moves_come_from_the_inputs(self, monkeypatch, sample_tangle, trivial_tangle):
+        # between inputs without pure crossings the search keeps to
+        # restricted moves, so no diagram it builds has a pure crossing
+        built = []
+        apply = moves.apply_move
+
+        def building(d, site):
+            built.append(apply(d, site))
+            return built[-1]
+
+        monkeypatch.setattr(moves, "apply_move", building)
+        assert bounded_equivalence_search(sample_tangle, trivial_tangle, 5).reason == "depth"
+        assert built and not any(d.pure for d in built)
+        # an input with pure crossings gets every move, first moves among them
+        kink = parse_diagram((DATA / "kink.link").read_text())
+        circle = parse_diagram("link n=1\ncomponent 1 closed:")
+        verdict = bounded_equivalence_search(kink, circle, 1)
+        assert verdict.equivalent
+        assert serialize_trace(verdict.trace) == "R1_delete x 1:0\n"
+
+    def test_partners_are_built_once_per_diagram(self, monkeypatch):
+        # a pair one third move apart, with equal pass counts: the start and
+        # each neighbour of A are tested against B, whose partners are built
+        # once all the same
+        prop = Diagram.__dict__["partners"]
+        build, built = prop.func, []
+        monkeypatch.setattr(prop, "func", lambda d: built.append(d) or build(d))
+        a = parse_diagram((DATA / "triangle.tangle").read_text())
+        b = parse_diagram((DATA / "triangle_moved.tangle").read_text())
+        verdict = bounded_equivalence_search(a, b, 1)
+        assert verdict.reason == "found" and len(verdict.trace.moves) == 1
+        assert any(d is a for d in built) and any(d is b for d in built)
+        # the list holds every diagram, so no two of them share an id
+        assert len({id(d) for d in built}) == len(built)
 
 
 def _walk_pairs(rng: random.Random, count: int):
@@ -744,7 +769,7 @@ class TestSearchBound:
                 goal = random_walk(d, 3, seed=rng.randrange(100), forbid_pure=forbid).final
                 here, there = d.pair_counts, goal.pair_counts
                 h = move_lower_bound(d, goal)
-                for site in move_candidates(d, forbid_pure=forbid, max_size=d.crossing_count + 2):
+                for site in whole_slate(d, forbid_pure=forbid, max_size=d.crossing_count + 2):
                     after = move_lower_bound(apply_move(d, site), goal)
                     assert moves._bound_step(here, there, site) == after - h
 
@@ -762,7 +787,7 @@ class TestSearchBound:
                     options = dict(forbid_pure=forbid, max_size=max_size)
                     bounds = [
                         (site, move_lower_bound(apply_move(d, site), goal))
-                        for site in move_candidates(d, **options)
+                        for site in whole_slate(d, **options)
                     ]
                     for budget in (h - 1, h, h + 1):
                         out = list(moves._expand(d, goal=there, budget=budget, **options))
@@ -799,7 +824,7 @@ class TestSearchBound:
 
         monkeypatch.setattr(moves, "enumerate_moves", listing)
         monkeypatch.setattr(moves, "MoveSite", building)
-        verdict = bounded_equivalence_search(bigon, four_component_link, 1, forbid_pure=True)
+        verdict = bounded_equivalence_search(bigon, four_component_link, 1)
         assert verdict.reason == "found" and len(verdict.trace.moves) == 1
         assert asked and all(kinds is not None and "R3" not in kinds for kinds in asked)
         assert "R2_insert" not in built
@@ -810,7 +835,7 @@ class TestSearchBound:
 
         monkeypatch.setattr(moves, "_slate", no_moves)
         assert move_lower_bound(FAR_A, FAR_B) == 5
-        verdict = bounded_equivalence_search(FAR_A, FAR_B, 4, forbid_pure=True)
+        verdict = bounded_equivalence_search(FAR_A, FAR_B, 4)
         assert (verdict.equivalent, verdict.reason) == (False, "bound")
 
     def test_search_builds_the_slate(self, monkeypatch):
@@ -844,7 +869,7 @@ class TestSearchBound:
     def test_reason_exhausted_at_any_depth(self):
         for depth in (10, 10**9):
             start = time.perf_counter()
-            verdict = bounded_equivalence_search(APART_A, APART_B, depth, forbid_pure=True)
+            verdict = bounded_equivalence_search(APART_A, APART_B, depth)
             assert time.perf_counter() - start < 1.0
             assert (verdict.equivalent, verdict.reason) == (False, "exhausted")
 
@@ -860,7 +885,7 @@ class TestSearchBound:
         for end, other in ((a, b), (b, a)):
             kept = [
                 site
-                for site in move_candidates(end, max_size=4)
+                for site in whole_slate(end, max_size=4)
                 if move_lower_bound(apply(end, site), other) <= 1
             ]
             sites = {site for d, site in tried if d is end}
@@ -902,9 +927,10 @@ class TestSearchBound:
         found = bounded = 0
         for a, b, forbid in _walk_pairs(rng, 120):
             depth = rng.randint(0, 3 if a.crossing_count + b.crossing_count <= 8 else 2)
-            expected = reference_bidirectional_search(a, b, depth, forbid_pure=forbid)
+            restricted = not a.pure and not b.pure
+            expected = reference_bidirectional_search(a, b, depth, forbid_pure=restricted)
             tried.clear()
-            verdict = bounded_equivalence_search(a, b, depth, forbid_pure=forbid)
+            verdict = bounded_equivalence_search(a, b, depth)
             if not verdict.equivalent:
                 # a found trace is joined by unpruned moves, so only here
                 for d, site in tried:
@@ -960,17 +986,18 @@ class TestSearchBound:
             moved = rng.choice(others)
             seconds = [
                 site
-                for site in move_candidates(moved, forbid_pure=forbid, max_size=moved.crossing_count + 2)
+                for site in whole_slate(moved, forbid_pure=forbid, max_size=moved.crossing_count + 2)
                 if site.kind == "R2_insert"
             ]
             end = scramble(rng, apply_move(moved, rng.choice(seconds)))
             for a, b in ((d, end), (end, d)):
                 # fresh copies, with no key cached
                 a, b = Diagram(a.kind, a.components), Diagram(b.kind, b.components)
-                expected = reference_bidirectional_search(a, b, 2, forbid_pure=forbid)
+                restricted = not a.pure and not b.pure
+                expected = reference_bidirectional_search(a, b, 2, forbid_pure=restricted)
                 keyed.clear()
                 repeats.clear()
-                verdict = bounded_equivalence_search(a, b, 2, forbid_pure=forbid)
+                verdict = bounded_equivalence_search(a, b, 2)
                 assert (verdict.equivalent, verdict.trace, verdict.reason) == (
                     expected.equivalent,
                     expected.trace,
@@ -988,7 +1015,7 @@ class TestSearchBound:
         rng = random.Random(59)
         for a, b, forbid in _walk_pairs(rng, 40):
             answers = [
-                bounded_equivalence_search(a, b, depth, forbid_pure=forbid).equivalent
+                bounded_equivalence_search(a, b, depth).equivalent
                 for depth in range(1, 6)
             ]
             assert answers == sorted(answers), (a, b, forbid)
@@ -1062,7 +1089,7 @@ class TestDescent:
             assert site == enumerate_moves(current, kinds=("R2_delete",), forbid_pure=True)[0]
             current = apply_move(current, site)
         assert replay(FAR_A, trace.moves).key == FAR_B.key
-        assert not bounded_equivalence_search(FAR_A, FAR_B, 4, forbid_pure=True).equivalent
+        assert not bounded_equivalence_search(FAR_A, FAR_B, 4).equivalent
 
     def test_different_representatives_join_nothing(self):
         # their exact tangle words differ, so they are not equivalent; the
