@@ -8,7 +8,9 @@ diagram out of good condition), 141 standard output closed by its reader,
 whatever the buffering: under ``python -u`` or ``PYTHONUNBUFFERED`` a
 buffered writer is put under standard output, so that every byte is written
 or the closed pipe is reported.
-Every input diagram is validated once, when it is loaded; only
+Each input file is read as bytes at once and decoded once as UTF-8, and a
+leading byte order mark is dropped; lines end at ``\n``, ``\r\n`` or
+``\r``.  Every input diagram is validated once, when it is loaded; only
 ``validate`` reads an invalid one.  Output is deterministic for fixed
 inputs and seed; diagnostics go to stderr.
 """
@@ -20,7 +22,6 @@ import functools
 import io
 import os
 import sys
-from pathlib import Path
 
 from .bracket import BracketError, _odd_pairs, bracket, bracket_equal, serialize_bracket
 from .diagram import (
@@ -36,6 +37,7 @@ from .diagram import (
 from .invariant import (
     InvariantError,
     _class_words,
+    _pair_words,
     fingerprint,
     link_invariant,
     link_word,
@@ -92,12 +94,23 @@ def _count(text: str) -> int:
 
 
 def _read(path: str) -> str:
+    """The text of the file ``path``, without a leading byte order mark.
+
+    Its readers split it with ``str.splitlines``, which ends a line at
+    ``\r\n`` and ``\r`` as well as ``\n``, so no text layer translates line
+    ends.  The mark is dropped after decoding, so that an error's byte offset
+    counts from the start of the file.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
+    return text.removeprefix("\ufeff")
 
 
 def _load(path: str) -> Diagram:
@@ -315,8 +328,10 @@ def _cmd_compare(args) -> int:
 def _cmd_fuzz(args) -> int:
     d = _load(args.file)
     track_words = args.forbid_pure and not d.pure and not any(d.parity.values())
-    # the fingerprint compared as letter indices, with no word built
-    reference = _class_words(d) if track_words else None
+    # compared as letter indices, with no word built: a tangle's words are
+    # themselves the invariant, and a link's are its class words
+    words = _pair_words if d.kind == "tangle" else _class_words
+    reference = words(d) if track_words else None
 
     moves: list[MoveSite] = []
     current = replayed = d
@@ -339,7 +354,7 @@ def _cmd_fuzz(args) -> int:
             failure = "parity-table"
         elif args.forbid_pure and current.pure:
             failure = "pure-crossing"
-        elif track_words and _class_words(current) != reference:
+        elif track_words and words(current) != reference:
             failure = "fingerprint"
         if failure:
             print(f"FAIL step={len(moves)} check={failure}")

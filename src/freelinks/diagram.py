@@ -31,6 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 __all__ = [
@@ -265,7 +266,7 @@ def parse_diagram(text: str | bytes) -> Diagram:
     # (line number, line without comment and blanks, raw line)
     lines: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if stripped:
             lines.append((lineno, stripped, raw))
 
@@ -276,8 +277,8 @@ def parse_diagram(text: str | bytes) -> Diagram:
     m = HEADER_RE.match(header)
     if m is None:
         raise ParseError("expected 'tangle n=<N>' or 'link n=<N>'", headerno, 1)
-    kind = m.group(1)
-    n = int(m.group(2))
+    kind = m[1]
+    n = int(m[2])
 
     body = lines[1:]
     if len(body) != n:
@@ -287,29 +288,25 @@ def parse_diagram(text: str | bytes) -> Diagram:
             1,
         )
 
-    entries: dict[int, ComponentCode] = {}
+    codes: list[ComponentCode | None] = [None] * n
     for lineno, line, raw in body:
         m = COMPONENT_RE.match(line)
         if m is None:
             raise ParseError("expected 'component <i> open:|closed: <tokens>'", lineno, 1)
-        index = int(m.group(1))
-        closed = m.group(2) == "closed"
-        rest = m.group(3)
+        index = int(m[1])
         if not 1 <= index <= n:
             raise ParseError(f"component index {index} out of range 1..{n}", lineno, 1)
-        if index in entries:
+        if codes[index - 1] is not None:
             raise ParseError(f"duplicate component index {index}", lineno, 1)
-        tokens = rest.split()
+        tokens = m[3].split()
         if not _plain_names(tokens):
             code = raw.split("#", 1)[0]
             raise _bad_name(tokens, raw, len(code) - len(code.lstrip()) + m.start(3), lineno)
-        entries[index] = ComponentCode(closed, tuple(tokens))
+        codes[index - 1] = ComponentCode(m[2] == "closed", tuple(tokens))
 
     # n lines, each with its own index in 1..n: every index is present
-    components = tuple(entries[i] for i in range(1, n + 1))
-    counts: Counter[str] = Counter()
-    for comp in components:
-        counts.update(comp.passes)
+    components = tuple(codes)
+    counts = Counter(chain.from_iterable(comp.passes for comp in components))
     bad = sorted(name for name, c in counts.items() if c != 2)
     if bad:
         raise ParseError(

@@ -142,17 +142,85 @@ class TestValidate:
         assert code == 2
         assert "error" in err
 
-    def test_missing_file_exits_2(self, capsys):
-        code, _, err = invoke(capsys, "validate", "no_such_file.tangle")
-        assert code == 2
+    def test_missing_file_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, "validate", "nosuch.link")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read nosuch.link: No such file or directory\n"
 
     def test_non_utf8_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.link"
         bad.write_bytes(b"\xff\xfe")
-        code, _, err = invoke_process("validate", str(bad))
-        assert code == 2
-        assert "error" in err
-        assert "Traceback" not in err
+        code, out, err = invoke_process("validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {bad}: not UTF-8 (invalid start byte at byte 0)\n"
+
+    @pytest.mark.parametrize(
+        "name,content,reason",
+        [
+            ("folder", None, "Is a directory"),
+            (
+                "bad.link",
+                b"link n=1\ncomponent 1 closed: \xff\xff\n",
+                "not UTF-8 (invalid start byte at byte 29)",
+            ),
+            # the mark counts toward the offset
+            (
+                "marked.link",
+                b"\xef\xbb\xbflink n=1\ncomponent 1 closed: \xff\xff\n",
+                "not UTF-8 (invalid start byte at byte 32)",
+            ),
+        ],
+    )
+    def test_unreadable_file_message(self, capsys, monkeypatch, tmp_path, name, content, reason):
+        monkeypatch.chdir(tmp_path)
+        if content is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(content)
+        for argv in (("validate", name), ("compare", name, SAMPLE), ("replay", SAMPLE, name)):
+            assert invoke(capsys, *argv) == (2, "", f"error: cannot read {name}: {reason}\n")
+
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        plain = tmp_path / "plain.link"
+        plain.write_bytes(b"link n=1\ncomponent 1 closed: a a\n")
+        marked = tmp_path / "marked.link"
+        marked.write_bytes(b"\xef\xbb\xbflink n=1\ncomponent 1 closed: a a\n")
+        code, out, err = invoke(capsys, "validate", str(plain))
+        assert (code, out, err) == (0, "valid, n=1, crossings=1, good-condition=true, pure=1\n", "")
+        assert invoke(capsys, "validate", str(marked)) == (code, out, err)
+        # an error's line and column are those of the file without the mark
+        bad = b"link n=1\ncomponent 1 closed: a-b a-b\n"
+        plain.write_bytes(bad)
+        marked.write_bytes(b"\xef\xbb\xbf" + bad)
+        code, out, err = invoke(capsys, "validate", str(plain))
+        assert (code, out) == (2, "") and "(line 2, column 21)" in err
+        assert invoke(capsys, "validate", str(marked)) == (code, out, err)
+
+    @pytest.mark.parametrize("variant", ["crlf", "cr", "mark"])
+    def test_line_ends_and_mark_print_the_same(self, capsys, tmp_path, variant):
+        def copy(path: str) -> str:
+            data = Path(path).read_bytes()
+            if variant == "mark":
+                data = b"\xef\xbb\xbf" + data
+            else:
+                data = data.replace(b"\n", b"\r\n" if variant == "crlf" else b"\r")
+            target = tmp_path / f"{variant}-{Path(path).name}"
+            target.write_bytes(data)
+            return str(target)
+
+        trace = tmp_path / "moves.trace"
+        trace.write_text("# the third move\nR3 x y z 1:0 2:0 3:0\n")
+        for argv in (
+            ("validate", FOUR),
+            ("bracket", FOUR),
+            ("validate", SAMPLE),
+            ("bracket", SAMPLE),
+            ("replay", TRIANGLE, str(trace)),
+        ):
+            expected = invoke(capsys, *argv)
+            assert expected[0] == 0 and expected[1]
+            assert invoke(capsys, argv[0], *map(copy, argv[1:])) == expected, argv
 
 
 class TestInvariant:
@@ -694,24 +762,31 @@ class TestFuzz:
         assert code == 0
         assert out == "PASS steps=0 seed=1 crossings=3\n"
 
-    def test_fail_fast_serializes_trace(self, capsys, monkeypatch):
+    @staticmethod
+    def rigged_words_fail(capsys, monkeypatch, path, check):
         # a rigged word check must surface as FAIL plus the offending trace
-        import freelinks.cli as cli
-
         calls = {"n": 0}
 
         def unstable(d):
             calls["n"] += 1
             return calls["n"]
 
-        monkeypatch.setattr(cli, "_class_words", unstable)
+        monkeypatch.setattr(cli, check, unstable)
         code, out, _ = invoke(
-            capsys, "fuzz", SAMPLE, "--steps", "5", "--seed", "7", "--forbid-pure"
+            capsys, "fuzz", path, "--steps", "5", "--seed", "7", "--forbid-pure"
         )
         assert code == 1
         lines = out.splitlines()
         assert lines[0] == "FAIL step=1 check=fingerprint"
         assert len(lines) == 2  # the one offending move, serialized
+
+    def test_fail_fast_serializes_trace(self, capsys, monkeypatch):
+        # a tangle's check compares its exact words
+        self.rigged_words_fail(capsys, monkeypatch, SAMPLE, "_pair_words")
+
+    def test_fail_fast_on_a_link(self, capsys, monkeypatch):
+        # a link's check compares its class words
+        self.rigged_words_fail(capsys, monkeypatch, FOUR, "_class_words")
 
     def test_replay_mismatch_fails(self, capsys, monkeypatch):
         # a replay that leaves step 2 undone differs from the walk there

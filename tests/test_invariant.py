@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freelinks.invariant as invariant
 from freelinks.diagram import Basepoint, ComponentCode, Diagram, DiagramError, cut_link, parse_diagram
@@ -357,6 +359,15 @@ class TestMoveInvariance:
         for site in walk.moves:
             current = apply_move(current, site)
             assert word_table(current) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(3, 5))
+    def test_walks_keep_tangle_words(self, seed, n):
+        # what ``fuzz --forbid-pure`` checks on a tangle: its exact words
+        start, *walked = fuzz_walk_diagrams(random.Random(seed), "tangle", n)
+        reference = invariant._pair_words(start)
+        for d in walked:
+            assert invariant._pair_words(d) == reference, (start, d)
 
     def test_fingerprints_equal_along_walks(self):
         rng = random.Random(17)
