@@ -30,6 +30,7 @@ from .diagram import (
     DiagramError,
     ParseError,
     _isomorphic,
+    _text,
     parse_diagram,
     require_valid,
     serialize_diagram,
@@ -94,23 +95,20 @@ def _count(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    """The text of the file ``path``, without a leading byte order mark.
+    """The text of the file ``path``, without a leading byte order mark,
+    read by :func:`~freelinks.diagram._text`, so that an error's byte offset
+    counts from the start of the file.
 
     Its readers split it with ``str.splitlines``, which ends a line at
     ``\r\n`` and ``\r`` as well as ``\n``, so no text layer translates line
-    ends.  The mark is dropped after decoding, so that an error's byte offset
-    counts from the start of the file.
+    ends.
     """
     try:
         with open(path, "rb") as f:
             data = f.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
-    return text.removeprefix("\ufeff")
+    return _text(data, path)
 
 
 def _load(path: str) -> Diagram:

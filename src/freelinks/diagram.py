@@ -245,8 +245,9 @@ def parse_diagram(text: str | bytes) -> Diagram:
 
     Line 1 is ``tangle n=<N>`` or ``link n=<N>``, followed by N lines
     ``component <i> open: <tok> ...`` or ``component <i> closed: <tok> ...``.
-    ``#`` starts a comment; blank lines are skipped.  Raises :class:`ParseError`
-    on bytes that are not UTF-8, on malformed syntax, on a crossing that does
+    ``#`` starts a comment; blank lines are skipped; a leading byte order
+    mark is dropped (see :func:`_text`).  Raises :class:`ParseError` on
+    bytes that are not UTF-8, on malformed syntax, on a crossing that does
     not occur exactly twice, and on component indices out of range or
     repeated.
 
@@ -256,13 +257,7 @@ def parse_diagram(text: str | bytes) -> Diagram:
     still fail, and the diagram keeps their result as its
     :attr:`Diagram.violations`, so validating it computes nothing again.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as e:
-            line = text.count(b"\n", 0, e.start) + 1
-            raise ParseError(f"input is not UTF-8 ({e.reason} at byte {e.start})", line)
-
+    text = _text(text)
     # (line number, line without comment and blanks, raw line)
     lines: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -317,6 +312,24 @@ def parse_diagram(text: str | bytes) -> Diagram:
     # where cached_property keeps it: names and counts are checked above
     diagram.__dict__["violations"] = tuple(_component_violations(kind, components))
     return diagram
+
+
+def _text(data: str | bytes, source: str = "") -> str:
+    """``data``, decoded as UTF-8 if it is bytes, without a leading byte
+    order mark: the one reading of input text, for both parsers and the
+    command line.  The mark is dropped after decoding, so the byte offset in
+    the error for bytes that are not UTF-8 counts from the start of
+    ``data``; the error names ``source`` if given, else the offset's line.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            reason = f"not UTF-8 ({e.reason} at byte {e.start})"
+            if source:
+                raise ParseError(f"cannot read {source}: {reason}") from None
+            raise ParseError(f"input is {reason}", data.count(b"\n", 0, e.start) + 1) from None
+    return data.removeprefix("\ufeff")
 
 
 def _bad_name(tokens: list[str], raw: str, pos: int, lineno: int) -> ParseError:
@@ -628,9 +641,12 @@ def _isomorphic(x: Diagram, y: Diagram) -> bool:
 
     Different kinds or :attr:`Diagram.pass_counts` answer False at once.
     Otherwise each group of components joined by crossings is matched on
-    its own, in breadth-first order: ``y``'s component in the rotations and
-    reversals whose :attr:`Diagram.partners` are ``x``'s, a later one only
-    where it meets an earlier one as ``x``'s does.
+    its own, in breadth-first order: ``y``'s first component of the group
+    in the rotations and reversals whose :attr:`Diagram.partners` are
+    ``x``'s, and each later one from its anchor, the first pass whose
+    crossing it shares with the component that reached it: that crossing's
+    image fixes one rotation per direction, whose partners alone are
+    compared, in O(L) for a component of length L.
     """
     require_valid(x)
     require_valid(y)
@@ -643,17 +659,30 @@ def _isomorphic(x: Diagram, y: Diagram) -> bool:
     def variants(level: int) -> list:
         # y's component order[level] in the rotations and reversals whose
         # partners are x's; past the first level, only those that put the
-        # image of its crossing at anchors[level] where x has it
+        # image of its anchor crossing at anchors[level], where x has it
         ci, p = order[level], anchors[level]
-        passes, want = yc[ci].passes, xp[ci]
-        tries = {passes: None} if yp[ci] == want else {}
-        for seq, line in ((passes, yp[ci]), (passes[::-1], yp[ci][::-1])) if yc[ci].closed else ():
+        passes, line, want = yc[ci].passes, yp[ci], xp[ci]
+        closed = yc[ci].closed
+        directions = ((passes, line), (passes[::-1], line[::-1])) if closed else ((passes, line),)
+        tries = {}
+        if level:
+            # the image crosses an earlier component, so each direction
+            # passes it once, and one rotation puts it at p
+            name = image[xc[ci].passes[p]]
+            for seq, line in directions:
+                r = (seq.index(name) - p) % len(seq)
+                if (closed or not r) and line[r:] + line[:r] == want:
+                    tries[seq[r:] + seq[:r]] = None
+            return list(tries)
+        if line == want:
+            tries[passes] = None
+        for seq, line in directions if closed else ():
             doubled = line * 2
             r = doubled.find(want)
             while 0 <= r < len(seq):
                 tries[seq[r:] + seq[:r]] = None
                 r = doubled.find(want, r + 1)
-        return [seq for seq in tries if not level or seq[p] == image[xc[ci].passes[p]]]
+        return list(tries)
 
     placed: set[int] = set()
     for root in range(len(xc)):

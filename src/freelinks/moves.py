@@ -54,6 +54,7 @@ from .diagram import (
     Diagram,
     ParseError,
     _isomorphic,
+    _text,
     require_valid,
 )
 
@@ -726,7 +727,8 @@ def bounded_equivalence_search(a: Diagram, b: Diagram, depth: int) -> SearchVerd
 
     Neither input is keyed: the start tests them by
     :func:`~freelinks.diagram._isomorphic`, as equal keys would, and each
-    run holds them under placeholders (see :func:`_search_run`).
+    run holds them under placeholders.  A run with limit 1 keys nothing at
+    all (see :func:`_search_run`).
 
     Returns a trace that replays from ``a`` to a diagram with ``b``'s
     canonical form on success, and ``unknown`` otherwise, with the
@@ -781,6 +783,13 @@ def _search_run(a, b, goals, limit: int, forbid_pure: bool, max_size: int):
     every other diagram it holds to (diagram, entry reached from, move).  A
     neighbour is tested against each end by :func:`_isomorphic`, the other
     end first, and keyed only when it is neither.
+
+    On the last level, while each side holds nothing but its end, as on the
+    one level of a run with limit 1, no neighbour is keyed: nothing can
+    look it up, so it is tested against the other end alone, and against
+    its own end only until one is found new, which is all the ``exhausted``
+    rule reads.  Such a level holds no state, so it counts none toward the
+    cap.
     """
     ends = (a, b)
     sides = ({0: (a, None, None)}, {1: (b, None, None)})
@@ -792,6 +801,7 @@ def _search_run(a, b, goals, limit: int, forbid_pure: bool, max_size: int):
         seen, other = sides[grow], sides[1 - grow]
         # what the bound may leave a neighbour level // 2 + 1 moves from its end
         budget = limit - (level // 2 + 1)
+        keyless = level == limit - 1 and len(seen) == len(other) == 1
         grown = []
         for entry in frontiers[grow]:
             diag = seen[entry][0]
@@ -804,6 +814,11 @@ def _search_run(a, b, goals, limit: int, forbid_pure: bool, max_size: int):
                 neighbor = apply_move(diag, site)
                 if _isomorphic(neighbor, ends[1 - grow]):
                     found = 1 - grow
+                elif keyless:
+                    # nothing looks it up: only whether the level grew is read
+                    if not grown and not _isomorphic(neighbor, ends[grow]):
+                        grown.append(None)
+                    continue
                 elif _isomorphic(neighbor, ends[grow]):
                     continue
                 else:
@@ -1022,16 +1037,18 @@ def _parse_slot(token: str, lineno: int) -> tuple[int, int, bool]:
 
 
 
-def parse_trace(text: str) -> list[MoveSite]:
-    """Parse the line-oriented trace log emitted by :func:`serialize_trace`.
+def parse_trace(text: str | bytes) -> list[MoveSite]:
+    """Parse the line-oriented trace log emitted by :func:`serialize_trace`;
+    a leading byte order mark is dropped, as :func:`parse_diagram` drops it.
 
-    Raises :class:`ParseError`, with the line number, on an unknown move
-    kind, a wrong number of fields, a crossing name that a diagram file
-    cannot hold, a bad location (the wrapped marker ``w`` locates insertion
-    slots only) or an ``R2_insert`` order other than ``same`` or ``swap``.
+    Raises :class:`ParseError`, with the line number, on bytes that are not
+    UTF-8, an unknown move kind, a wrong number of fields, a crossing name
+    that a diagram file cannot hold, a bad location (the wrapped marker
+    ``w`` locates insertion slots only) or an ``R2_insert`` order other than
+    ``same`` or ``swap``.
     """
     moves = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text(text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

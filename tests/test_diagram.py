@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelinks.bracket import bracket
 from freelinks.diagram import (
     Basepoint,
     ComponentCode,
@@ -145,6 +146,19 @@ class TestParse:
             parse_diagram(b"link n=1\n\n\xff")
         assert str(err.value) == "input is not UTF-8 (invalid start byte at byte 10) (line 3)"
         assert (err.value.line, err.value.column) == (3, None)
+
+    def test_byte_order_mark_is_dropped(self):
+        text = "link n=1\ncomponent 1 closed: a a\n"
+        plain = parse_diagram(text)
+        assert parse_diagram("\ufeff" + text) == plain
+        assert parse_diagram(b"\xef\xbb\xbf" + text.encode()) == plain
+        # the offset counts the mark's three bytes; the line is the file's
+        with pytest.raises(ParseError) as err:
+            parse_diagram(b"\xef\xbb\xbflink n=1\n\n\xff")
+        assert str(err.value) == "input is not UTF-8 (invalid start byte at byte 13) (line 3)"
+        # only a leading mark is dropped
+        with pytest.raises(ParseError, match="expected 'tangle n=<N>'"):
+            parse_diagram("\ufeff\ufeff" + text)
 
     @pytest.mark.parametrize("text", ["", b"", "# a comment\n\n   \n"])
     def test_refuses_empty_input(self, text):
@@ -803,6 +817,57 @@ class TestIsomorphic:
         assert _isomorphic(d, scramble(random.Random(149), d))
         assert not _isomorphic(d, chain(n // 2))
         assert time.perf_counter() - start < 2
+
+    def test_matches_key_equality_on_one_repeated_partner(self):
+        # the bracket summands of 2-component links and tangles: every pass's
+        # partner is the other component, so the partners leave every
+        # rotation of the first component open and place the second from its
+        # anchor alone.  Each summand against scrambled, rotated and reversed
+        # copies, and against near misses with the same partners: one
+        # adjacent pair of passes swapped, as a third move swaps each of its
+        # three (a 2-component diagram without pure crossings has no
+        # third-move site), or one such pair on each component
+        rng = random.Random(151)
+
+        def turned(d: Diagram, r: int, reverse: bool) -> Diagram:
+            comps = []
+            for comp in d.components:
+                passes = comp.passes
+                if comp.closed and passes:
+                    k = r % len(passes)
+                    passes = passes[k:] + passes[:k]
+                    passes = passes[::-1] if reverse else passes
+                comps.append(ComponentCode(comp.closed, passes))
+            return Diagram(d.kind, tuple(comps))
+
+        def swapped(d: Diagram, components) -> Diagram:
+            comps = list(d.components)
+            for ci in components:
+                passes = list(comps[ci].passes)
+                p = rng.randrange(len(passes) - 1)
+                passes[p : p + 2] = passes[p + 1], passes[p]
+                comps[ci] = ComponentCode(comps[ci].closed, tuple(passes))
+            return Diagram(d.kind, tuple(comps))
+
+        same = differ = 0
+        for trial in range(40):
+            d = random_pure_diagram(rng, 2, ("link", "tangle")[trial % 2])
+            for s in sorted(bracket(d).summands, key=serialize_diagram):
+                assert all(len(set(line)) <= 1 for line in s.partners)
+                copies = [scramble(rng, s), turned(s, rng.randrange(1, 9), False)]
+                copies += [turned(s, rng.randrange(9), True), scramble(rng, turned(s, 1, True))]
+                for y in copies:
+                    assert self.agrees(s, y)
+                if min(s.pass_counts) < 2:
+                    continue
+                for parts in ((0,), (1,), (0, 1)):
+                    y = swapped(s, parts)
+                    for x in (s, scramble(rng, s)):
+                        if self.agrees(x, scramble(rng, y)):
+                            same += 1
+                        else:
+                            differ += 1
+        assert same >= 30 and differ >= 250, (same, differ)
 
 
 class TestCutLink:

@@ -873,6 +873,68 @@ class TestSearchBound:
             assert time.perf_counter() - start < 1.0
             assert (verdict.equivalent, verdict.reason) == (False, "exhausted")
 
+    def test_one_move_search_keys_nothing(self, monkeypatch, four_component_link):
+        # a run with limit 1 tests each neighbour of A against B alone: the
+        # other side holds nothing but B, so no key could ever be looked up
+        keyed = []
+        key = freelinks.diagram.canonical_key
+        monkeypatch.setattr(freelinks.diagram, "canonical_key", lambda d: keyed.append(d) or key(d))
+        rng = random.Random(157)
+        # B is A with a bigon x y ... y x inserted, so A's side tries many
+        # insertions first; and a link with three third-move sites, moved by
+        # its last
+        bigon = parse_diagram(
+            "link n=4\n"
+            "component 1 closed: x y c1 b1 c2 a1 c3 a2 b2 c4\n"
+            "component 2 closed: c1 c2 c3 c4 d1 d2 e1 y x e2\n"
+            "component 3 closed: a1 a2 d1 d2\n"
+            "component 4 closed: b1 b2 e1 e2\n"
+        )
+        triangles = parse_diagram(
+            "link n=3\n"
+            "component 1 closed: x y a u v\n"
+            "component 2 closed: x z b u w a\n"
+            "component 3 closed: y z v w b\n"
+        )
+        moved = apply_move(triangles, enumerate_moves(triangles, kinds=("R3",))[-1])
+        for a, b in ((four_component_link, bigon), (triangles, moved)):
+            b = scramble(rng, b)
+            keyed.clear()
+            verdict = bounded_equivalence_search(a, b, 1)
+            assert keyed == []
+            assert verdict.reason == "found" and len(verdict.trace.moves) == 1
+            assert replay(a, verdict.trace.moves).key == b.key
+
+    def test_one_move_run_is_exhausted_unkeyed(self, monkeypatch):
+        # the run with limit 1 alone, from links with third-move sites only,
+        # toward the tangle of the same codes, which has their pair counts:
+        # no insertion fits the size, so the run drops no move.  Each third
+        # move of the first link reverses a pair on a closed component of
+        # length 2, a rotation, so every neighbour is A itself and the side
+        # is exhausted; the second link has new neighbours
+        keyed = []
+        key = freelinks.diagram.canonical_key
+        monkeypatch.setattr(freelinks.diagram, "canonical_key", lambda d: keyed.append(d) or key(d))
+        for codes, exhausted in (
+            ("x y|x z|y z", True),
+            ("x y a u v|x z b u w a|y z v w b", False),
+        ):
+            lines = [f"component {i} {{}}: {code}" for i, code in enumerate(codes.split("|"), 1)]
+            text = "\n".join([f"{{}} n={len(lines)}", *lines])
+            a = parse_diagram(text.format("link", *["closed"] * len(lines)))
+            b = parse_diagram(text.format("tangle", *["open"] * len(lines)))
+            neighbors = [apply_move(a, site) for site in enumerate_moves(a)]
+            assert neighbors and all(site.kind == "R3" for site in enumerate_moves(a))
+            assert all(d.key == a.key for d in neighbors) == exhausted
+            keyed.clear()
+            goals = (b.pair_counts, a.pair_counts)
+            verdict = moves._search_run(a, b, goals, 1, True, a.crossing_count)
+            assert keyed == []
+            if exhausted:
+                assert (verdict.equivalent, verdict.reason) == (False, "exhausted")
+            else:
+                assert verdict is None
+
     def test_prunes_exactly_the_moves_over_the_bound(self, monkeypatch):
         # bound 1 and two moves apart: the run with limit 2 tries, from each
         # end, just the moves whose result has bound at most 1 to the other
@@ -1133,6 +1195,15 @@ class TestTraceFormat:
         text = serialize_trace(trace)
         assert parse_trace(text) == list(trace.moves)
         assert replay(trace.initial, parse_trace(text)) == trace.final
+
+    def test_byte_order_mark_is_dropped(self):
+        text = "R3 x y z 1:0 2:0 3:0\n"
+        sites = parse_trace(text)
+        assert parse_trace("\ufeff" + text) == sites
+        assert parse_trace(b"\xef\xbb\xbf" + text.encode()) == sites
+        with pytest.raises(ParseError) as caught:
+            parse_trace(b"\xef\xbb\xbf" + text.encode() + b"\xff")
+        assert str(caught.value) == "input is not UTF-8 (invalid start byte at byte 24) (line 2)"
 
     @pytest.mark.parametrize("name", ["a-b", "a,b", "é"])
     def test_rejects_names_a_diagram_cannot_hold(self, name):
