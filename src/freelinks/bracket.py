@@ -48,13 +48,19 @@ Bracket values are compared as sets of canonical forms: equality and
 distinctness verdicts are sound, but since equivalence of individual
 summands is only certified by bounded search, the comparison may also answer
 unknown.
+
+Its records, :class:`Bracket` and :class:`Verdict`, are immutable named
+tuples, each equal to the tuple of its fields: the data class module's
+``replace``, ``fields`` and ``asdict`` do not apply to them (``_replace``
+and ``_fields`` do), and only :class:`~freelinks.diagram.Diagram` caches
+fields.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .diagram import (
     ComponentCode,
@@ -83,8 +89,7 @@ class BracketError(ValueError):
     """A splice or bracket operation was applied outside its preconditions."""
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """Mod-2 set of canonical-form summands, all with ``n`` components."""
 
     kind: str
@@ -92,8 +97,7 @@ class Bracket:
     summands: frozenset[Diagram]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Three-valued comparison outcome."""
 
     status: str  # "equal" | "distinct" | "unknown"

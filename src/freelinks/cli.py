@@ -95,13 +95,13 @@ def _count(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    """The text of the file ``path``, without a leading byte order mark,
+    r"""The text of the file ``path``, without a leading byte order mark,
     read by :func:`~freelinks.diagram._text`, so that an error's byte offset
     counts from the start of the file.
 
-    Its readers split it with ``str.splitlines``, which ends a line at
-    ``\r\n`` and ``\r`` as well as ``\n``, so no text layer translates line
-    ends.
+    Its readers split it by :func:`~freelinks.diagram._lines`, which ends a
+    line at ``\r\n`` and ``\r`` as well as ``\n``, and at no other
+    character, so no text layer translates line ends.
     """
     try:
         with open(path, "rb") as f:

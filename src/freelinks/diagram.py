@@ -12,27 +12,35 @@ Components are enumerated: ``components[k]`` is component ``k + 1`` and the
 numbering is part of the data (it is preserved by all move and splice
 operations elsewhere in the package).
 
-Data derived from a diagram is computed once per diagram, cached on the
-frozen :class:`Diagram` and read as its fields, never changed:
-``violations`` (empty when the diagram is valid), ``occurrences``, ``pure``,
-``pair_counts`` (the crossing count of each component pair, pure pairs
-(i, i) included), ``parity`` (the good-condition table), ``pass_counts``
-and ``partners`` (which ``_isomorphic`` reads) and ``key``.
+The records (:class:`ComponentCode`, :class:`Basepoint`,
+:class:`CrossingType`, :class:`Violation`, and those of the other modules)
+are immutable named tuples, each equal to the tuple of its fields, and no
+data classes: ``replace``, ``fields`` and ``asdict`` of the standard
+library's data class module do not apply to them, and ``_replace`` and
+``_fields`` do.
+
+:class:`Diagram` is the one record class with cached fields, a small frozen
+class that equals only another diagram.  Data derived from a diagram is
+computed once per diagram, cached on it and read as its fields, never
+changed: ``violations`` (empty when the diagram is valid), ``occurrences``,
+``pure``, ``pair_counts`` (the crossing count of each component pair, pure
+pairs (i, i) included), ``parity`` (the good-condition table),
+``pass_counts`` and ``partners`` (which ``_isomorphic`` reads) and ``key``.
 Operations that need a valid diagram call the one guard
 :func:`require_valid`.  :func:`parse_diagram` checks the names and counts
-the passes of its input as it reads them, and the diagram it returns
-already holds its ``violations``, so the command line's validation of each
-loaded file computes nothing again.
+the passes of its input as it reads them, and the diagram it returns already
+holds its ``violations``, so the command line's validation of each loaded
+file computes nothing again.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 __all__ = [
     "Diagram",
@@ -73,20 +81,28 @@ class ParseError(DiagramError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class ComponentCode:
-    """One component of a diagram: its pass sequence in traversal order."""
+class ComponentCode(NamedTuple("ComponentCode", [("closed", bool), ("passes", tuple[str, ...])])):
+    """One component of a diagram: its pass sequence in traversal order.
+    ``len()`` counts its passes."""
 
-    closed: bool
-    passes: tuple[str, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.passes)
 
+    @classmethod
+    def _make(cls, iterable) -> ComponentCode:
+        # NamedTuple's own _make checks the field count with len()
+        return cls(*iterable)
 
-@dataclass(frozen=True)
+
 class Diagram:
     """An enumerated free link or tangle diagram as unsigned Gauss codes.
+
+    The one record class that is no named tuple, since its cached fields
+    live in the instance ``__dict__``.  It is frozen: ``kind`` and
+    ``components`` are slots that only ``__init__`` sets, and a diagram
+    equals only a diagram with equal fields, never a tuple.
 
     Each index field is built in one traversal of the passes and cached.
     ``violations`` counts the names and tests the characters of all
@@ -100,8 +116,34 @@ class Diagram:
     :func:`_isomorphic` matches, read the passes alone.
     """
 
-    kind: str  # "tangle" or "link"
-    components: tuple[ComponentCode, ...]
+    # cached_property keeps each cached field in __dict__
+    __slots__ = ("kind", "components", "__dict__")
+    __match_args__ = ("kind", "components")
+
+    def __init__(self, kind: str, components: tuple[ComponentCode, ...]):
+        object.__setattr__(self, "kind", kind)  # "tangle" or "link"
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.components))
+
+    def __repr__(self) -> str:
+        return f"Diagram(kind={self.kind!r}, components={self.components!r})"
+
+    def __reduce__(self):
+        # pickle and copy build the copy anew, without the cached fields
+        return type(self), (self.kind, self.components)
 
     @property
     def n(self) -> int:
@@ -205,16 +247,14 @@ class Diagram:
         )
 
 
-@dataclass(frozen=True)
-class Basepoint:
+class Basepoint(NamedTuple):
     """A cut location on a component: just before pass ``offset``."""
 
     component: int
     offset: int
 
 
-@dataclass(frozen=True)
-class CrossingType:
+class CrossingType(NamedTuple):
     """The pair of component indices joined by a crossing, with i <= j."""
 
     i: int
@@ -225,8 +265,7 @@ class CrossingType:
         return self.i == self.j
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken diagram invariant: the rule name and where it fails."""
 
     rule: str
@@ -245,11 +284,11 @@ def parse_diagram(text: str | bytes) -> Diagram:
 
     Line 1 is ``tangle n=<N>`` or ``link n=<N>``, followed by N lines
     ``component <i> open: <tok> ...`` or ``component <i> closed: <tok> ...``.
-    ``#`` starts a comment; blank lines are skipped; a leading byte order
-    mark is dropped (see :func:`_text`).  Raises :class:`ParseError` on
-    bytes that are not UTF-8, on malformed syntax, on a crossing that does
-    not occur exactly twice, and on component indices out of range or
-    repeated.
+    ``#`` starts a comment; blank lines are skipped; lines end as
+    :func:`_lines` ends them; a leading byte order mark is dropped (see
+    :func:`_text`).  Raises :class:`ParseError` on bytes that are not
+    UTF-8, on malformed syntax, on a crossing that does not occur exactly
+    twice, and on component indices out of range or repeated.
 
     A component line's names are checked by one test of their characters,
     and its names are scanned one by one only to place a bad one at its
@@ -257,10 +296,9 @@ def parse_diagram(text: str | bytes) -> Diagram:
     still fail, and the diagram keeps their result as its
     :attr:`Diagram.violations`, so validating it computes nothing again.
     """
-    text = _text(text)
     # (line number, line without comment and blanks, raw line)
     lines: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(_text(text)), start=1):
         stripped = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if stripped:
             lines.append((lineno, stripped, raw))
@@ -330,6 +368,14 @@ def _text(data: str | bytes, source: str = "") -> str:
                 raise ParseError(f"cannot read {source}: {reason}") from None
             raise ParseError(f"input is {reason}", data.count(b"\n", 0, e.start) + 1) from None
     return data.removeprefix("\ufeff")
+
+
+def _lines(text: str) -> list[str]:
+    r"""The lines of ``text``, for both parsers: a line ends at ``\n``,
+    ``\r\n`` or ``\r`` alone.  ``str.splitlines`` also ends one at ``\v``,
+    ``\f``, ``\x1c``-``\x1e``, ``\x85``, U+2028 and U+2029, which a
+    comment may hold."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _bad_name(tokens: list[str], raw: str, pos: int, lineno: int) -> ParseError:

@@ -36,6 +36,12 @@ theorem that loses no equivalence.
 Between diagrams without pure crossings, :func:`join_by_descent` descends
 each input to a representative under restricted moves, which do not depend
 on a search depth, and joins the two when the representatives agree.
+
+Its records, :class:`MoveSite`, :class:`WalkTrace` and
+:class:`SearchVerdict`, are immutable named tuples, each equal to the tuple
+of its fields: the data class module's ``replace``, ``fields`` and
+``asdict`` do not apply to them (``_replace`` and ``_fields`` do), and only
+:class:`~freelinks.diagram.Diagram` caches fields.
 """
 
 from __future__ import annotations
@@ -44,8 +50,8 @@ import random
 import re
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import combinations, product
+from operator import attrgetter
 from typing import NamedTuple
 
 from .diagram import (
@@ -54,6 +60,7 @@ from .diagram import (
     Diagram,
     ParseError,
     _isomorphic,
+    _lines,
     _text,
     require_valid,
 )
@@ -101,8 +108,7 @@ class MoveError(ValueError):
     """A move site does not apply to the given diagram."""
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     """A located move, with enough data to apply it deterministically.
 
     ``pairs`` locates adjacent pairs as ``(component, position)`` with
@@ -120,8 +126,7 @@ class MoveSite:
     same_order: bool = True
 
 
-@dataclass(frozen=True)
-class WalkTrace:
+class WalkTrace(NamedTuple):
     """A replayable move sequence: replaying ``moves`` from ``initial`` yields ``final``."""
 
     initial: Diagram
@@ -129,20 +134,29 @@ class WalkTrace:
     final: Diagram
 
 
-@dataclass(frozen=True)
-class SearchVerdict:
+class SearchVerdict(
+    NamedTuple(
+        "SearchVerdict", [("equivalent", bool), ("trace", WalkTrace | None), ("reason", str)]
+    )
+):
     """Outcome of a bounded equivalence search; never claims inequivalence.
 
-    ``reason`` is ``found`` with a trace, and otherwise says why the search
-    gave up: ``bound`` (the move lower bound exceeds the depth), ``depth``
-    (no sequence within the depth was found), ``cap`` (a run kept
-    :data:`MAX_NODES` states) or ``exhausted`` (one end's whole space of
-    diagrams within the size bound was searched without meeting the other).
+    ``reason``, a required keyword, is ``found`` with a trace, and otherwise
+    says why the search gave up: ``bound`` (the move lower bound exceeds the
+    depth), ``depth`` (no sequence within the depth was found), ``cap`` (a
+    run kept :data:`MAX_NODES` states) or ``exhausted`` (one end's whole
+    space of diagrams within the size bound was searched without meeting
+    the other).
     """
 
-    equivalent: bool
-    trace: WalkTrace | None = None
-    reason: str = field(kw_only=True)
+    __slots__ = ()
+
+    def __new__(cls, equivalent: bool, trace: WalkTrace | None = None, *, reason: str):
+        return tuple.__new__(cls, (equivalent, trace, reason))
+
+    def __getnewargs_ex__(self):
+        # pickle and copy pass reason by keyword, as __new__ requires
+        return (self.equivalent, self.trace), {"reason": self.reason}
 
 
 # -- pattern scanning ---------------------------------------------------------
@@ -224,7 +238,7 @@ def enumerate_moves(d: Diagram, *, kinds=None, forbid_pure: bool = False) -> lis
                         pairs = tuple(sorted((u, v, w)))
                         sites.append(MoveSite("R3", names=(x, y, z), pairs=pairs))
 
-    sites.sort(key=lambda s: (s.kind, s.pairs, s.names))
+    sites.sort(key=attrgetter("kind", "pairs", "names"))
     return sites
 
 
@@ -1039,7 +1053,8 @@ def _parse_slot(token: str, lineno: int) -> tuple[int, int, bool]:
 
 def parse_trace(text: str | bytes) -> list[MoveSite]:
     """Parse the line-oriented trace log emitted by :func:`serialize_trace`;
-    a leading byte order mark is dropped, as :func:`parse_diagram` drops it.
+    lines end and a leading byte order mark is dropped as in
+    :func:`parse_diagram`.
 
     Raises :class:`ParseError`, with the line number, on bytes that are not
     UTF-8, an unknown move kind, a wrong number of fields, a crossing name
@@ -1048,7 +1063,7 @@ def parse_trace(text: str | bytes) -> list[MoveSite]:
     ``same`` or ``swap``.
     """
     moves = []
-    for lineno, raw in enumerate(_text(text).splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(_text(text)), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -11,12 +11,18 @@ reduced words is rotation equality.
 The slide automorphisms flip one fixed bit in every letter; they commute and
 are involutions, so the subgroup they generate is enumerated by the 2^(n-2)
 bit masks.
+
+Its records, :class:`GroupContext` and :class:`Word`, are immutable named
+tuples, each equal to the tuple of its fields: the data class module's
+``replace``, ``fields`` and ``asdict`` do not apply to them (``_replace``
+and ``_fields`` do), and only :class:`~freelinks.diagram.Diagram` caches
+fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 __all__ = [
     "GroupContext",
@@ -44,23 +50,23 @@ class WordError(ValueError):
     """A word operation was applied to incompatible or malformed data."""
 
 
-@dataclass(frozen=True)
-class GroupContext:
-    """The value group for component count n and component pair {i, j}."""
+class GroupContext(NamedTuple("GroupContext", [("n", int), ("i", int), ("j", int)])):
+    """The value group for component count n and component pair {i, j},
+    stored with i < j."""
 
-    n: int
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __new__(cls, n: int, i: int, j: int):
+        if i == j:
             raise WordError("the component pair must consist of two distinct components")
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise WordError(f"pair ({self.i}, {self.j}) out of range 1..{self.n}")
-        if self.i > self.j:
-            i, j = self.j, self.i
-            object.__setattr__(self, "i", i)
-            object.__setattr__(self, "j", j)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise WordError(f"pair ({i}, {j}) out of range 1..{n}")
+        return tuple.__new__(cls, (n, i, j) if i < j else (n, j, i))
+
+    @classmethod
+    def _make(cls, iterable) -> GroupContext:
+        # so that _replace checks and orders the pair as __new__ does
+        return cls(*iterable)
 
     @property
     def strands(self) -> tuple[int, ...]:
@@ -72,24 +78,29 @@ class GroupContext:
         return self.n - 2
 
 
-@dataclass(frozen=True)
-class Word:
-    """A sequence of letters in one group context."""
+class Word(NamedTuple("Word", [("context", GroupContext), ("letters", tuple[Letter, ...])])):
+    """A sequence of letters in one group context.  ``len()`` counts its
+    letters."""
 
-    context: GroupContext
-    letters: tuple[Letter, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for letter in self.letters:
-            if len(letter) != self.context.width:
+    def __new__(cls, context: GroupContext, letters: tuple[Letter, ...]):
+        for letter in letters:
+            if len(letter) != context.width:
                 raise WordError(
-                    f"letter {letter} has length {len(letter)}, expected {self.context.width}"
+                    f"letter {letter} has length {len(letter)}, expected {context.width}"
                 )
             if any(bit not in (0, 1) for bit in letter):
                 raise WordError(f"letter {letter} has non-bit entries")
+        return tuple.__new__(cls, (context, letters))
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    @classmethod
+    def _make(cls, iterable) -> Word:
+        # NamedTuple's own _make checks the field count with len()
+        return cls(*iterable)
 
 
 def make_word(context: GroupContext, letters) -> Word:
@@ -99,10 +110,7 @@ def make_word(context: GroupContext, letters) -> Word:
 def _word(context: GroupContext, letters: tuple[Letter, ...]) -> Word:
     """A ``Word`` of letters already known to be bit tuples of the context's
     width, built without checking them again."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "context", context)
-    object.__setattr__(w, "letters", letters)
-    return w
+    return tuple.__new__(Word, (context, letters))
 
 
 def _same_context(u: Word, v: Word) -> GroupContext:

@@ -65,6 +65,10 @@ from freelinks.words import (
     render_word,
 )
 
+# the characters at which str.splitlines ends a line and the text formats do
+# not: \n, \r\n and \r alone end a line of a diagram or a trace
+SPLITLINES_ONLY_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 
 # -- reference per-diagram data --------------------------------------------------
 #

@@ -197,12 +197,15 @@ class TestValidate:
         assert (code, out) == (2, "") and "(line 2, column 21)" in err
         assert invoke(capsys, "validate", str(marked)) == (code, out, err)
 
-    @pytest.mark.parametrize("variant", ["crlf", "cr", "mark"])
+    @pytest.mark.parametrize("variant", ["crlf", "cr", "mark", "comment"])
     def test_line_ends_and_mark_print_the_same(self, capsys, tmp_path, variant):
         def copy(path: str) -> str:
             data = Path(path).read_bytes()
             if variant == "mark":
                 data = b"\xef\xbb\xbf" + data
+            elif variant == "comment":
+                # str.splitlines breaks a line at each, a line end does not
+                data = data.replace(b"#", "#\f\x85\u2028".encode())
             else:
                 data = data.replace(b"\n", b"\r\n" if variant == "crlf" else b"\r")
             target = tmp_path / f"{variant}-{Path(path).name}"

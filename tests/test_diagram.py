@@ -26,6 +26,7 @@ from freelinks.diagram import _diagram_from_key, _isomorphic
 from freelinks.moves import _expand, apply_move
 
 from genutil import (
+    SPLITLINES_ONLY_BREAKS,
     fuzz_walk_diagrams,
     naive_canonical_key,
     random_any_diagram,
@@ -159,6 +160,16 @@ class TestParse:
         # only a leading mark is dropped
         with pytest.raises(ParseError, match="expected 'tangle n=<N>'"):
             parse_diagram("\ufeff\ufeff" + text)
+
+    @pytest.mark.parametrize("mark", SPLITLINES_ONLY_BREAKS)
+    def test_only_cr_and_lf_end_lines(self, mark):
+        text = f"link n=1  # head{mark}note\ncomponent 1 closed: a a  # {mark}x{mark}\n"
+        assert parse_diagram(text) == parse_diagram("link n=1\ncomponent 1 closed: a a\n")
+        assert parse_diagram(text.encode()) == parse_diagram(text)
+        # line numbers count \n, \r\n and \r alone
+        with pytest.raises(ParseError) as err:
+            parse_diagram(f"# {mark}\r\nlink n=1 {mark}\rcomponent 1 closed: a-b a-b\n")
+        assert (err.value.line, err.value.column) == (3, 21)
 
     @pytest.mark.parametrize("text", ["", b"", "# a comment\n\n   \n"])
     def test_refuses_empty_input(self, text):

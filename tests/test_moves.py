@@ -32,6 +32,7 @@ from freelinks.moves import (
 
 from conftest import DATA
 from genutil import (
+    SPLITLINES_ONLY_BREAKS,
     plant_triangle,
     random_any_diagram,
     random_good_diagram,
@@ -1204,6 +1205,14 @@ class TestTraceFormat:
         with pytest.raises(ParseError) as caught:
             parse_trace(b"\xef\xbb\xbf" + text.encode() + b"\xff")
         assert str(caught.value) == "input is not UTF-8 (invalid start byte at byte 24) (line 2)"
+
+    @pytest.mark.parametrize("mark", SPLITLINES_ONLY_BREAKS)
+    def test_only_cr_and_lf_end_lines(self, mark):
+        text = f"# the move{mark}after\nR3 x y z 1:0 2:0 3:0  # {mark}R1_delete{mark}\n"
+        assert parse_trace(text) == parse_trace("R3 x y z 1:0 2:0 3:0\n")
+        with pytest.raises(ParseError) as caught:
+            parse_trace(f"# {mark}\r\n# {mark}\rR3 x y z 1:0 2:0\n")
+        assert caught.value.line == 3
 
     @pytest.mark.parametrize("name", ["a-b", "a,b", "é"])
     def test_rejects_names_a_diagram_cannot_hold(self, name):

@@ -1,7 +1,11 @@
-"""The package namespace is exactly the union of its modules' ``__all__``."""
+"""The package namespace is exactly the union of its modules' ``__all__``,
+and importing the command line loads no module it does not need."""
 
 import importlib
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import freelinks
 
@@ -29,3 +33,19 @@ def test_star_import_binds_no_module():
     assert names == set(freelinks.__all__)
     assert not any(isinstance(namespace[name], types.ModuleType) for name in names)
     assert namespace["require_valid"] is importlib.import_module("freelinks.diagram").require_valid
+
+
+def test_command_line_import_loads_no_record_code_generation():
+    # building records with generated code took most of the import's time,
+    # and dataclasses also imports inspect; compared against the modules
+    # that interpreter start-up loaded before the import
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import freelinks.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
