@@ -32,8 +32,10 @@ does exactly when the GF(2) interlacement matrix of the component's pure
 chords, with the chords set to branch ``B`` on the diagonal, is nonsingular
 (Cohn and Lempel 1972; Zulli 1995).  A depth-first search over the rows
 finds those states, and only they are traced, each by a walk over one
-table of the component's runs that all its states share.  The whole
-expansion runs in the calling process.
+flat table that all its states share: per directed run of unspliced
+passes, the crossing that ends it and the run that follows under each
+branch.  The traced curves cancel mod 2 as read, and only the survivors
+are normalised.  The whole expansion runs in the calling process.
 
 Every component has an odd number of one-curve states: over GF(2),
 det(A + diag x) is multilinear in x with top term x_1 ... x_m, so its sum
@@ -65,6 +67,7 @@ from typing import NamedTuple
 from .diagram import (
     ComponentCode,
     Diagram,
+    DiagramError,
     _diagram_from_key,
     canonical_key,
     require_valid,
@@ -119,64 +122,83 @@ class Verdict(NamedTuple):
 
 def _splice_table(d: Diagram, names: tuple[str, ...]):
     """The runs of ``d`` cut at the passes of ``names``, distinct crossings
-    of ``d``, as ``(rows, starts, leftover)``.
+    of ``d`` with two passes each, as flat lists.
 
-    Run u is read forward as directed run 2u and backward as 2u + 1.
-    ``rows[k]`` is ``(passes, component, r, after_a, after_b)``: the passes
-    in reading order, the component they lie on, and, when the run ends at
-    a spliced pass of ``names[r]``, the directed runs that follow under
-    branches A and B.  At an open end r is -1, and an odd ``k`` means a
-    start; at the cut before a closed component's first pass both branches
-    go on into the next run.  ``starts[ci - 1]`` is ``(k, closed)``, with ``k`` the first run
-    of component ci read forward, or -1 for a closed component without
-    passes.  ``leftover`` lists the forward runs with passes in scan order,
-    then those without by their first end in scan order (the ends of pass g
-    numbered 2g before it and 2g + 1 after it).
+    One scan of the passes against a name index numbers the cuts: the
+    first pass of ``names[r]`` in scan order (components in index order,
+    positions left to right) is cut 2r and its second is cut 2r + 1, and
+    the cut before the first pass of closed component ci, when that pass is
+    unspliced, is 2m + ci - 1 for m names.  Run u is read forward as
+    directed run 2u and backward as 2u + 1.  The result is ``(reads,
+    owner, chord, succ, starts, leftover)``: directed run k reads the
+    passes ``reads[k]`` on component ``owner[k]`` and ends at a spliced
+    pass of ``names[chord[k]]``, where ``succ[2k]`` follows it under branch
+    A and ``succ[2k + 1]`` under B.  At an open end ``chord[k]`` is -1, and
+    an odd ``k`` means a start; at the cut before a closed component's
+    first pass it is 0 and both successors go on into the next run.
+    ``starts[ci - 1]`` is ``(k, closed)``, with ``k`` the first run of
+    component ci read forward, or -1 for a closed component without passes.
+    ``leftover`` lists the forward runs with passes in scan order, then
+    those without by their first end in scan order (the ends of pass g
+    numbered 2g before it and 2g + 1 after it): on each component, the run
+    that closes a closed component back to its first cut comes first.
     """
-    cut_at = {}
-    for r, name in enumerate(names):
-        (c1, p1), (c2, p2) = d.occurrences[name]
-        cut_at[c1, p1], cut_at[c2, p2] = 2 * r, 2 * r + 1
+    cut = {name: 2 * r for r, name in enumerate(names)}
     joint = 2 * len(names)  # cut ids from here on continue a run unspliced
-    runs, before, after, starts, keys = [], {}, {}, [], []
-    g = 0  # the scan index of the component's first pass
+    # the forward and the backward directed run that leave each cut
+    after = [0] * (joint + len(d.components))
+    before = after.copy()
+    reads, owner, ends, starts, full, empty = [], [], [], [], [], []
     for ci, comp in enumerate(d.components, start=1):
-        L, passes = len(comp.passes), comp.passes
-        cuts = [(p, cut_at[ci, p]) for p in range(L) if (ci, p) in cut_at]
-        if comp.closed:
-            if L and (not cuts or cuts[0][0]):
-                cuts.insert(0, (-1, joint + ci))
-            bounds = zip(cuts, cuts[1:] + cuts[:1])
-        else:
-            cuts = [(-1, None), *cuts, (L, None)]
-            bounds = zip(cuts, cuts[1:])
-        starts.append((2 * len(runs), comp.closed) if cuts else (-1, True))
-        for (p, x), (q, y) in bounds:
-            seq = passes[p + 1 : q] if p < q else passes[p + 1 :] + passes[: max(q, 0)]
-            if x is not None:
-                after[x] = len(runs)
-            if y is not None:
-                before[y] = len(runs)
-            keys.append(2 * (g + p) + 1 if p < q else 2 * g)
-            runs.append((ci, seq, x, y))
-        g += L
-
-    def leave(cut, forward):
-        return 2 * after[cut] if forward else 2 * before[cut] + 1
-
-    rows = []
-    for ci, seq, x, y in runs:
-        for cut, forward, read in ((y, True, seq), (x, False, seq[::-1])):
-            if cut is None:
-                rows.append((read, ci, -1, 0, 0))
-            elif cut >= joint:
-                rows.append((read, ci, 0, leave(cut, forward), leave(cut, forward)))
+        passes, closed = comp.passes, comp.closed
+        if closed and not passes:
+            starts.append((-1, True))
+            continue
+        starts.append((len(reads), closed))
+        first = x = joint + ci - 1 if closed else None
+        bounds, lo = [], 0  # each run of the component as (lo, hi, x, y)
+        for p, name in enumerate(passes):
+            y = cut.get(name)
+            if y is None:
+                continue
+            cut[name] = y | 1
+            if p or not closed:
+                bounds.append((lo, p, x, y))
             else:
-                partner = cut ^ 1
-                rows.append((read, ci, cut >> 1, leave(partner, forward), leave(partner, not forward)))
-    full = [2 * u for u, run in enumerate(runs) if run[1]]
-    empty = sorted((2 * u for u, run in enumerate(runs) if not run[1]), key=lambda k: keys[k >> 1])
-    return rows, starts, full + empty
+                first = y  # no cut before a spliced first pass
+            x, lo = y, p + 1
+        bounds.append((lo, len(passes), x, first))
+        mark = len(empty)
+        for lo, hi, x, y in bounds:
+            k = len(reads)
+            run = passes[lo:hi]
+            reads += (run, run[::-1])
+            ends += (y, x)  # the cut each direction arrives at
+            (full if run else empty).append(k)
+            if x is not None:
+                after[x] = k
+            if y is not None:
+                before[y] = k + 1
+        if closed and not run:
+            # the last run's first end, before the component's first pass,
+            # precedes every other end of the component
+            empty.insert(mark, empty.pop())
+        owner += (ci,) * (len(reads) - len(owner))
+
+    chord, succ = [], []
+    for k, y in enumerate(ends):
+        if y is None:
+            chord.append(-1)
+            succ += (0, 0)
+        elif y >= joint:
+            chord.append(0)
+            on = before[y] if k & 1 else after[y]
+            succ += (on, on)
+        else:
+            # the crossing's other pass: A keeps the direction, B reverses it
+            chord.append(y >> 1)
+            succ += (before[y ^ 1], after[y ^ 1]) if k & 1 else (after[y ^ 1], before[y ^ 1])
+    return reads, owner, chord, succ, starts, full + empty
 
 
 def _splice_components(d: Diagram, code: int, table):
@@ -184,17 +206,19 @@ def _splice_components(d: Diagram, code: int, table):
 
     ``table`` is ``_splice_table(d, names)``, and bit r of ``code`` picks
     branch B for ``names[r]`` (A when clear), so one table serves all the
-    states of ``names``.  Each curve is read run by run from its first run
-    until it returns there or reaches an open end.  Returns ``(components,
-    sources)`` where ``sources[k]`` is the set of source component indices
-    whose arcs or passes the k-th result component traverses.  Result
-    components are ordered: for each source component in index order, the
-    curve through its start (open) or through the arc leaving its first
-    pass (closed, when that pass is spliced) or through its first pass
-    itself; then the remaining curves in the order of ``leftover``.
+    states of ``names``: after directed run k, a curve goes on into
+    ``succ[2k + bit]`` for the bit of the crossing that ends k.  Each curve
+    is read run by run from its first run until it returns there or
+    reaches an open end.  Returns ``(components, sources)`` where
+    ``sources[k]`` is the set of source component indices whose arcs or
+    passes the k-th result component traverses.  Result components are
+    ordered: for each source component in index order, the curve through
+    its start (open) or through the arc leaving its first pass (closed,
+    when that pass is spliced) or through its first pass itself; then the
+    remaining curves in the order of ``leftover``.
     """
-    rows, starts, leftover = table
-    seen = bytearray(len(rows) >> 1)
+    reads, owner, chord, succ, starts, leftover = table
+    seen = bytearray(len(owner) >> 1)
 
     def walk(start):
         seq: list[str] = []
@@ -202,12 +226,12 @@ def _splice_components(d: Diagram, code: int, table):
         k = start
         while True:
             seen[k >> 1] = 1
-            passes, ci, r, after_a, after_b = rows[k]
-            seq += passes
-            touched.add(ci)
+            seq += reads[k]
+            touched.add(owner[k])
+            r = chord[k]
             if r < 0:
                 return seq, touched, k
-            k = after_b if code >> r & 1 else after_a
+            k = succ[2 * k + (code >> r & 1)]
             if k == start:
                 return seq, touched, None
 
@@ -246,8 +270,13 @@ def apply_splices(d: Diagram, branches: dict[str, str]) -> Diagram:
 
     Branch labels refer to the scan order of each crossing's passes in ``d``
     itself, so the result is independent of any splice ordering.  Raises
+    :class:`DiagramError` when ``d`` is invalid, except that a tangle may
+    hold the closed curves that splicing a tangle splits off, and
     :class:`BracketError` on an unknown crossing or branch.
     """
+    broken = [v for v in d.violations if v.detail != "closed component in a tangle"]
+    if broken:
+        raise DiagramError("invalid diagram: " + "; ".join(str(v) for v in broken))
     for name, branch in branches.items():
         if name not in d.occurrences:
             raise BracketError(f"unknown crossing {name!r}")
@@ -327,38 +356,33 @@ def _least_curve(curve: ComponentCode) -> ComponentCode:
     return curve
 
 
-def _one_block(comp: ComponentCode, pures) -> bool:
-    """Whether the passes of ``pures`` on ``comp`` form at most one block,
-    cyclic on a closed component and linear on an open one."""
+def _forced_curve(comp: ComponentCode, pures) -> ComponentCode | None:
+    """The curve that every one-curve state of ``comp`` leaves when the
+    passes of ``pures`` on it form at most one block, cyclic on a closed
+    component and linear on an open one: its unspliced passes in their
+    order.  ``None`` when they form more blocks."""
     cut = set(pures)
     spliced = [name in cut for name in comp.passes]
     previous = spliced[-1:] + spliced[:-1] if comp.closed else [False] + spliced[:-1]
     # a block of pure passes starts at each spliced pass after an unspliced one
-    return sum(s and not p for s, p in zip(spliced, previous)) <= 1
+    if sum(s and not p for s, p in zip(spliced, previous)) > 1:
+        return None
+    return ComponentCode(comp.closed, tuple(name for name in comp.passes if name not in cut))
 
 
 def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode]:
     """Mod-2 set of the one-curve results of one component's states.
 
     ``sub`` holds the component alone, and bit r of a state picks the
-    branch of ``pures[r]``.  The number of one-curve states is odd: summed
-    over all diagonals x, det(A + diag x) over GF(2) leaves only the
-    coefficient of x_1 ... x_m, which is 1.  Each one-curve state keeps
-    every unspliced pass, so when the pure passes form one block, cyclic on
-    a closed component and linear on an open one, every such state leaves
-    the unspliced passes in their order, read as one run, and that curve is
-    the result with no state traced.  Otherwise only the states that
-    :func:`_one_curve_codes` finds are traced.  Each curve is at its least
-    rotation or reversal, so that curves equal as closed curves cancel.
+    branch of ``pures[r]``.  Only the states that :func:`_one_curve_codes`
+    finds are traced.  Their curves cancel mod 2 as read; each survivor is
+    then put at its least rotation or reversal, and those cancel again, so
+    that curves equal as closed curves cancel and one normalisation runs
+    per surviving raw curve.
     """
-    comp = sub.components[0]
-    if _one_block(comp, pures):
-        cut = set(pures)
-        kept = tuple(name for name in comp.passes if name not in cut)
-        return {_least_curve(ComponentCode(comp.closed, kept))}
     table = _splice_table(sub, pures)
-    rows = _interlacement_rows(comp.passes, pures)
-    odd: set[ComponentCode] = set()
+    rows = _interlacement_rows(sub.components[0].passes, pures)
+    raw: set[ComponentCode] = set()
     for code in _one_curve_codes(rows):
         components, _ = _splice_components(sub, code, table)
         if len(components) != 1:
@@ -366,7 +390,10 @@ def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode
                 f"state {code} of the pure crossings {', '.join(pures)} left "
                 f"{len(components)} curves where the interlacement test predicts one"
             )
-        odd ^= {_least_curve(components[0])}
+        raw ^= {components[0]}
+    odd: set[ComponentCode] = set()
+    for curve in raw:
+        odd ^= {_least_curve(curve)}
     return odd
 
 
@@ -387,14 +414,16 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
     """
     pures = require_valid(d).pure
     own = [tuple(sorted(pures.intersection(comp.passes))) for comp in d.components]
-    traced = sum(len(p) for comp, p in zip(d.components, own) if not _one_block(comp, p))
+    forced = [_forced_curve(comp, p) for comp, p in zip(d.components, own)]
+    traced = sum(len(p) for p, curve in zip(own, forced) if curve is None)
     if traced > max_pure:
         raise BracketError(
             f"{traced} pure crossings to trace exceed the expansion cap of {max_pure}; "
             "only the library call bracket(d, max_pure=N) raises the cap"
         )
     survivors = [
-        _component_states(Diagram(d.kind, (comp,)), p) for comp, p in zip(d.components, own)
+        _component_states(Diagram(d.kind, (comp,)), p) if curve is None else {_least_curve(curve)}
+        for comp, p, curve in zip(d.components, own, forced)
     ]
 
     keys: set[tuple] = set()

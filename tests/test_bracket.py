@@ -16,6 +16,7 @@ from freelinks.bracket import (
 from freelinks.diagram import (
     ComponentCode,
     Diagram,
+    DiagramError,
     canonical_form,
     canonical_key,
     parse_diagram,
@@ -28,6 +29,7 @@ _splice_table = _bracket_module._splice_table
 _interlacement_rows = _bracket_module._interlacement_rows
 _one_curve_codes = _bracket_module._one_curve_codes
 _least_curve = _bracket_module._least_curve
+_component_states = _bracket_module._component_states
 
 from genutil import (
     brute_bracket_keys,
@@ -58,33 +60,46 @@ class TestSplice:
         assert out.n == 2
         assert all(c == ComponentCode(True, ()) for c in out.components)
 
+    # the passes around each spliced crossing are partnered on one more
+    # component, so that every diagram spliced is valid
+
     def test_open_branch_b_reverses_segment(self):
-        d = Diagram("tangle", (ComponentCode(False, ("a1", "x", "b1", "b2", "x", "c1")),))
+        d = parse_diagram(
+            "tangle n=2\ncomponent 1 open: a1 x b1 b2 x c1\ncomponent 2 open: a1 b1 b2 c1"
+        )
         out = apply_splices(d, {"x": "B"})
         assert out.components[0].passes == ("a1", "b2", "b1", "c1")
+        assert out.components[1] == d.components[1]
 
     def test_open_branch_a_splits_off_circle(self):
-        d = Diagram("tangle", (ComponentCode(False, ("a1", "x", "b1", "b2", "x", "c1")),))
+        d = parse_diagram(
+            "tangle n=2\ncomponent 1 open: a1 x b1 b2 x c1\ncomponent 2 open: a1 b1 b2 c1"
+        )
         out = apply_splices(d, {"x": "A"})
         assert out.components[0] == ComponentCode(False, ("a1", "c1"))
-        assert out.components[1] == ComponentCode(True, ("b1", "b2"))
+        assert out.components[1] == d.components[1]
+        assert out.components[2] == ComponentCode(True, ("b1", "b2"))
 
     def test_closed_branch_rules(self):
-        d = Diagram("link", (ComponentCode(True, ("x", "q1", "q2", "x", "r1", "r2")),))
+        d = parse_diagram(
+            "link n=2\ncomponent 1 closed: x q1 q2 x r1 r2\ncomponent 2 closed: q1 q2 r1 r2"
+        )
+        other = d.components[1].passes
         out_a = apply_splices(d, {"x": "A"})
-        assert [c.passes for c in out_a.components] == [("q1", "q2"), ("r1", "r2")]
+        assert [c.passes for c in out_a.components] == [("q1", "q2"), other, ("r1", "r2")]
         out_b = apply_splices(d, {"x": "B"})
-        assert [c.passes for c in out_b.components] == [("q1", "q2", "r2", "r1")]
+        assert [c.passes for c in out_b.components] == [("q1", "q2", "r2", "r1"), other]
 
     def test_merge_between_components(self):
-        d = Diagram(
-            "link",
-            (ComponentCode(True, ("x", "q1", "q2")), ComponentCode(True, ("x", "s1", "s2"))),
+        d = parse_diagram(
+            "link n=3\ncomponent 1 closed: x q1 q2\ncomponent 2 closed: x s1 s2"
+            "\ncomponent 3 closed: q1 q2 s1 s2"
         )
+        other = d.components[2].passes
         out_a = apply_splices(d, {"x": "A"})
-        assert [c.passes for c in out_a.components] == [("q1", "q2", "s1", "s2")]
+        assert [c.passes for c in out_a.components] == [("q1", "q2", "s1", "s2"), other]
         out_b = apply_splices(d, {"x": "B"})
-        assert [c.passes for c in out_b.components] == [("q1", "q2", "s2", "s1")]
+        assert [c.passes for c in out_b.components] == [("q1", "q2", "s2", "s1"), other]
 
     def test_open_strand_swap(self):
         # a direction-preserving splice between two open strands swaps tails
@@ -120,6 +135,22 @@ class TestSplice:
                 continue
             assert _splice_components(d, code, table) == expected, (d, branches)
         assert 0 < refused < 150
+        # every state of named inputs whose splices leave pass-free curves
+        # with different sources, which fixes their order: a closed
+        # component whose first pass is unspliced, and one whose first and
+        # last passes are spliced, so that the empty run closing it back to
+        # its first pass is the first pass-free run of the component
+        for text in (
+            "link n=2\ncomponent 1 closed: m k k c d m\ncomponent 2 closed: d c j j",
+            "link n=2\ncomponent 1 closed: x k k y\ncomponent 2 closed: y x",
+        ):
+            d = parse_diagram(text)
+            names = tuple(sorted(d.crossing_names))
+            table = _splice_table(d, names)
+            for code in range(1 << len(names)):
+                branches = {name: "AB"[code >> r & 1] for r, name in enumerate(names)}
+                expected = reference_splice_components(d, branches)
+                assert _splice_components(d, code, table) == expected, (text, branches)
 
     def test_table_reuse_matches_reference(self):
         # one table per set of spliced crossings serves every state: lone
@@ -160,6 +191,16 @@ class TestSplice:
     def test_bad_branch(self):
         with pytest.raises(BracketError, match="branch"):
             apply_splices(KINK, {"x": "C"})
+
+    @pytest.mark.parametrize(
+        "passes, name",
+        [("a b a", "a"), ("a b a", "b"), ("a b a b a", "a"), ("a b a b a", "b")],
+    )
+    def test_names_without_two_passes_are_refused(self, passes, name):
+        # a crossing with one or three passes, spliced or not
+        d = Diagram("link", (ComponentCode(True, tuple(passes.split())),))
+        with pytest.raises(DiagramError, match="occurs"):
+            apply_splices(d, {name: "A"})
 
 
 class TestExpansion:
@@ -295,6 +336,28 @@ class TestOneCurveCriterion:
             assert len(calls) == expected
             assert {canonical_key(s) for s in value.summands} == brute_bracket_keys(d)
         assert kinds == {True, False}
+
+    def test_one_normalisation_per_surviving_raw_curve(self, monkeypatch):
+        # five one-curve states leave three raw curves, one of them three
+        # times; all are rotations of one closed curve, which survives once
+        sub = Diagram("link", (ComponentCode(True, tuple("p0 p1 p2 m1 m2 p0 p2 m0 p1".split())),))
+        pures = ("p0", "p1", "p2")
+        states = one_curve_codes_by_tracing(sub, pures, reference=True)
+        raw = set()
+        for code in states:
+            branches = {p: "AB"[code >> r & 1] for r, p in enumerate(pures)}
+            raw ^= {reference_splice_components(sub, branches)[0][0]}
+        calls = []
+
+        def counting(curve):
+            calls.append(curve)
+            return _least_curve(curve)
+
+        monkeypatch.setattr(_bracket_module, "_least_curve", counting)
+        odd = _component_states(sub, pures)
+        assert sorted(calls) == sorted(raw)
+        assert len(states) == 5 and len(raw) == 3
+        assert odd == {ComponentCode(True, ("m0", "m1", "m2"))}
 
 
 def pure_passes_form_one_block(comp, pures):
