@@ -74,7 +74,6 @@ from .diagram import (
     serialize_diagram,
 )
 from .invariant import _class_words, fingerprint, render_fingerprint
-from .moves import bounded_equivalence_search
 from .words import _least_rotation
 
 __all__ = [
@@ -503,6 +502,9 @@ def bracket_equal(p: Bracket, q: Bracket, depth: int) -> Verdict:
             return Verdict("distinct", min(worded))
         parity, _ = min(odd, key=str)
         return Verdict("distinct", "odd crossing parities at pairs " + _odd_pairs(parity))
+
+    # loaded here: a bracket decided by its keys needs no move code
+    from .moves import bounded_equivalence_search
 
     for group in groups.values():
         root = list(range(len(group)))

@@ -12,7 +12,8 @@ Each input file is read as bytes at once and decoded once as UTF-8, and a
 leading byte order mark is dropped; lines end at ``\n``, ``\r\n`` or
 ``\r``.  Every input diagram is validated once, when it is loaded; only
 ``validate`` reads an invalid one.  Output is deterministic for fixed
-inputs and seed; diagnostics go to stderr.
+inputs and seed; diagnostics go to stderr.  Only ``compare``, ``fuzz`` and
+``replay`` load :mod:`freelinks.moves`, each once per call as it starts.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .diagram import (
     Basepoint,
     Diagram,
     DiagramError,
+    MoveError,
     ParseError,
     _isomorphic,
     _text,
@@ -43,19 +45,6 @@ from .invariant import (
     link_invariant,
     link_word,
     word_invariant,
-)
-from .moves import (
-    MoveError,
-    MoveSite,
-    WalkTrace,
-    _walk,
-    apply_move,
-    bounded_equivalence_search,
-    join_by_descent,
-    move_lower_bound,
-    parse_trace,
-    replay,
-    serialize_trace,
 )
 from .words import WordError, orbit_representatives, render_word
 
@@ -249,6 +238,13 @@ def _cmd_compare(args) -> int:
     that reaches :data:`~freelinks.moves.MAX_CLOSURE` states leaves the
     answer to the search.
     """
+    from .moves import (
+        bounded_equivalence_search,
+        join_by_descent,
+        move_lower_bound,
+        serialize_trace,
+    )
+
     a = _load(args.file_a)
     b = _load(args.file_b)
     if a.n != b.n or a.kind != b.kind:
@@ -324,6 +320,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .moves import MoveSite, WalkTrace, _walk, apply_move, serialize_trace
+
     d = _load(args.file)
     track_words = args.forbid_pure and not d.pure and not any(d.parity.values())
     # compared as letter indices, with no word built: a tangle's words are
@@ -378,6 +376,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from .moves import parse_trace, replay
+
     d = _load(args.file)
     final = replay(d, parse_trace(_read(args.trace)))
     sys.stdout.write(serialize_diagram(final))

@@ -69,6 +69,13 @@ class DiagramError(ValueError):
     """A diagram violates a structural precondition."""
 
 
+class MoveError(ValueError):
+    """A move site does not apply to the given diagram.
+
+    Defined here, and exported by :mod:`freelinks.moves`, so that the command
+    line maps it to its exit code without loading the move code."""
+
+
 class ParseError(DiagramError):
     """The text form of a diagram is malformed."""
 

@@ -58,6 +58,7 @@ from .diagram import (
     TOKEN_RE,
     ComponentCode,
     Diagram,
+    MoveError,
     ParseError,
     _isomorphic,
     _lines,
@@ -102,10 +103,6 @@ _TRACE_FIELDS = {
     "R2_insert": (2, 2),
     "R3": (3, 3),
 }
-
-
-class MoveError(ValueError):
-    """A move site does not apply to the given diagram."""
 
 
 class MoveSite(NamedTuple):

@@ -687,7 +687,9 @@ class TestBracketEqual:
         def no_search(*args, **kwargs):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(_bracket_module, "bounded_equivalence_search", no_search)
+        # bracket_equal loads the search from freelinks.moves when it needs it
+        moves = importlib.import_module("freelinks.moves")
+        monkeypatch.setattr(moves, "bounded_equivalence_search", no_search)
         verdict = bracket_equal(bracket(sample_tangle), bracket(trivial_tangle), 2)
         assert verdict.status == "distinct"
         assert "(0)·(1)" in verdict.certificate

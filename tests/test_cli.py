@@ -28,6 +28,8 @@ from genutil import (
     scramble,
 )
 
+_moves_module = importlib.import_module("freelinks.moves")
+
 SAMPLE = str(DATA / "three_strand.tangle")
 TRIVIAL = str(DATA / "trivial_3_3.tangle")
 TRIANGLE = str(DATA / "triangle.tangle")
@@ -416,10 +418,8 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("the parity tables differ; no search is needed")
 
-        for module in ("freelinks.cli", "freelinks.bracket"):
-            monkeypatch.setattr(
-                importlib.import_module(module), "bounded_equivalence_search", forbidden
-            )
+        # compare and bracket_equal load the search from freelinks.moves
+        monkeypatch.setattr(_moves_module, "bounded_equivalence_search", forbidden)
         code, out, _ = invoke(capsys, "compare", a, b)
         assert code == 1
         assert out.splitlines() == [
@@ -435,20 +435,21 @@ class TestCompare:
         a = write_tangle(tmp_path / "a.tangle", UNJOINED_A)
         b = write_tangle(tmp_path / "b.tangle", UNJOINED_B)
         calls = []
+        search, join = freelinks.moves.bounded_equivalence_search, freelinks.moves.join_by_descent
 
         def counted(a, b, depth, **kwargs):
             calls.append(("search", depth))
-            return freelinks.moves.bounded_equivalence_search(a, b, depth, **kwargs)
+            return search(a, b, depth, **kwargs)
 
         def descent(a, b):
             calls.append(("descent",))
-            return freelinks.moves.join_by_descent(a, b)
+            return join(a, b)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the brackets of pure-free inputs decide nothing")
 
-        monkeypatch.setattr(freelinks.cli, "bounded_equivalence_search", counted)
-        monkeypatch.setattr(freelinks.cli, "join_by_descent", descent)
+        monkeypatch.setattr(freelinks.moves, "bounded_equivalence_search", counted)
+        monkeypatch.setattr(freelinks.moves, "join_by_descent", descent)
         monkeypatch.setattr(freelinks.cli, "bracket", forbidden)
         monkeypatch.setattr(freelinks.cli, "bracket_equal", forbidden)
         code, out, _ = invoke(capsys, "compare", a, b)
@@ -457,6 +458,7 @@ class TestCompare:
 
     def test_far_inputs_are_joined_by_descent_alone(self, capsys, tmp_path, monkeypatch):
         import freelinks.cli
+        import freelinks.moves
 
         # two unlinks: two bigons on pair (2,3) and one on (1,3), against two
         # on (1,2); their fingerprints agree, and they are 5 moves apart, one
@@ -467,7 +469,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("the descent decides first")
 
-        monkeypatch.setattr(freelinks.cli, "bounded_equivalence_search", forbidden)
+        monkeypatch.setattr(freelinks.moves, "bounded_equivalence_search", forbidden)
         monkeypatch.setattr(freelinks.cli, "bracket", forbidden)
         monkeypatch.setattr(freelinks.cli, "bracket_equal", forbidden)
         code, out, _ = invoke(capsys, "compare", a, b)
@@ -488,13 +490,14 @@ class TestCompare:
         # and its closure of the moved triangle holds two diagrams
         a = write_tangle(tmp_path / "a.tangle", ["y x a b c d", "z x a b c d", "z y"])
         ends = []
+        join = freelinks.moves.join_by_descent
 
         def descent(a, b):
-            ends.append(freelinks.moves.join_by_descent(a, b))
+            ends.append(join(a, b))
             return ends[-1]
 
         cap = freelinks.moves.MAX_CLOSURE
-        monkeypatch.setattr(freelinks.cli, "join_by_descent", descent)
+        monkeypatch.setattr(freelinks.moves, "join_by_descent", descent)
         monkeypatch.setattr(freelinks.moves, "MAX_CLOSURE", 2)
         code, out, _ = invoke(capsys, "compare", a, TRIANGLE)
         assert ends == [None]
@@ -791,17 +794,25 @@ class TestFuzz:
         # a link's check compares its class words
         self.rigged_words_fail(capsys, monkeypatch, FOUR, "_class_words")
 
+    @staticmethod
+    def walk_steps(steps):
+        """The (site, diagram) steps of fuzz's walk of SAMPLE with seed 7,
+        taken with the real moves, so that a rigged apply_move corrupts only
+        the replay's chain."""
+        d = parse_diagram(Path(SAMPLE).read_text())
+        return list(_moves_module._walk(d, steps, 7, forbid_pure=True, max_size=None))
+
     def test_replay_mismatch_fails(self, capsys, monkeypatch):
         # a replay that leaves step 2 undone differs from the walk there
-        import freelinks.cli as cli
-
+        steps = self.walk_steps(5)
         calls = {"n": 0}
 
         def skipping(d, site):
             calls["n"] += 1
             return d if calls["n"] == 2 else apply_move(d, site)
 
-        monkeypatch.setattr(cli, "apply_move", skipping)
+        monkeypatch.setattr(_moves_module, "_walk", lambda *args, **kwargs: iter(steps))
+        monkeypatch.setattr(_moves_module, "apply_move", skipping)
         code, out, _ = invoke(
             capsys, "fuzz", SAMPLE, "--steps", "5", "--seed", "7", "--forbid-pure"
         )
@@ -837,26 +848,22 @@ class TestFuzz:
     def test_faulty_step_fails_its_check(self, capsys, monkeypatch, check):
         # the walk and the replay both hand over the same faulty diagram at
         # step 3, which must surface as FAIL plus the three moves
-        step, walk, faulty = 3, cli._walk, {}
-
-        def rigged(*args, **kwargs):
-            for k, (site, current) in enumerate(walk(*args, **kwargs), start=1):
-                if k == step:
-                    current = faulty["diagram"] = self.FAULTS[check](current)
-                yield site, current
-
+        step, steps = 3, self.walk_steps(5)
+        site, current = steps[step - 1]
+        faulty = self.FAULTS[check](current)
+        steps[step - 1] = (site, faulty)
+        walked = random_walk(parse_diagram(Path(SAMPLE).read_text()), step, 7, forbid_pure=True)
         calls = {"n": 0}
 
         def replaying(d, site):
             calls["n"] += 1
-            return faulty["diagram"] if calls["n"] == step else apply_move(d, site)
+            return faulty if calls["n"] == step else apply_move(d, site)
 
-        monkeypatch.setattr(cli, "_walk", rigged)
-        monkeypatch.setattr(cli, "apply_move", replaying)
+        monkeypatch.setattr(_moves_module, "_walk", lambda *args, **kwargs: iter(steps))
+        monkeypatch.setattr(_moves_module, "apply_move", replaying)
         code, out, _ = invoke(
             capsys, "fuzz", SAMPLE, "--steps", "5", "--seed", "7", "--forbid-pure"
         )
-        walked = random_walk(parse_diagram(Path(SAMPLE).read_text()), step, 7, forbid_pure=True)
         assert len(walked.moves) == step
         assert (code, out) == (1, f"FAIL step={step} check={check}\n" + serialize_trace(walked))
         assert calls["n"] == step
