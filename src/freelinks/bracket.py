@@ -410,6 +410,11 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
     only those that leave it one curve are traced.  A component whose pure
     passes form one block has no state traced, so its pure crossings do not
     count toward the cap.
+
+    Summands are valid by construction: each curve keeps its component's
+    openness and mixed passes, and drops both passes of each pure crossing.
+    Each is built with no violations recorded and keyed without being
+    validated again.
     """
     pures = require_valid(d).pure
     own = [tuple(sorted(pures.intersection(comp.passes))) for comp in d.components]
@@ -427,7 +432,10 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
 
     keys: set[tuple] = set()
     for combo in product(*survivors):
-        keys ^= {canonical_key(Diagram(d.kind, combo))}
+        summand = Diagram(d.kind, combo)
+        # where cached_property keeps it: a summand is valid as built
+        summand.__dict__["violations"] = ()
+        keys ^= {canonical_key(summand)}
     members = frozenset(_diagram_from_key(key) for key in keys)
     for summand in members:
         if summand.pure:

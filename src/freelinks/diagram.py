@@ -467,8 +467,12 @@ def canonical_key(d: Diagram) -> tuple:
     Crossings are relabeled 1, 2, 3, ... in order of first occurrence while
     scanning components in index order; per closed component, the
     rotation/reversal producing the lexicographically least relabeled pass
-    sequence is chosen among all combinations.  The result is identical to
-    the minimum over the full product, which is not enumerated:
+    sequence is chosen among all combinations.  A tangle's components are
+    all open, with nothing to choose, so its key is that first-occurrence
+    relabeling, made in one pass.  The states and ties below serve links,
+    whose components are all closed, and an empty circle among them adds
+    ``(True, ())`` and changes no state.  The result is identical to the
+    minimum over the full product, which is not enumerated:
 
     - the labelings of the tying prefixes are kept as states, each a set of
       labelings of the crossings still to come, held as ``(fixed,
@@ -516,6 +520,15 @@ def canonical_key(d: Diagram) -> tuple:
     Computed afresh on each call; :attr:`Diagram.key` keeps it once computed.
     """
     require_valid(d)
+    if d.kind == "tangle":
+        # open strands are never rotated or reversed: each crossing is
+        # labeled by its first pass in scan order
+        label: dict[str, int] = {}
+        parts = [
+            (False, tuple([label.setdefault(tok, len(label) + 1) for tok in comp.passes]))
+            for comp in d.components
+        ]
+        return (d.kind, tuple(parts))
 
     # A state is (fixed, factors): a label per determined crossing, and
     # factors (crossings, alternatives), each alternative a tuple of their
@@ -527,12 +540,16 @@ def canonical_key(d: Diagram) -> tuple:
     key_parts: list[tuple[bool, tuple[int, ...]]] = []
     for ci, comp in enumerate(d.components, start=1):
         passes = comp.passes
+        if not passes:
+            # an empty circle reads nothing and carries every state on
+            key_parts.append((True, ()))
+            continue
         length = len(passes)
         read = set(passes)
         once = read if len(read) == length else {tok for tok, c in Counter(passes).items() if c == 1}
         fresh_toks = tuple(sorted(once - earlier))
         # ties: (fixed, factors, narrowed, the alternatives for fresh_toks)
-        if comp.closed and earlier.isdisjoint(read) and len(read) == length:
+        if earlier.isdisjoint(read) and len(read) == length:
             labels = tuple(range(nxt, nxt + length))
             best = list(labels)
             where = [passes.index(tok) for tok in fresh_toks]
@@ -569,15 +586,12 @@ def canonical_key(d: Diagram) -> tuple:
             reverse = passes[::-1]
             best = None
             for (fixed, factors), owner, lead in zip(states, owners, leads):
-                if comp.closed:
-                    variants = set()
-                    for p, tok in enumerate(passes):
-                        if (fixed.get(tok) or lead.get(tok, nxt)) == least:
-                            q = length - 1 - p
-                            variants.add(passes[p:] + passes[:p])
-                            variants.add(reverse[q:] + reverse[:q])
-                else:
-                    variants = (passes,)
+                variants = set()
+                for p, tok in enumerate(passes):
+                    if (fixed.get(tok) or lead.get(tok, nxt)) == least:
+                        q = length - 1 - p
+                        variants.add(passes[p:] + passes[:p])
+                        variants.add(reverse[q:] + reverse[:q])
                 for variant in variants:
                     narrowed: dict[int, list[tuple[int, ...]]] = {}
                     new: dict[str, int] = {}
@@ -617,7 +631,7 @@ def canonical_key(d: Diagram) -> tuple:
                             (fixed, factors, narrowed, (tuple(new[tok] for tok in fresh_toks),))
                         )
         assert best is not None
-        key_parts.append((comp.closed, tuple(best)))
+        key_parts.append((True, tuple(best)))
         nxt = max([nxt - 1, *best]) + 1
 
         earlier.update(read)
@@ -678,8 +692,7 @@ def _carried(fixed: dict[str, int], factors: list, narrowed: dict, read: set[str
 def _next_state(kept: dict[str, int], carried: list, fresh_toks: tuple[str, ...], fresh_alts):
     """The state of the carried labels and factors with the alternatives
     ``fresh_alts`` for the new crossings ``fresh_toks``: one more factor, or
-    fixed labels when there is one alternative (or none, for an empty
-    component)."""
+    fixed labels when there is one alternative."""
     if len(fresh_alts) > 1:
         carried.append((fresh_toks, tuple(sorted(fresh_alts))))
     else:

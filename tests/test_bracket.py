@@ -485,6 +485,28 @@ class TestForcedCurve:
         assert bracket(knot).summands == frozenset({canonical_form(CIRCLE)})
 
 
+def pure_block_diagram(rng: random.Random, kind: str, n: int) -> Diagram:
+    """A diagram of ``n`` components with n - 1 to eight mixed crossings, each
+    component then given 1-4 pure chords at random places, or as one
+    block of their passes at one place, or none."""
+    comps: list[list[str]] = [[] for _ in range(n)]
+    for k in range(rng.randint(n - 1, 8) if n > 1 else 0):
+        for i in rng.sample(range(n), 2):
+            comps[i].insert(rng.randint(0, len(comps[i])), f"m{k}")
+    for ci, passes in enumerate(comps):
+        chords = [f"p{ci}_{k}" for k in range(rng.randint(1, 4))]
+        style = rng.randrange(3)
+        if style == 0:
+            for name in chords * 2:
+                passes.insert(rng.randint(0, len(passes)), name)
+        elif style == 1:
+            block = chords * 2
+            rng.shuffle(block)
+            at = rng.randint(0, len(passes))
+            passes[at:at] = block
+    return Diagram(kind, tuple(ComponentCode(kind == "link", tuple(p)) for p in comps))
+
+
 class TestBracket:
     def test_pure_free_is_singleton(self, sample_tangle):
         value = bracket(sample_tangle)
@@ -548,6 +570,33 @@ class TestBracket:
             assert keys == reference, d
             several += len(reference) > 1
         assert several >= 3
+
+    def test_summands_are_valid_as_built(self, monkeypatch):
+        # bracket keys each summand without validating it again: a fresh
+        # copy of every diagram it keys must validate, on tangles and links
+        # of 1-4 components whose components are traced, forced (pure
+        # passes in one block) or free of pure crossings
+        keyed = []
+        key = _bracket_module.canonical_key
+        monkeypatch.setattr(_bracket_module, "canonical_key", lambda s: keyed.append(s) or key(s))
+        rng = random.Random(227)
+        traced = forced = 0
+        for trial in range(360):
+            d = pure_block_diagram(rng, ("tangle", "link")[trial % 2], rng.randint(1, 4))
+            for comp in d.components:
+                pures = d.pure.intersection(comp.passes)
+                if pures:
+                    if _bracket_module._forced_curve(comp, pures) is None:
+                        traced += 1
+                    else:
+                        forced += 1
+            keyed.clear()
+            value = bracket(d)
+            assert len(keyed) >= len(value.summands) > 0
+            for s in keyed:
+                assert s.kind == d.kind and s.n == d.n
+                assert Diagram(s.kind, s.components).violations == (), (d, s)
+        assert traced > 150 and forced > 250
 
     def test_expansion_cap(self):
         # six kinks in two blocks split by the two passes of m1 and m2, so

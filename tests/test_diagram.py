@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 import tracemalloc
@@ -649,6 +650,25 @@ class TestCanonicalKeyStillToCome:
             self.both_references(Diagram(d.kind, d.components + empty))
             self.both_references(Diagram(d.kind, empty[:1] + d.components + empty))
 
+    def test_empty_circles_anywhere(self):
+        # an empty circle adds (True, ()) and changes no state, placed
+        # first, in the middle, last, or as every component
+        rng = random.Random(173)
+        empty = ComponentCode(True, ())
+        for trial in range(150):
+            d = random_any_diagram(rng, 6, "link")
+            while d.n < 2:
+                d = random_any_diagram(rng, 6, "link")
+            comps = list(d.components)
+            for where in (0, rng.randint(1, len(comps) - 1), len(comps)):
+                placed = Diagram("link", tuple(comps[:where] + [empty] + comps[where:]))
+                key = canonical_key(placed)
+                assert key == naive_canonical_key(placed), placed
+                assert key[1][where] == (True, ())
+        for n in range(1, 5):
+            d = Diagram("link", (empty,) * n)
+            assert canonical_key(d) == naive_canonical_key(d) == ("link", ((True, ()),) * n)
+
     def test_pure_crossings_between_shared_ones(self):
         # each component passes one or two pure crossings, placed among its
         # mixed passes, so a crossing a component reads twice lies between
@@ -684,6 +704,70 @@ class TestCanonicalKeyStillToCome:
         assert peak < 8 * 2**20
         assert key[1][0] == (True, (1, 2))
         assert key[1][-1] == (True, (2, n))
+
+
+def random_tangles(rng: random.Random, count: int) -> list[Diagram]:
+    """``count`` tangles from the three random generators in turn: any
+    crossings on 1-4 components (pure crossings and one-component tangles
+    among them), 2-4 pure crossings on at least two components, and mixed
+    crossings only; every fourth one gets an empty component put first, in
+    the middle or last."""
+    tangles = []
+    for trial in range(count):
+        if trial % 3 == 0:
+            d = random_any_diagram(rng, 8, "tangle")
+        elif trial % 3 == 1:
+            d = random_pure_diagram(rng, rng.randint(2, 4), "tangle")
+        else:
+            d = random_mixed_diagram(rng, rng.randint(2, 4), rng.randint(0, 8), "tangle")
+        if trial % 4 == 3:
+            comps = list(d.components)
+            comps.insert(rng.randint(0, len(comps)), ComponentCode(False, ()))
+            d = Diagram("tangle", tuple(comps))
+        tangles.append(d)
+    return tangles
+
+
+class TestTangleKey:
+    """A tangle's key is its crossings relabeled by first occurrence, made
+    in one pass: against both references, and never through the ties that
+    serve closed components."""
+
+    def test_matches_both_references(self):
+        rng = random.Random(211)
+        tangles = random_tangles(rng, 10_000)
+        assert sum(len(d.pure) > 0 for d in tangles) > 3000
+        assert sum(d.n == 1 for d in tangles) > 500
+        assert sum(not comp.passes for d in tangles for comp in d.components) > 2500
+        for d in tangles:
+            key = canonical_key(d)
+            assert key == naive_canonical_key(d), d
+            assert key == reference_canonical_key(d), d
+
+    def test_canonical_form_is_idempotent(self):
+        rng = random.Random(211)
+        for d in random_tangles(rng, 10_000):
+            form = canonical_form(d)
+            again = canonical_form(Diagram(form.kind, form.components))
+            assert again == form, d
+
+    def test_never_enters_the_tie_loop(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a tangle entered the tie loop")
+
+        diagram_module = importlib.import_module("freelinks.diagram")
+        monkeypatch.setattr(diagram_module, "_carried", forbidden)
+        monkeypatch.setattr(diagram_module, "_next_state", forbidden)
+        rng = random.Random(223)
+        keyed = 0
+        for d in random_tangles(rng, 400):
+            if d.n > 1:
+                assert canonical_key(d) == naive_canonical_key(d), d
+                keyed += 1
+        assert keyed > 300
+        # the loop itself still uses them, so the patch bites on a link
+        with pytest.raises(AssertionError, match="tie loop"):
+            canonical_key(link("a b", "a b"))
 
 
 def link(*components: str) -> Diagram:
