@@ -433,7 +433,7 @@ def bracket(d: Diagram, *, max_pure: int = 20) -> Bracket:
     keys: set[tuple] = set()
     for combo in product(*survivors):
         summand = Diagram(d.kind, combo)
-        # where cached_property keeps it: a summand is valid as built
+        # where the field keeps it: a summand is valid as built
         summand.__dict__["violations"] = ()
         keys ^= {canonical_key(summand)}
     members = frozenset(_diagram_from_key(key) for key in keys)

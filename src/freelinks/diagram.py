@@ -22,10 +22,14 @@ library's data class module do not apply to them, and ``_replace`` and
 :class:`Diagram` is the one record class with cached fields, a small frozen
 class that equals only another diagram.  Data derived from a diagram is
 computed once per diagram, cached on it and read as its fields, never
-changed: ``violations`` (empty when the diagram is valid), ``occurrences``,
-``pure``, ``pair_counts`` (the crossing count of each component pair, pure
-pairs (i, i) included), ``parity`` (the good-condition table),
-``pass_counts`` and ``partners`` (which ``_isomorphic`` reads) and ``key``.
+changed: ``violations`` (empty when the diagram is valid),
+``partner_map`` (each crossing's two components, XORed), ``pure``,
+``pair_counts`` (the crossing count of each component pair, pure pairs
+(i, i) included), ``parity`` (the good-condition table), ``pass_counts``
+and ``partners`` (which ``_isomorphic`` reads), ``key``, and
+``occurrences`` (the passes of each crossing, which few operations read).
+A field is computed on its first read by a small descriptor,
+:class:`_field`, with no lock, and kept in the instance ``__dict__``.
 Operations that need a valid diagram call the one guard
 :func:`require_valid`.  :func:`parse_diagram` checks the names and counts
 the passes of its input as it reads them, and the diagram it returns already
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -103,27 +106,56 @@ class ComponentCode(NamedTuple("ComponentCode", [("closed", bool), ("passes", tu
         return cls(*iterable)
 
 
+class _field:
+    """A cached field of :class:`Diagram`: ``func`` computes it on the first
+    read of each diagram, and the value is kept in the instance
+    ``__dict__``, where later reads find it before this non-data
+    descriptor.  Read on the class, it returns itself, so that ``func`` can
+    be swapped.
+
+    :func:`functools.cached_property` does the same, but before Python 3.12
+    it takes a lock on each first read, which costs several times the
+    lookup.  Without one, two threads that read a field first at once may
+    both compute it, and keep equal values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class Diagram:
     """An enumerated free link or tangle diagram as unsigned Gauss codes.
 
     The one record class that is no named tuple, since its cached fields
-    live in the instance ``__dict__``.  It is frozen: ``kind`` and
-    ``components`` are slots that only ``__init__`` sets, and a diagram
-    equals only a diagram with equal fields, never a tuple.
+    live in the instance ``__dict__``, where :class:`_field` keeps them.
+    It is frozen: ``kind`` and ``components`` are slots that only
+    ``__init__`` sets, and a diagram equals only a diagram with equal
+    fields, never a tuple.
 
     Each index field is built in one traversal of the passes and cached.
-    ``violations`` counts the names and tests the characters of all
-    distinct names at once, unless :func:`parse_diagram` has stored it;
-    ``occurrences`` lists each crossing's passes in scan order, by
-    component and then by position, so a mixed crossing's lesser component
-    comes first, which ``pair_counts`` relies on; ``pure`` and
-    ``pair_counts`` read ``occurrences``, and ``parity`` reads the mixed
-    pairs (i, j), i < j, of ``pair_counts``, which also counts each pure
-    pair (i, i).  ``pass_counts`` and ``partners``, the shape that
-    :func:`_isomorphic` matches, read the passes alone.
+    ``partner_map`` maps each crossing to the XOR of its two components, so
+    that a pass's partner is one XOR away; ``violations``, unless
+    :func:`parse_diagram` has stored it, ``pure``, ``pair_counts`` and
+    ``partners`` read it, and ``parity`` reads the mixed pairs (i, j),
+    i < j, of ``pair_counts``, which also counts each pure pair (i, i).
+    ``pass_counts`` and ``partners`` are the shape that :func:`_isomorphic`
+    matches.  ``occurrences`` lists each crossing's passes in scan order,
+    by component and then by position; only :func:`crossing_type`, the
+    invariant's ``lk`` and the bracket's ``apply_splices`` read it.
     """
 
-    # cached_property keeps each cached field in __dict__
+    # _field keeps each cached field in __dict__
     __slots__ = ("kind", "components", "__dict__")
     __match_args__ = ("kind", "components")
 
@@ -156,7 +188,7 @@ class Diagram:
     def n(self) -> int:
         return len(self.components)
 
-    @cached_property
+    @_field
     def crossing_names(self) -> frozenset[str]:
         return frozenset(name for comp in self.components for name in comp.passes)
 
@@ -164,32 +196,61 @@ class Diagram:
     def crossing_count(self) -> int:
         return sum(len(comp) for comp in self.components) // 2
 
-    @cached_property
+    @_field
     def violations(self) -> tuple[Violation, ...]:
-        """The broken diagram invariants.  Names are counted without
-        :attr:`occurrences`, which most diagrams met in a search never need,
-        and all distinct names are checked by one test of their characters;
-        only when it fails is each name checked, and the passes listed
-        again, to report each pass of a bad name in place."""
+        """The broken diagram invariants.  Names are not counted when
+        :attr:`partner_map`, which a diagram met in a search or a walk needs
+        anyway, holds one name for every two passes: every name then occurs
+        twice.  All distinct names are checked by one test of their
+        characters; only when it fails is each name checked, and the passes
+        listed again, to report each pass of a bad name in place."""
         violations: list[Violation] = []
         if self.kind not in ("tangle", "link"):
             violations.append(Violation("kind", "header", f"unknown kind {self.kind!r}"))
 
-        counts: Counter[str] = Counter()
-        for comp in self.components:
-            counts.update(comp.passes)
+        names = self.partner_map
+        counts = None
+        if 2 * len(names) != sum(self.pass_counts):
+            # some name occurs once, or three times or more
+            names = counts = Counter(chain.from_iterable(comp.passes for comp in self.components))
         bad = set()
-        if not _plain_names(counts):
-            bad = {name for name in counts if TOKEN_RE.match(name) is None}
+        if not _plain_names(names):
+            bad = {name for name in names if TOKEN_RE.match(name) is None}
         violations += _component_violations(self.kind, self.components, bad)
 
-        for name in sorted(name for name, count in counts.items() if count != 2):
-            violations.append(
-                Violation("arity", f"crossing {name}", f"occurs {counts[name]} times, expected 2")
-            )
+        if counts is not None:
+            for name in sorted(name for name, count in counts.items() if count != 2):
+                violations.append(
+                    Violation("arity", f"crossing {name}", f"occurs {counts[name]} times, expected 2")
+                )
         return tuple(violations)
 
-    @cached_property
+    @_field
+    def partner_map(self) -> dict[str, int]:
+        """Crossing name -> the XOR of the 1-based components of its two
+        passes, in order of first occurrence: a pass on component ``ci``
+        has partner ``partner_map[name] ^ ci``, and 0 marks a pure
+        crossing.  A name that does not occur twice is left out, as
+        :attr:`occurrences` leaves it out of every pair.
+
+        Built in one pass over the passes.  Each pass adds one to its
+        name's count, held less two in the bits above the components', where
+        the XOR never reaches, so a name that occurs twice holds its XOR
+        alone."""
+        step = 1 << len(self.components).bit_length()
+        low = -2 * step
+        found: dict[str, int] = {}
+        get = found.get
+        for ci, comp in enumerate(self.components, start=1):
+            for name in comp.passes:
+                found[name] = (get(name, low) + step) ^ ci
+        values = found.values()
+        if found and not (0 <= min(values) and max(values) < step):
+            # some name occurs once or three times or more
+            found = {name: x for name, x in found.items() if 0 <= x < step}
+        return found
+
+    @_field
     def occurrences(self) -> dict[str, tuple[tuple[int, int], ...]]:
         """Crossing name -> its passes as 1-based ``(component, position)``,
         in scan order: by component, then by position."""
@@ -200,57 +261,58 @@ class Diagram:
                 occ[name] = get(name, ()) + ((ci, pos),)
         return occ
 
-    @cached_property
+    @_field
     def pure(self) -> frozenset[str]:
         """Crossings whose two passes lie on a single component."""
-        return frozenset(
-            name
-            for name, places in self.occurrences.items()
-            if len(places) == 2 and places[0][0] == places[1][0]
-        )
+        return frozenset([name for name, x in self.partner_map.items() if not x])
 
-    @cached_property
+    @_field
     def pair_counts(self) -> dict[tuple[int, int], int]:
         """The number of crossings joining each pair (i, j), i <= j: a pure
         pair (i, i) counts component i's pure crossings."""
         n = self.n
         counts = {(i, j): 0 for i in range(1, n + 1) for j in range(i, n + 1)}
-        for places in self.occurrences.values():
-            if len(places) == 2:
-                # scan order puts the lesser component first
-                (i, _), (j, _) = places
-                counts[i, j] += 1
+        get = self.partner_map.get
+        for ci, comp in enumerate(self.components, start=1):
+            for name in comp.passes:
+                # a mixed crossing counts at its pass on the lesser
+                # component, a pure one at both passes; a name without two
+                # passes reads a negative partner
+                cj = get(name, -1) ^ ci
+                if cj >= ci:
+                    counts[ci, cj] += 1
+        for i in range(1, n + 1):
+            counts[i, i] //= 2
         return counts
 
-    @cached_property
+    @_field
     def key(self) -> tuple:
         """The :func:`canonical_key` of this diagram, computed once."""
         return canonical_key(self)
 
-    @cached_property
+    @_field
     def parity(self) -> dict[tuple[int, int], int]:
         """The good-condition parity table: each mixed pair's count mod 2.
         The diagram is in good condition when every entry is 0."""
         return {(i, j): count % 2 for (i, j), count in self.pair_counts.items() if i != j}
 
-    @cached_property
+    @_field
     def pass_counts(self) -> tuple[int, ...]:
         """The number of passes of each component: equal on diagrams with
         equal keys, so diagrams where it differs need no key to tell their
         keys apart."""
         return tuple(len(comp.passes) for comp in self.components)
 
-    @cached_property
+    @_field
     def partners(self) -> tuple[str, ...]:
         """Per component, each pass's partner, the component of its
-        crossing's other pass, as the character of its 0-based index."""
-        home: dict[str, int] = {}
-        for ci, comp in enumerate(self.components):
-            for name in comp.passes:
-                home[name] = home.get(name, 0) ^ ci
+        crossing's other pass, as the character of its 1-based index, read
+        from :attr:`partner_map`; a name that does not occur twice reads
+        ``chr(0)``."""
+        get = self.partner_map.get
         return tuple(
-            "".join([chr(home[tok] ^ ci) for tok in comp.passes])
-            for ci, comp in enumerate(self.components)
+            "".join([chr(get(tok, ci) ^ ci) for tok in comp.passes])
+            for ci, comp in enumerate(self.components, start=1)
         )
 
 
@@ -354,7 +416,7 @@ def parse_diagram(text: str | bytes) -> Diagram:
             headerno,
         )
     diagram = Diagram(kind, components)
-    # where cached_property keeps it: names and counts are checked above
+    # where _field keeps it: names and counts are checked above
     diagram.__dict__["violations"] = tuple(_component_violations(kind, components))
     return diagram
 
@@ -759,10 +821,11 @@ def _isomorphic(x: Diagram, y: Diagram) -> bool:
         # first pass whose crossing the component that reached it passes
         order, anchors = [root], [0]
         for ci in order:
-            joined = sorted(set(map(ord, xp[ci])) - placed)
+            # partners hold 1-based components
+            joined = sorted({p - 1 for p in map(ord, set(xp[ci]))} - placed)
             placed.update(joined)
             order += joined
-            anchors += [xp[cj].find(chr(ci)) for cj in joined]
+            anchors += [xp[cj].find(chr(ci + 1)) for cj in joined]
         # y's name for each of x's names read so far; once the group is
         # whole, that is one to one, since every name has two passes
         image: dict[str, str] = {}
@@ -812,7 +875,7 @@ def _diagram_from_key(key) -> Diagram:
     kind, parts = key
     comps = tuple(ComponentCode(closed, tuple(str(code) for code in rel)) for closed, rel in parts)
     d = Diagram(kind, comps)
-    # where cached_property keeps it: a canonical form is its own canonical form
+    # where _field keeps it: a canonical form is its own canonical form
     d.__dict__["key"] = key
     return d
 

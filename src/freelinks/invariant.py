@@ -66,34 +66,36 @@ def _require_pure_free(d: Diagram):
 
 def _letters(d: Diagram) -> dict[str, int]:
     """Crossing name -> the :func:`~freelinks.words.letter_index` of its
-    letter, for a diagram without pure crossings.
+    letter, for a valid diagram without pure crossings.
 
     The passes are read as stored, so on a link these are the letters of its
     offset-0 cut.  The bit for a third component k is the parity of the
     type-(i, k) passes before the crossing on component i plus the
     type-(j, k) passes before it on component j, over the k outside {i, j}
     in ascending order.  Each component keeps a running parity mask, bit
-    k - 1 for component k; the crossing's two masks XOR to its parities
-    toward every component, and squeezing out bits i - 1 and j - 1 leaves
-    the letter index.
+    k - 1 for component k, and each pass finds its partner in
+    :attr:`~freelinks.diagram.Diagram.partner_map`.  A crossing's first
+    pass, on the lesser component i, holds its mask until the second, on j,
+    which XORs the two into the crossing's parities toward every component
+    and squeezes out bits i - 1 and j - 1 to finish the letter index.
     """
-    occ = d.occurrences
-    masks: dict[str, int] = {}
+    partner = d.partner_map
+    held: dict[str, int] = {}
+    letters = {}
     for ci, comp in enumerate(d.components, start=1):
         mask = 0
         for name in comp.passes:
-            (a, _), (b, _) = occ[name]
-            masks[name] = masks.get(name, 0) ^ mask
-            mask ^= 1 << ((b if a == ci else a) - 1)
-    letters = {}
-    for name, mask in masks.items():
-        (a, _), (b, _) = occ[name]
-        lo, hi = (a - 1, b - 1) if a < b else (b - 1, a - 1)
-        letters[name] = (
-            mask & ((1 << lo) - 1)
-            | ((mask >> (lo + 1)) & ((1 << (hi - lo - 1)) - 1)) << lo
-            | (mask >> (hi + 1)) << (hi - 1)
-        )
+            other = partner[name] ^ ci
+            if other > ci:
+                held[name] = mask
+            else:
+                m = held[name] ^ mask
+                letters[name] = (
+                    m & ((1 << (other - 1)) - 1)
+                    | ((m >> other) & ((1 << (ci - other - 1)) - 1)) << (other - 1)
+                    | (m >> ci) << (ci - 2)
+                )
+            mask ^= 1 << (other - 1)
     return letters
 
 
@@ -145,14 +147,13 @@ def _pair_words(d: Diagram) -> dict[tuple[int, int], list[int]]:
     component keeps one row of stacks, indexed by the other component.
     """
     letters = _letters(d)
-    occ = d.occurrences
+    partner = d.partner_map
     n = d.n
     rows = [[[] for _ in range(n + 1)] for _ in range(n + 1)]
     for along, comp in enumerate(d.components, start=1):
         row = rows[along]
         for name in comp.passes:
-            (a, _), (b, _) = occ[name]
-            stack = row[b if a == along else a]
+            stack = row[partner[name] ^ along]
             x = letters[name]
             if stack and stack[-1] == x:
                 stack.pop()

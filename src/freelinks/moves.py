@@ -19,7 +19,9 @@ one inverse rule.
 
 Deletions and third-move sites are finitely enumerable; insertions form
 infinite families, of which a finite slate is used.  ``_slate`` alone holds
-the rules for the slate's insertions and lays it out without building them.
+the rules for the slate's insertions and lays it out without building them,
+by the slot count of each component, from which the slate's size and the
+index of each insertion follow per component.
 ``_expand`` is the one expansion of that layout: a generator that builds
 each site only when it is reached, and drops, unbuilt, the sites a move
 lower bound rules out.  It decides from the pair counts alone, per move
@@ -452,18 +454,28 @@ def inverse_site(d: Diagram, m: MoveSite) -> MoveSite:
 
 
 class _Slate(NamedTuple):
-    """The layout of the slate of a diagram; see :func:`_slate`."""
+    """The layout of the slate of a diagram, with no insertion built; see
+    :func:`_slate`.  ``widths`` holds each component's slot count, and
+    :attr:`size` and :func:`_site_at` count the insertions per component."""
 
     sites: list[MoveSite]
     names: tuple[str, ...]
-    first: list[tuple[int, int, bool]]
-    slots: list[tuple[int, int, bool]]
-    starts: list[int]
+    widths: tuple[int, ...]
+    first: bool
+    second: bool
+    past: bool
 
     @property
     def size(self) -> int:
-        slots, starts = self.slots, self.starts
-        return len(self.sites) + len(self.first) + 2 * (len(slots) * len(starts) - sum(starts))
+        widths = self.widths
+        total = sum(widths)
+        size = len(self.sites) + (total if self.first else 0)
+        if self.second:
+            # slot pairs on two components, or each slot with itself and
+            # every later slot
+            pairs = sum(w * w for w in widths) if self.past else -total
+            size += total * total - pairs
+        return size
 
 
 def _fresh_names(d: Diagram) -> tuple[str, str]:
@@ -478,41 +490,35 @@ def _slate(d: Diagram, *, forbid_pure: bool, max_size: int, kinds=ALL_KINDS) -> 
     and a finite set of insertions, with no insertion site built; the only
     code that applies the insertion rules.
 
-    The slate is the :func:`enumerate_moves` sites, then a first-move
-    insertion of ``names[0]`` at each of ``first``, then, per slot
-    ``slots[a]``, a run of second-move insertions of ``names`` with each
-    later slot of ``slots[starts[a]:]``, in both letter orders.  The slots
-    are the unwrapped positions of every component, in component order;
-    there are none, and no ``names``, when no insertion fits.  No
-    insertion's result exceeds ``max_size`` crossings.  Under
-    ``forbid_pure`` no site's result has a pure crossing: there is no
-    first-move insertion, each run starts past its slot's component, and a
-    diagram with pure crossings gets no insertion at all, since an
-    insertion keeps them (see :func:`enumerate_moves`).  Only the sites of
-    the move kinds ``kinds`` are laid out: all of them by default.
+    The insertions go into slots, the unwrapped positions of every
+    component, ``widths[ci - 1]`` of them on component ``ci``: one per pass
+    of a closed component, and one more on an open one or an empty circle.
+    The slate is the :func:`enumerate_moves` sites, then, if ``first``, a
+    first-move insertion of ``names[0]`` at each slot, then, if ``second``,
+    per slot in order, a run of second-move insertions of ``names`` with
+    each later slot, in both letter orders: from the slot itself, or from
+    the next component's first slot when ``past`` is set.  ``widths`` and
+    ``names`` are empty when no insertion fits.  No insertion's result
+    exceeds ``max_size`` crossings.  Under ``forbid_pure`` no site's result
+    has a pure crossing: there is no first-move insertion, each run starts
+    past its slot's component, and a diagram with pure crossings gets no
+    insertion at all, since an insertion keeps them (see
+    :func:`enumerate_moves`).  Only the sites of the move kinds ``kinds``
+    are laid out: all of them by default.
     """
     sites = enumerate_moves(d, kinds=kinds, forbid_pure=forbid_pure)
     count = d.crossing_count
     # whether the insertions of each kind fit in max_size
     ones = "R1_insert" in kinds and not forbid_pure and count + 1 <= max_size
     twos = "R2_insert" in kinds and count + 2 <= max_size and not (forbid_pure and d.pure)
-    # the slots, and per slot the index just past its component's slots;
-    # built only when some insertion fits
-    slots: list[tuple[int, int, bool]] = []
-    ends: list[int] = []
+    widths: tuple[int, ...] = ()
     if ones or twos:
-        for ci, comp in enumerate(d.components, start=1):
-            k = max(len(comp.passes), 1) if comp.closed else len(comp.passes) + 1
-            slots += [(ci, pos, False) for pos in range(k)]
-            ends += [len(slots)] * k
-    first = slots if ones else []
-    if not twos:
-        starts = []
-    elif forbid_pure:
-        starts = ends
-    else:
-        starts = list(range(len(slots)))
-    return _Slate(sites, _fresh_names(d) if slots else (), first, slots, starts)
+        widths = tuple(
+            max(len(comp.passes), 1) if comp.closed else len(comp.passes) + 1
+            for comp in d.components
+        )
+    names = _fresh_names(d) if widths else ()
+    return _Slate(sites, names, widths, ones, twos, forbid_pure)
 
 
 def _expand(
@@ -560,7 +566,7 @@ def _expand(
             pairs = [(i, j) for i, j in here if i == j] if kind.startswith("R1") else here
             if any(here[pair] + change >= 0 and keeps(pair, change) for pair in pairs):
                 kinds.add(kind)
-    sites, names, first, slots, starts = _slate(
+    sites, names, widths, first, second, past = _slate(
         d, forbid_pure=forbid_pure, max_size=max_size, kinds=kinds
     )
     dropped = False
@@ -570,32 +576,28 @@ def _expand(
             yield None
         else:
             yield site
-    # per component with slots, the index of its first slot and the index
-    # just past its last; the first-move slots are all slots or none
-    bounds: dict[int, list[int]] = {}
-    for b, (ci, _, _) in enumerate(slots):
-        bounds.setdefault(ci, [b, b])[1] = b + 1
-    for ci, (lo, hi) in bounds.items() if first else ():
+    for ci, width in enumerate(widths, start=1) if first else ():
         if keeps((ci, ci), 1):
-            for slot in first[lo:hi]:
-                yield MoveSite("R1_insert", names=names[:1], slots=(slot,))
+            for pos in range(width):
+                yield MoveSite("R1_insert", names=names[:1], slots=((ci, pos, False),))
         else:
             dropped = True
             yield None
-    for ci, (lo, hi) in bounds.items() if starts else ():
+    for ci, width in enumerate(widths, start=1) if second else ():
         # the components that the runs from ci's slots reach, and those
         # whose block the bound keeps
-        reach = [cj for cj, (_, end) in bounds.items() if end > starts[lo]]
+        reach = range(ci + 1 if past else ci, len(widths) + 1)
         kept = [cj for cj in reach if keeps((ci, cj), 2)]
         if len(kept) < len(reach):
             dropped = True
             yield None
-        for slot, start in zip(slots[lo:hi], starts[lo:hi]) if kept else ():
+        for pos in range(width) if kept else ():
+            slot = (ci, pos, False)
             for cj in kept:
-                begin, end = bounds[cj]
-                for second in slots[max(start, begin) : end]:
-                    yield MoveSite("R2_insert", names=names, slots=(slot, second), same_order=True)
-                    yield MoveSite("R2_insert", names=names, slots=(slot, second), same_order=False)
+                for q in range(pos if cj == ci else 0, widths[cj - 1]):
+                    slots = (slot, (cj, q, False))
+                    yield MoveSite("R2_insert", names=names, slots=slots, same_order=True)
+                    yield MoveSite("R2_insert", names=names, slots=slots, same_order=False)
     if slack < 1 and not dropped:
         # the kinds left out may have had a site, and it was dropped
         skipped = set(ALL_KINDS) - kinds
@@ -605,21 +607,52 @@ def _expand(
 
 def _site_at(slate: _Slate, k: int) -> MoveSite:
     """The site at index ``k`` of the slate, built alone; raises
-    :class:`IndexError` past the end."""
-    sites, names, first, slots, starts = slate
+    :class:`IndexError` past the end.  The second-move insertions are
+    counted per component, by the size of the block of runs from its
+    slots, and only the block that holds ``k`` is entered."""
+    sites, names, widths, first, second, past = slate
     if k < len(sites):
         return sites[k]
     k -= len(sites)
-    if k < len(first):
-        return MoveSite("R1_insert", names=names[:1], slots=(first[k],))
-    k -= len(first)
-    for slot, start in zip(slots, starts):
-        span = 2 * (len(slots) - start)
-        if k < span:
-            return MoveSite(
-                "R2_insert", names=names, slots=(slot, slots[start + k // 2]), same_order=k % 2 == 0
-            )
-        k -= span
+    total = sum(widths)
+    if first:
+        if k < total:
+            return MoveSite("R1_insert", names=names[:1], slots=(_slot(widths, k),))
+        k -= total
+    begin = 0
+    for ci, width in enumerate(widths, start=1) if second else ():
+        end = begin + width
+        # each run holds two sites per slot that it reaches: every slot
+        # past the component, or every slot from its own on, one fewer
+        # from each next slot
+        if past:
+            block = 2 * width * (total - end)
+        else:
+            block = width * (2 * (total - begin) - width + 1)
+        if k < block:
+            if past:
+                pos, k = divmod(k, 2 * (total - end))
+                start = end
+            else:
+                pos = 0
+                while k >= 2 * (total - begin - pos):
+                    k -= 2 * (total - begin - pos)
+                    pos += 1
+                start = begin + pos
+            slots = ((ci, pos, False), _slot(widths, start + k // 2))
+            return MoveSite("R2_insert", names=names, slots=slots, same_order=k % 2 == 0)
+        k -= block
+        begin = end
+    raise IndexError("slate index out of range")
+
+
+def _slot(widths: tuple[int, ...], index: int) -> tuple[int, int, bool]:
+    """The slot at ``index`` over all components, whose slot counts are
+    ``widths``."""
+    for ci, width in enumerate(widths, start=1):
+        if index < width:
+            return ci, index, False
+        index -= width
     raise IndexError("slate index out of range")
 
 

@@ -134,6 +134,25 @@ def reference_crossing_occurrences(d: Diagram) -> dict[str, list[tuple[int, int]
     return occ
 
 
+def reference_partners(d: Diagram) -> tuple[str, ...]:
+    """Per component, the component of each pass's crossing's other pass,
+    as the character of its 1-based index; ``chr(0)`` for a name that does
+    not occur twice."""
+    occ = reference_crossing_occurrences(d)
+    lines = []
+    for ci, comp in enumerate(d.components, start=1):
+        line = ""
+        for pos, name in enumerate(comp.passes):
+            places = occ[name]
+            if len(places) != 2:
+                line += chr(0)
+            else:
+                [(other, _)] = [place for place in places if place != (ci, pos)]
+                line += chr(other)
+        lines.append(line)
+    return tuple(lines)
+
+
 def reference_pure_crossings(d: Diagram) -> set[str]:
     occ = reference_crossing_occurrences(d)
     return {name for name, places in occ.items() if len(places) == 2 and places[0][0] == places[1][0]}

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import importlib
 import io
 import os
@@ -869,23 +868,21 @@ class TestFuzz:
         assert calls["n"] == step
 
     def test_each_step_indexes_one_diagram(self, capsys, monkeypatch):
-        # the checks read the walk's own diagrams: one occurrences index per
-        # step, plus the input's
-        built = []
-        index = Diagram.__dict__["occurrences"]
-
-        def counted(d):
-            built.append(d)
-            return index.func(d)
-
-        wrapped = functools.cached_property(counted)
-        wrapped.__set_name__(Diagram, "occurrences")
-        monkeypatch.setattr(Diagram, "occurrences", wrapped)
+        # the checks read the walk's own diagrams: one partner map per step,
+        # plus the input's, and no occurrences index at all
+        built = {"partner_map": [], "occurrences": []}
+        for name, diagrams in built.items():
+            field = Diagram.__dict__[name]
+            monkeypatch.setattr(
+                field, "func", lambda d, build=field.func, seen=diagrams: seen.append(d) or build(d)
+            )
         code, out, _ = invoke(
             capsys, "fuzz", FOUR, "--steps", "6", "--seed", "2", "--forbid-pure"
         )
         assert code == 0 and out.startswith("PASS steps=6 ")
-        assert len(built) == 7
+        # the list holds every diagram, so no two of them share an id
+        assert len({id(d) for d in built["partner_map"]}) == len(built["partner_map"]) == 7
+        assert built["occurrences"] == []
 
 
 # ``fuzz FILE --steps 20 --seed S`` for S = 1, 2, 3: (file, --forbid-pure) ->

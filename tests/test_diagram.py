@@ -1,4 +1,7 @@
+import copy
 import importlib
+import pickle
+import pydoc
 import random
 import time
 import tracemalloc
@@ -40,6 +43,7 @@ from genutil import (
     reference_is_good_condition,
     reference_name_error,
     reference_pair_counts,
+    reference_partners,
     reference_pure_crossings,
     reference_validate,
     scramble,
@@ -358,6 +362,55 @@ class TestIndex:
                 assert require_valid(d) is d
         assert invalid >= 80
 
+    def test_partner_map_on_names_not_twice(self):
+        # around two mixed crossings and a pure one, a name once, three
+        # times and four times on one, two and three components, and all of
+        # them at once: their passes XOR to a component or to 0, and none
+        # of them is pure or joins a pair
+        base = (("a", "b", "p", "p"), ("b", "a"), ())
+        extras = [
+            ((), ("s",), ()),
+            (("t", "t", "t"), (), ()),
+            (("t",), ("t", "t"), ()),
+            (("t",), ("t",), ("t",)),
+            (("f", "f", "f", "f"), (), ()),
+            (("f", "f"), ("f", "f"), ()),
+            (("f",), ("f",), ("f", "f")),
+            (("s",), ("t", "f", "t", "f", "f"), ("t", "f")),
+        ]
+        for kind in ("tangle", "link"):
+            for extra in extras:
+                for pos in (0, 1, 2):
+                    comps = []
+                    for passes, more in zip(base, extra):
+                        merged = list(passes)
+                        merged[min(pos, len(merged)) : min(pos, len(merged))] = more
+                        comps.append(ComponentCode(kind == "link", tuple(merged)))
+                    d = Diagram(kind, tuple(comps))
+                    occ = reference_crossing_occurrences(d)
+                    assert d.partner_map == {
+                        name: places[0][0] ^ places[1][0]
+                        for name, places in occ.items()
+                        if len(places) == 2
+                    }, d
+                    assert list(d.partner_map) == [n for n, p in occ.items() if len(p) == 2], d
+                    assert d.pure == reference_pure_crossings(d) == {"p"}, d
+                    assert list(d.pair_counts.items()) == list(reference_pair_counts(d).items()), d
+                    good, table = reference_is_good_condition(d)
+                    assert list(d.parity.items()) == list(table.items()), d
+                    assert d.partners == reference_partners(d), d
+                    assert d.violations and list(d.violations) == reference_validate(d), d
+
+    def test_partners_match_reference(self):
+        # valid and invalid diagrams, and every diagram of restricted walks
+        cases = _index_cases()
+        rng = random.Random(23)
+        for kind in ("tangle", "link"):
+            for n in (4, 5):
+                cases += fuzz_walk_diagrams(rng, kind, n)
+        for d in cases:
+            assert d.partners == reference_partners(d), d
+
     def test_fields_outside_equality(self):
         d = parse_diagram("tangle n=2\ncomponent 1 open: a k k\ncomponent 2 open: a")
         assert d.occurrences is d.occurrences
@@ -373,6 +426,74 @@ class TestIndex:
         canonical_key(d)
         assert d.violations == ()
         assert "occurrences" not in vars(d)
+
+
+FIELDS = (
+    "crossing_names",
+    "violations",
+    "partner_map",
+    "occurrences",
+    "pure",
+    "pair_counts",
+    "key",
+    "parity",
+    "pass_counts",
+    "partners",
+)
+
+
+class TestFieldDescriptor:
+    """The descriptor that computes each cached field of ``Diagram`` on its
+    first read and keeps it in the instance ``__dict__``."""
+
+    def test_computed_once_per_diagram(self, monkeypatch):
+        d = parse_diagram("tangle n=2\ncomponent 1 open: a k k\ncomponent 2 open: a")
+        for name in FIELDS:
+            field = Diagram.__dict__[name]
+            calls = []
+            monkeypatch.setattr(
+                field, "func", lambda d, build=field.func, calls=calls: calls.append(d) or build(d)
+            )
+            fresh = Diagram(d.kind, d.components)
+            assert name not in vars(fresh)
+            value = getattr(fresh, name)
+            assert getattr(fresh, name) is value and vars(fresh)[name] is value
+            assert calls == [fresh], name
+            other = Diagram(d.kind, d.components)
+            assert getattr(other, name) == value and len(calls) == 2, name
+
+    def test_a_field_that_raises_keeps_nothing(self):
+        d = Diagram("tangle", (ComponentCode(False, ("x",)),))
+        with pytest.raises(DiagramError):
+            d.key
+        assert "key" not in vars(d)
+
+    def test_class_access_returns_the_descriptor(self, monkeypatch):
+        for name in FIELDS:
+            field = Diagram.__dict__[name]
+            assert getattr(Diagram, name) is field
+            assert field.func.__name__ == name and field.__doc__ == field.func.__doc__
+        field = Diagram.__dict__["pass_counts"]
+        monkeypatch.setattr(field, "func", lambda d: "swapped")
+        d = parse_diagram("link n=1\ncomponent 1 closed: x x")
+        assert d.pass_counts == "swapped"
+
+    def test_help_shows_the_docstrings(self):
+        text = pydoc.render_doc(Diagram, renderer=pydoc.plaintext)
+        documented = [name for name in FIELDS if Diagram.__dict__[name].__doc__]
+        assert len(documented) == len(FIELDS) - 1
+        for name in documented:
+            first = Diagram.__dict__[name].__doc__.splitlines()[0].strip()
+            assert first in text, name
+
+    def test_copies_carry_no_fields(self):
+        d = parse_diagram("tangle n=2\ncomponent 1 open: a k k\ncomponent 2 open: a")
+        for name in FIELDS:
+            getattr(d, name)
+        assert set(vars(d)) == set(FIELDS)
+        copies = [copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))]
+        for other in [*copies, Diagram(d.kind, d.components)]:
+            assert other == d and vars(other) == {}
 
 
 class TestWalkedIndex:

@@ -565,12 +565,29 @@ def slate_diagrams(count: int, seed: int):
         yield plant_triangle(rng, d) if rng.random() < 0.3 else d
 
 
+# components with one slot or few: an empty closed component and an empty
+# open strand, which take one slot each, and closed components of one and
+# two passes, whose one or two slots are as many as their passes
+SMALL_COMPONENTS = [
+    "link n=3\ncomponent 1 closed:\ncomponent 2 closed: a b\ncomponent 3 closed: b a",
+    "link n=2\ncomponent 1 closed: a b a b\ncomponent 2 closed:",
+    "tangle n=3\ncomponent 1 open: a b\ncomponent 2 open:\ncomponent 3 open: b a",
+    "tangle n=2\ncomponent 1 open:\ncomponent 2 open:",
+    "link n=2\ncomponent 1 closed: a\ncomponent 2 closed: a",
+    "link n=3\ncomponent 1 closed: x x\ncomponent 2 closed: a\ncomponent 3 closed: a",
+    "link n=3\ncomponent 1 closed: a\ncomponent 2 closed: a b c\ncomponent 3 closed: b c",
+    "link n=1\ncomponent 1 closed: x x",
+    "link n=1\ncomponent 1 closed:",
+]
+
+
 class TestSlate:
     """``random_walk`` builds the site it draws alone; these tie it to the
     whole slate that ``_expand`` builds and to the walk that builds it."""
 
     def test_site_at_each_index_matches_the_slate(self):
-        for d in slate_diagrams(90, seed=41):
+        small = [parse_diagram(text) for text in SMALL_COMPONENTS]
+        for d in [*small, *slate_diagrams(90, seed=41)]:
             for forbid in (True, False):
                 for max_size in range(d.crossing_count, d.crossing_count + 3):
                     slate = whole_slate(d, forbid_pure=forbid, max_size=max_size)
@@ -581,6 +598,22 @@ class TestSlate:
                     assert built == slate, (d, forbid, max_size)
                     with pytest.raises(IndexError):
                         moves._site_at(layout, total)
+                    if d in small:
+                        # every site applies, an insertion into an empty
+                        # component among them
+                        for site in built:
+                            apply_move(d, site)
+                        if layout.widths:
+                            assert layout.widths == tuple(
+                                max(len(comp), 1) if comp.closed else len(comp) + 1
+                                for comp in d.components
+                            )
+                    if max_size == d.crossing_count + 1:
+                        # first moves fit, unless restricted, and second moves do not
+                        assert (layout.first, layout.second) == (not forbid, False)
+                        inserted = sum(site.kind == "R1_insert" for site in slate)
+                        assert inserted == (0 if forbid else sum(layout.widths)), d
+                        assert not any(site.kind == "R2_insert" for site in slate), d
 
     def test_walk_never_builds_the_slate(self, monkeypatch):
         def no_slate(*args, **kwargs):
