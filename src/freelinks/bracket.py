@@ -129,12 +129,12 @@ def _splice_table(d: Diagram, names: tuple[str, ...]):
     the cut before the first pass of closed component ci, when that pass is
     unspliced, is 2m + ci - 1 for m names.  Run u is read forward as
     directed run 2u and backward as 2u + 1.  The result is ``(reads,
-    owner, chord, succ, starts, leftover)``: directed run k reads the
-    passes ``reads[k]`` on component ``owner[k]`` and ends at a spliced
-    pass of ``names[chord[k]]``, where ``succ[2k]`` follows it under branch
-    A and ``succ[2k + 1]`` under B.  At an open end ``chord[k]`` is -1, and
-    an odd ``k`` means a start; at the cut before a closed component's
-    first pass it is 0 and both successors go on into the next run.
+    chord, succ, starts, leftover)``: directed run k reads the passes
+    ``reads[k]`` and ends at a spliced pass of ``names[chord[k]]``, where
+    ``succ[2k]`` follows it under branch A and ``succ[2k + 1]`` under B.
+    At an open end ``chord[k]`` is -1, and an odd ``k`` means a start; at
+    the cut before a closed component's first pass it is 0 and both
+    successors go on into the next run.
     ``starts[ci - 1]`` is ``(k, closed)``, with ``k`` the first run of
     component ci read forward, or -1 for a closed component without passes.
     ``leftover`` lists the forward runs with passes in scan order, then
@@ -147,7 +147,7 @@ def _splice_table(d: Diagram, names: tuple[str, ...]):
     # the forward and the backward directed run that leave each cut
     after = [0] * (joint + len(d.components))
     before = after.copy()
-    reads, owner, ends, starts, full, empty = [], [], [], [], [], []
+    reads, ends, starts, full, empty = [], [], [], [], []
     for ci, comp in enumerate(d.components, start=1):
         passes, closed = comp.passes, comp.closed
         if closed and not passes:
@@ -182,7 +182,6 @@ def _splice_table(d: Diagram, names: tuple[str, ...]):
             # the last run's first end, before the component's first pass,
             # precedes every other end of the component
             empty.insert(mark, empty.pop())
-        owner += (ci,) * (len(reads) - len(owner))
 
     chord, succ = [], []
     for k, y in enumerate(ends):
@@ -197,7 +196,7 @@ def _splice_table(d: Diagram, names: tuple[str, ...]):
             # the crossing's other pass: A keeps the direction, B reverses it
             chord.append(y >> 1)
             succ += (before[y ^ 1], after[y ^ 1]) if k & 1 else (after[y ^ 1], before[y ^ 1])
-    return reads, owner, chord, succ, starts, full + empty
+    return reads, chord, succ, starts, full + empty
 
 
 def _splice_components(d: Diagram, code: int, table):
@@ -208,42 +207,36 @@ def _splice_components(d: Diagram, code: int, table):
     states of ``names``: after directed run k, a curve goes on into
     ``succ[2k + bit]`` for the bit of the crossing that ends k.  Each curve
     is read run by run from its first run until it returns there or
-    reaches an open end.  Returns ``(components, sources)`` where
-    ``sources[k]`` is the set of source component indices whose arcs or
-    passes the k-th result component traverses.  Result components are
-    ordered: for each source component in index order, the curve through
-    its start (open) or through the arc leaving its first pass (closed,
-    when that pass is spliced) or through its first pass itself; then the
-    remaining curves in the order of ``leftover``.
+    reaches an open end.  Returns the list of result components, ordered:
+    for each source component in index order, the curve through its start
+    (open) or through the arc leaving its first pass (closed, when that
+    pass is spliced) or through its first pass itself; then the remaining
+    curves in the order of ``leftover``.
     """
-    reads, owner, chord, succ, starts, leftover = table
-    seen = bytearray(len(owner) >> 1)
+    reads, chord, succ, starts, leftover = table
+    seen = bytearray(len(chord) >> 1)
 
     def walk(start):
         seq: list[str] = []
-        touched: set[int] = set()
         k = start
         while True:
             seen[k >> 1] = 1
             seq += reads[k]
-            touched.add(owner[k])
             r = chord[k]
             if r < 0:
-                return seq, touched, k
+                return seq, k
             k = succ[2 * k + (code >> r & 1)]
             if k == start:
-                return seq, touched, None
+                return seq, None
 
     components: list[ComponentCode] = []
-    sources: list[set[int]] = []
-    for ci, (start, closed) in enumerate(starts, start=1):
+    for start, closed in starts:
         if start < 0:
             components.append(ComponentCode(True, ()))
-            sources.append({ci})
             continue
         if seen[start >> 1]:
             continue
-        seq, touched, end = walk(start)
+        seq, end = walk(start)
         if not closed and end & 1:
             # the reconnection would join two lower endpoints, so the
             # result is not readable as lower-to-upper strands
@@ -252,15 +245,13 @@ def _splice_components(d: Diagram, code: int, table):
                 "such a reconnection has no open-strand representation"
             )
         components.append(ComponentCode(closed, tuple(seq)))
-        sources.append(touched)
     # leftover closed curves, when some run is unread: runs with passes
     # first, then pass-free cycles
     for start in leftover if 0 in seen else ():
         if not seen[start >> 1]:
-            seq, touched, _ = walk(start)
+            seq, _ = walk(start)
             components.append(ComponentCode(True, tuple(seq)))
-            sources.append(touched)
-    return components, sources
+    return components
 
 
 def apply_splices(d: Diagram, branches: dict[str, str]) -> Diagram:
@@ -272,17 +263,23 @@ def apply_splices(d: Diagram, branches: dict[str, str]) -> Diagram:
     :class:`DiagramError` when ``d`` is invalid, except that a tangle may
     hold the closed curves that splicing a tangle splits off, and
     :class:`BracketError` on an unknown crossing or branch.
+
+    The result of splicing a tangle may itself hold such a closed curve:
+    branch ``A`` of a pure crossing on an open component splits one off.
+    That result is no valid tangle, so :func:`canonical_key` and
+    :func:`bracket` refuse it with :class:`DiagramError`, while this
+    function accepts it for further splicing.
     """
     broken = [v for v in d.violations if v.detail != "closed component in a tangle"]
     if broken:
         raise DiagramError("invalid diagram: " + "; ".join(str(v) for v in broken))
     for name, branch in branches.items():
-        if name not in d.occurrences:
+        if name not in d.partner_map:
             raise BracketError(f"unknown crossing {name!r}")
         if branch not in ("A", "B"):
             raise BracketError(f"branch must be 'A' or 'B', got {branch!r}")
     code = sum(1 << r for r, branch in enumerate(branches.values()) if branch == "B")
-    components, _ = _splice_components(d, code, _splice_table(d, tuple(branches)))
+    components = _splice_components(d, code, _splice_table(d, tuple(branches)))
     return Diagram(d.kind, tuple(components))
 
 
@@ -383,7 +380,7 @@ def _component_states(sub: Diagram, pures: tuple[str, ...]) -> set[ComponentCode
     rows = _interlacement_rows(sub.components[0].passes, pures)
     raw: set[ComponentCode] = set()
     for code in _one_curve_codes(rows):
-        components, _ = _splice_components(sub, code, table)
+        components = _splice_components(sub, code, table)
         if len(components) != 1:
             raise BracketError(
                 f"state {code} of the pure crossings {', '.join(pures)} left "

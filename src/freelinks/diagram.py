@@ -23,11 +23,10 @@ library's data class module do not apply to them, and ``_replace`` and
 class that equals only another diagram.  Data derived from a diagram is
 computed once per diagram, cached on it and read as its fields, never
 changed: ``violations`` (empty when the diagram is valid),
-``partner_map`` (each crossing's two components, XORed), ``pure``,
-``pair_counts`` (the crossing count of each component pair, pure pairs
-(i, i) included), ``parity`` (the good-condition table), ``pass_counts``
-and ``partners`` (which ``_isomorphic`` reads), ``key``, and
-``occurrences`` (the passes of each crossing, which few operations read).
+``partner_map`` (each crossing's two components, XORed, the one crossing
+index), ``pure``, ``pair_counts`` (the crossing count of each component
+pair, pure pairs (i, i) included), ``parity`` (the good-condition table),
+``pass_counts`` and ``partners`` (which ``_isomorphic`` reads), and ``key``.
 A field is computed on its first read by a small descriptor,
 :class:`_field`, with no lock, and kept in the instance ``__dict__``.
 Operations that need a valid diagram call the one guard
@@ -150,9 +149,9 @@ class Diagram:
     ``partners`` read it, and ``parity`` reads the mixed pairs (i, j),
     i < j, of ``pair_counts``, which also counts each pure pair (i, i).
     ``pass_counts`` and ``partners`` are the shape that :func:`_isomorphic`
-    matches.  ``occurrences`` lists each crossing's passes in scan order,
-    by component and then by position; only :func:`crossing_type`, the
-    invariant's ``lk`` and the bracket's ``apply_splices`` read it.
+    matches.  ``partner_map`` is the one crossing index: a crossing reads
+    as the pair of components of its passes, which :func:`crossing_type`
+    finds from its first component in scan order and ``partner_map``.
     """
 
     # _field keeps each cached field in __dict__
@@ -230,8 +229,7 @@ class Diagram:
         """Crossing name -> the XOR of the 1-based components of its two
         passes, in order of first occurrence: a pass on component ``ci``
         has partner ``partner_map[name] ^ ci``, and 0 marks a pure
-        crossing.  A name that does not occur twice is left out, as
-        :attr:`occurrences` leaves it out of every pair.
+        crossing.  A name that does not occur twice is left out.
 
         Built in one pass over the passes.  Each pass adds one to its
         name's count, held less two in the bits above the components', where
@@ -249,17 +247,6 @@ class Diagram:
             # some name occurs once or three times or more
             found = {name: x for name, x in found.items() if 0 <= x < step}
         return found
-
-    @_field
-    def occurrences(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        """Crossing name -> its passes as 1-based ``(component, position)``,
-        in scan order: by component, then by position."""
-        occ: dict[str, tuple[tuple[int, int], ...]] = {}
-        get = occ.get
-        for ci, comp in enumerate(self.components, start=1):
-            for pos, name in enumerate(comp.passes):
-                occ[name] = get(name, ()) + ((ci, pos),)
-        return occ
 
     @_field
     def pure(self) -> frozenset[str]:
@@ -509,14 +496,18 @@ def _component_violations(kind: str, components, bad=()) -> list[Violation]:
 
 
 def crossing_type(d: Diagram, c: str) -> CrossingType:
-    """The normalized pair (i, j), i <= j, of components carrying the two passes of c."""
-    occ = d.occurrences.get(c)
-    if occ is None:
-        raise DiagramError(f"unknown crossing {c!r}")
-    if len(occ) != 2:
-        raise DiagramError(f"crossing {c!r} occurs {len(occ)} times, expected 2")
-    i, j = occ[0][0], occ[1][0]
-    return CrossingType(min(i, j), max(i, j))
+    """The normalized pair (i, j), i <= j, of components carrying the two passes of c.
+
+    i is the first component in scan order that passes c, and j is its
+    partner in :attr:`Diagram.partner_map`."""
+    x = d.partner_map.get(c)
+    if x is None:
+        count = sum(comp.passes.count(c) for comp in d.components)
+        if not count:
+            raise DiagramError(f"unknown crossing {c!r}")
+        raise DiagramError(f"crossing {c!r} occurs {count} times, expected 2")
+    i = next(ci for ci, comp in enumerate(d.components, start=1) if c in comp.passes)
+    return CrossingType(i, x ^ i)
 
 
 # -- canonical form -----------------------------------------------------------

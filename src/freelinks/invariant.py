@@ -17,7 +17,7 @@ slide/conjugacy class of the word is a link invariant.
 
 from __future__ import annotations
 
-from .diagram import Basepoint, Diagram, cut_link, require_valid
+from .diagram import Basepoint, Diagram, crossing_type, cut_link, require_valid
 from .words import (
     GroupContext,
     Letter,
@@ -108,7 +108,7 @@ def lk(d: Diagram, c: str, k: int) -> int:
     k outside {i, j}.
     """
     letter = lk_vector(d, c)
-    (ci, _), (cj, _) = d.occurrences[c]
+    ci, cj = crossing_type(d, c)
     if not 1 <= k <= d.n:
         raise InvariantError(f"component {k} out of range 1..{d.n}")
     if k in (ci, cj):

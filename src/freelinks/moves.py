@@ -1080,7 +1080,6 @@ def _parse_slot(token: str, lineno: int) -> tuple[int, int, bool]:
     return ci, int(m.group(2)), False
 
 
-
 def parse_trace(text: str | bytes) -> list[MoveSite]:
     """Parse the line-oriented trace log emitted by :func:`serialize_trace`;
     lines end and a leading byte order mark is dropped as in

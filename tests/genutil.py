@@ -577,7 +577,7 @@ def reference_orbit_representatives(w: Word) -> dict[Letter, Word]:
 def reference_letters(d: Diagram) -> dict[str, Letter]:
     """Crossing name -> its letter as a bit tuple, for a tangle without pure
     crossings, from per-position counts of the passes before each crossing."""
-    occ = d.occurrences
+    occ = reference_crossing_occurrences(d)
     before = [[]]
     for ci, comp in enumerate(d.components, start=1):
         running = [0] * (d.n + 1)
@@ -601,7 +601,7 @@ def reference_word_table(d: Diagram) -> dict[tuple[int, int], Word]:
     _require_tangle(d)
     _require_good(d)
     letters = reference_letters(d)
-    occ = d.occurrences
+    occ = reference_crossing_occurrences(d)
     seqs = {(i, j): [] for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j}
     for along, comp in enumerate(d.components, start=1):
         for name in comp.passes:
@@ -705,10 +705,12 @@ def reference_splice_components(d: Diagram, branches: dict[str, str]):
 
     Returns ``(components, sources)`` where ``sources[k]`` is the set of
     source component indices whose arcs or passes the k-th result component
-    traverses.  Result components are ordered: for each source component in
-    index order, the curve through its start (open) or through the arc
-    leaving its first pass (closed, when that pass is spliced) or through its
-    first pass itself; then all remaining curves in scan order.
+    traverses; the kernel returns ``components`` alone, and
+    :func:`brute_bracket_keys` reads ``sources``.  Result components are
+    ordered: for each source component in index order, the curve through its
+    start (open) or through the arc leaving its first pass (closed, when that
+    pass is spliced) or through its first pass itself; then all remaining
+    curves in scan order.
     """
     occs = reference_crossing_occurrences(d)
     for name, branch in branches.items():

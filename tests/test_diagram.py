@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelinks.bracket import bracket
+from freelinks.bracket import BracketError, apply_splices, bracket
 from freelinks.diagram import (
     Basepoint,
     ComponentCode,
@@ -27,6 +27,7 @@ from freelinks.diagram import (
     serialize_diagram,
 )
 from freelinks.diagram import _diagram_from_key, _isomorphic
+from freelinks.invariant import InvariantError, lk
 from freelinks.moves import _expand, apply_move
 
 from genutil import (
@@ -41,6 +42,7 @@ from genutil import (
     reference_canonical_key,
     reference_crossing_occurrences,
     reference_is_good_condition,
+    reference_letters,
     reference_name_error,
     reference_pair_counts,
     reference_partners,
@@ -339,7 +341,6 @@ class TestIndex:
         invalid = 0
         for d in _index_cases():
             occ = reference_crossing_occurrences(d)
-            assert d.occurrences == {name: tuple(places) for name, places in occ.items()}, d
             assert d.pure == reference_pure_crossings(d), d
             assert (not any(d.parity.values()), d.parity) == reference_is_good_condition(d), d
             assert list(d.violations) == reference_validate(d), d
@@ -413,26 +414,92 @@ class TestIndex:
 
     def test_fields_outside_equality(self):
         d = parse_diagram("tangle n=2\ncomponent 1 open: a k k\ncomponent 2 open: a")
-        assert d.occurrences is d.occurrences
+        assert d.partner_map is d.partner_map
         assert d.pure == {"k"}
         fresh = Diagram(d.kind, d.components)
         assert fresh == d and hash(fresh) == hash(d)
-        assert "occurrences" not in vars(fresh)
+        assert "partner_map" not in vars(fresh)
 
-    def test_keying_builds_no_occurrence_index(self):
-        # a search keys many more diagrams than it expands; keyed diagrams
-        # must not each carry the index
-        d = random_good_diagram(random.Random(5), 4, 12, kind="link")
-        canonical_key(d)
-        assert d.violations == ()
-        assert "occurrences" not in vars(d)
+
+class TestCrossingReaders:
+    """The readers of a crossing's two components, which find them in
+    ``partner_map``, against the passes of each crossing in scan order
+    (``genutil.reference_crossing_occurrences``)."""
+
+    @staticmethod
+    def _cases():
+        # the index cases, then tangles and links of 3-5 components
+        cases = _index_cases()
+        rng = random.Random(71)
+        for _ in range(30):
+            for kind in ("tangle", "link"):
+                n = rng.randint(3, 5)
+                cases += [
+                    random_good_diagram(rng, n, 14, kind=kind),
+                    random_mixed_diagram(rng, n, 9, kind),
+                ]
+        return cases
+
+    def test_crossing_type_matches_reference(self):
+        miscounts = set()
+        for d in self._cases():
+            for name, places in reference_crossing_occurrences(d).items():
+                if len(places) == 2:
+                    (i, _), (j, _) = places
+                    assert i <= j and crossing_type(d, name) == CrossingType(i, j), (d, name)
+                else:
+                    with pytest.raises(DiagramError) as caught:
+                        crossing_type(d, name)
+                    assert str(caught.value) == (
+                        f"crossing {name!r} occurs {len(places)} times, expected 2"
+                    ), (d, name)
+                    miscounts.add(len(places))
+            with pytest.raises(DiagramError) as caught:
+                crossing_type(d, "absent")
+            assert str(caught.value) == "unknown crossing 'absent'"
+        assert {1, 3} <= miscounts
+
+    def test_lk_matches_reference_letters(self):
+        bits = 0
+        for d in self._cases():
+            if d.n < 3 or d.pure or reference_validate(d):
+                continue
+            if d.kind == "link":
+                d = cut_link(d, [Basepoint(i, 0) for i in range(1, d.n + 1)])
+            for name, letter in reference_letters(d).items():
+                (i, _), (j, _) = reference_crossing_occurrences(d)[name]
+                thirds = [k for k in range(1, d.n + 1) if k not in (i, j)]
+                assert [lk(d, name, k) for k in thirds] == list(letter), (d, name)
+                bits += len(thirds)
+                for k in (i, j):
+                    with pytest.raises(InvariantError) as caught:
+                        lk(d, name, k)
+                    assert str(caught.value) == (
+                        f"component {k} is one of the two strands of crossing {name!r}"
+                    )
+        assert bits >= 2000
+
+    def test_apply_splices_refuses_unknown_names(self):
+        spliced = 0
+        for d in self._cases():
+            if any(v.detail != "closed component in a tangle" for v in d.violations):
+                with pytest.raises(DiagramError, match="invalid diagram"):
+                    apply_splices(d, {"absent": "A"})
+                continue
+            with pytest.raises(BracketError) as caught:
+                apply_splices(d, {"absent": "A"})
+            assert str(caught.value) == "unknown crossing 'absent'"
+            # every name of a diagram past the validity check is known
+            for name in reference_crossing_occurrences(d):
+                apply_splices(d, {name: "A"})
+                spliced += 1
+        assert spliced >= 1500
 
 
 FIELDS = (
     "crossing_names",
     "violations",
     "partner_map",
-    "occurrences",
     "pure",
     "pair_counts",
     "key",
@@ -510,9 +577,9 @@ class TestWalkedIndex:
                 for _ in range(8):
                     for d in fuzz_walk_diagrams(rng, kind, n):
                         occ = reference_crossing_occurrences(d)
-                        # the same passes, and the same key order
-                        assert list(d.occurrences.items()) == [
-                            (name, tuple(places)) for name, places in occ.items()
+                        # the same partners, and the same key order
+                        assert list(d.partner_map.items()) == [
+                            (name, a ^ b) for name, ((a, _), (b, _)) in occ.items()
                         ], d
                         assert d.pure == reference_pure_crossings(d), d
                         counts = reference_pair_counts(d)
@@ -524,7 +591,7 @@ class TestWalkedIndex:
                         ), d
                         assert list(d.violations) == reference_validate(d), d
                         walked += 1
-                        inserted += any(name.startswith("w") for name in d.occurrences)
+                        inserted += any(name.startswith("w") for name in d.partner_map)
         assert walked == 4 * 8 * 11 and inserted >= walked // 2
 
     def test_invalid_names_listed_per_pass(self):
@@ -547,7 +614,6 @@ class TestWalkedIndex:
             "arity at crossing w: occurs 1 times, expected 2",
         ]
         assert list(d.violations) == reference_validate(d)
-        assert "occurrences" not in vars(d)
 
 
 class TestCanonicalForm:

@@ -280,8 +280,8 @@ class TestWordKernel:
             table = word_table(d)
             assert table == reference_word_table(d)
             letters = reference_letters(d)
-            for name in d.occurrences:
-                assert lk_vector(d, name) == letters[name]
+            for name, letter in letters.items():
+                assert lk_vector(d, name) == letter
             for word in table.values():
                 for undirected in (False, True):
                     assert canonical_class_word(word, undirected=undirected) == (
